@@ -16,13 +16,14 @@ and functor-valued data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     InvalidCategory,
     InvalidFunctor,
+    InvalidMatrix,
     NotInvertible,
     NotParallel,
     ShapeMismatch,
@@ -39,8 +40,10 @@ from .linalg import (
     hs_norm,
     matrix_from_json,
     matrix_to_json,
+    numerical_rank,
     op_norm,
     smallest_singular_value,
+    split_pair_key,
     subspace_span,
 )
 
@@ -125,11 +128,11 @@ class MatCStarCategory:
         dims = dict(objects)
         homs = {}
         for key, mats in data.get("homs", {}).items():
-            x, y = key.split("|")
+            x, y = split_pair_key(key)
             basis = [matrix_from_json(m) for m in mats]
             try:
                 homs[(x, y)] = Subspace(dims[y], dims[x], basis, tol=tol)
-            except Exception:
+            except InvalidMatrix:
                 homs[(x, y)] = subspace_span(basis, ambient_shape=(dims[y], dims[x]), tol=tol)
         return cls(objects, homs, tol=tol)
 
@@ -157,6 +160,13 @@ def _batch_residuals(space: Subspace, flat: np.ndarray) -> np.ndarray:
     return np.linalg.norm(flat, axis=1)
 
 
+def _basis_products(second: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """All products b_j . a_i of two stacks of matrices, one flattened row
+    per pair in the order (j, i): the product kernel of both validators."""
+    products = np.einsum("jab,ibc->jiac", second, first)
+    return products.reshape(len(second) * len(first), -1)
+
+
 def validate_category(cat: MatCStarCategory) -> list[Violation]:
     """Check unitality, adjoint closure and composition closure; an empty
     report means the data is a concrete C*-category within tolerance."""
@@ -180,10 +190,7 @@ def validate_category(cat: MatCStarCategory) -> list[Violation]:
             if second is None:
                 continue
             target = cat.hom(x, z)
-            a_stack = np.stack(first.basis)
-            b_stack = np.stack(second.basis)
-            products = np.einsum("jab,ibc->jiac", b_stack, a_stack)
-            flat = products.reshape(len(second.basis) * len(first.basis), -1)
+            flat = _basis_products(np.stack(second.basis), np.stack(first.basis))
             scales = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
             residuals = _batch_residuals(target, flat)
             for idx in np.nonzero(residuals > tol.eps_abs * scales)[0]:
@@ -270,8 +277,7 @@ class StarFunctor:
         target = MatCStarCategory.from_json(data["target"], tol=tol)
         hom_maps = {}
         for key, mats in data.get("hom_maps", {}).items():
-            x, y = key.split("|")
-            hom_maps[(x, y)] = [matrix_from_json(m) for m in mats]
+            hom_maps[split_pair_key(key)] = [matrix_from_json(m) for m in mats]
         return cls(source, target, data["object_map"], hom_maps, tol=tol)
 
     def __repr__(self):
@@ -297,16 +303,27 @@ def compose_functors(second: StarFunctor, first: StarFunctor) -> StarFunctor:
                        tol=first.tol)
 
 
+def _paired_images(f: StarFunctor, g: StarFunctor):
+    """The stored basis images of two functors, paired hom by hom."""
+    for pair, images in f.hom_maps.items():
+        yield from zip(images, g.hom_maps.get(pair, []))
+
+
 def functors_agree(f: StarFunctor, g: StarFunctor, tol: Tolerance | None = None) -> bool:
     """Equal object maps and basis images within tolerance."""
     tol = tol or f.tol
     if f.object_map != g.object_map:
         return False
-    for pair, images in f.hom_maps.items():
-        for a, b in zip(images, g.hom_maps.get(pair, [])):
-            if not tol.close(a, b):
-                return False
-    return True
+    return all(tol.close(a, b) for a, b in _paired_images(f, g))
+
+
+def functor_distance(f: StarFunctor, g: StarFunctor) -> float:
+    """Largest HS distance between paired basis images; infinite when the
+    object maps differ."""
+    if f.object_map != g.object_map:
+        return float("inf")
+    return max((float(np.linalg.norm(a - b)) for a, b in _paired_images(f, g)),
+               default=0.0)
 
 
 def validate_functor(functor: StarFunctor) -> list[Violation]:
@@ -336,10 +353,7 @@ def validate_functor(functor: StarFunctor) -> list[Violation]:
                 continue
             fb_stack = np.stack(functor.hom_maps[(y, z)])
             target = src.hom(x, z)
-            a_stack = np.stack(first.basis)
-            b_stack = np.stack(second.basis)
-            products = np.einsum("jab,ibc->jiac", b_stack, a_stack)
-            flat = products.reshape(len(second.basis) * len(first.basis), -1)
+            flat = _basis_products(np.stack(second.basis), np.stack(first.basis))
             rows = tgt.obj(functor.object_map[z]).dim
             cols = tgt.obj(functor.object_map[x]).dim
             if target.dim:
@@ -349,7 +363,7 @@ def validate_functor(functor: StarFunctor) -> list[Violation]:
                 lhs = np.einsum("pk,kab->pab", coords, f_target)
             else:
                 lhs = np.zeros((flat.shape[0], rows, cols), dtype=np.complex128)
-            rhs = np.einsum("jab,ibc->jiac", fb_stack, fa_stack).reshape(lhs.shape)
+            rhs = _basis_products(fb_stack, fa_stack).reshape(lhs.shape)
             diffs = np.linalg.norm((lhs - rhs).reshape(flat.shape[0], -1), axis=1)
             scales = np.maximum(
                 np.linalg.norm(rhs.reshape(flat.shape[0], -1), axis=1), 1.0)
@@ -498,20 +512,9 @@ def nat_scale_add(z, alpha: NatTransform, beta: NatTransform) -> NatTransform:
     return NatTransform(alpha.f, alpha.g, comps)
 
 
-def nat_algebra(op: str, *args):
-    """Dispatch for the pointwise algebra on natural transformations."""
-    if op == "compose":
-        return nat_compose(*args)
-    if op == "involute":
-        return nat_involute(*args)
-    if op == "scale_add":
-        return nat_scale_add(*args)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 class BoundedNatSpace:
     """The solution space of the naturality system between two parallel
-    functors, with its sup-norm evaluator."""
+    functors."""
 
     def __init__(self, f: StarFunctor, g: StarFunctor, basis: list[NatTransform]):
         self.f = f
@@ -521,9 +524,6 @@ class BoundedNatSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def sup_norm(self, alpha: NatTransform) -> float:
-        return alpha.sup_norm()
 
     def element(self, coeffs) -> NatTransform:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -584,8 +584,7 @@ def nat_space(f: StarFunctor, g: StarFunctor) -> BoundedNatSpace:
     if total == 0:
         return BoundedNatSpace(f, g, [])
     _, svals, vh = np.linalg.svd(system, full_matrices=True)
-    cutoff = f.tol.bound(float(svals[0])) if svals.size else f.tol.eps_abs
-    rank = int(np.sum(svals > cutoff))
+    rank = numerical_rank(svals, f.tol)
     basis = []
     for row in vh[rank:].conj():
         comps = {x: row[offsets[x]:offsets[x] + shapes[x][0] * shapes[x][1]]
@@ -743,8 +742,7 @@ def equalizer(f: StarFunctor, g: StarFunctor) -> MatCStarCategory:
             for i in range(space.dim)
         ], axis=1)
         _, svals, vh = np.linalg.svd(diffs, full_matrices=True)
-        cutoff = src.tol.bound(float(svals[0])) if svals.size else src.tol.eps_abs
-        rank = int(np.sum(svals > cutoff))
+        rank = numerical_rank(svals, src.tol)
         kernel = vh[rank:].conj()
         basis = [space.from_coords(row) for row in kernel]
         if basis:
@@ -822,12 +820,3 @@ def uncurry(data: CurriedFunctor, tensor: MatCStarCategory | None = None) -> Sta
                     images.append(alpha.components[y2] @ inner)
             hom_maps[key] = images
     return StarFunctor(tensor, data.target, object_map, hom_maps, tol=a.tol)
-
-
-def exponential_transpose(direction: str, *args, **kwargs):
-    """Dispatch: 'curry' takes (F, A, B); 'uncurry' takes (CurriedFunctor[, tensor])."""
-    if direction == "curry":
-        return curry(*args, **kwargs)
-    if direction == "uncurry":
-        return uncurry(*args, **kwargs)
-    raise ValueError(f"unknown direction {direction!r}")

@@ -29,9 +29,9 @@ from .categories import (
     validate_functor,
 )
 from .errors import CStarCatError, InvalidParams, NotFiniteWithinBound
-from .groupoids import FiniteGroupoid, FPGroupoid, cstar_max, fundamental_groupoid, nerve
+from .groupoids import FiniteGroupoid, cstar_max, fundamental_groupoid, nerve
 from .homotopy import pi
-from .linalg import Tolerance, matrix_from_json
+from .linalg import Tolerance, is_unitary, matrix_from_json
 from .reports import Report
 from .simplicial import FiniteSimplicialSet
 
@@ -80,8 +80,15 @@ def _emit(report: Report, args, started: float) -> int:
 
 
 def _tol(args) -> Tolerance:
+    """The --tolerance flag as a Tolerance; only a missing flag means the
+    default."""
     eps = getattr(args, "tolerance", None)
-    return Tolerance(eps, eps) if eps else Tolerance()
+    if eps is None:
+        return Tolerance()
+    try:
+        return Tolerance(eps, eps)
+    except ValueError as err:
+        raise InvalidParams(f"--tolerance {eps}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +100,10 @@ def cmd_validate(args) -> Report:
     kind = args.kind if args.kind != "auto" else detect_kind(data)
     report = Report("validate")
     if kind == "category":
-        cat = MatCStarCategory.from_json(data, tol=_tol(args))
+        cat = MatCStarCategory.from_json(data, tol=args.tol)
         violations = validate_category(cat)
     elif kind == "functor":
-        functor = StarFunctor.from_json(data, tol=_tol(args))
+        functor = StarFunctor.from_json(data, tol=args.tol)
         violations = validate_category(functor.source) + \
             validate_category(functor.target) + validate_functor(functor)
     else:
@@ -110,7 +117,7 @@ def cmd_validate(args) -> Report:
 
 
 def cmd_factorize(args) -> Report:
-    functor = StarFunctor.from_json(_load(args.file), tol=_tol(args))
+    functor = StarFunctor.from_json(_load(args.file), tol=args.tol)
     report = Report(f"factorize:{args.mode}")
     if args.mode == "path":
         result = md.factor_path(functor)
@@ -151,7 +158,7 @@ def _load_functor_ref(ref, base: Path, tol: Tolerance) -> StarFunctor:
 def cmd_lift(args) -> Report:
     data = _load(args.file)
     base = Path(args.file).parent
-    tol = _tol(args)
+    tol = args.tol
     report = Report(f"lift:{args.mode}")
     if args.mode == "generator":
         functor = _load_functor_ref(data["F"], base, tol)
@@ -188,7 +195,7 @@ def cmd_lift(args) -> Report:
 
 
 def cmd_tensor(args) -> Report:
-    tol = _tol(args)
+    tol = args.tol
     a = MatCStarCategory.from_json(_load(args.left), tol=tol)
     b = MatCStarCategory.from_json(_load(args.right), tol=tol)
     tensor = tensor_max(a, b)
@@ -207,12 +214,11 @@ def cmd_tensor(args) -> Report:
 
 def cmd_groupoid_cstar(args) -> Report:
     groupoid = FiniteGroupoid.from_json(_load(args.file))
-    gc = cstar_max(groupoid, tol=_tol(args))
+    gc = cstar_max(groupoid, tol=args.tol)
     report = Report("groupoid-cstar")
     bad = validate_category(gc.category)
     report.add("validates", "pass" if not bad else "fail")
-    from .groupoids import uni_membership
-    unitary = all(uni_membership(m) for m in gc.embed.values())
+    unitary = all(is_unitary(m) for m in gc.embed.values())
     report.add("arrows_are_unitary", "pass" if unitary else "fail")
     dims_ok = all(gc.category.hom(x, y).dim == len(groupoid.hom(x, y))
                   for x in groupoid.objects for y in groupoid.objects)
@@ -247,7 +253,7 @@ def cmd_pi(args) -> Report:
     sset = FiniteSimplicialSet.from_json(_load(args.file))
     report = Report("pi")
     try:
-        gc = pi(sset, bound=args.coset_budget, tol=_tol(args))
+        gc = pi(sset, bound=args.coset_budget, tol=args.tol)
     except NotFiniteWithinBound as err:
         report.add("fundamental_groupoid_finite", "unknown", detail=str(err))
         return report
@@ -385,6 +391,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.time()
     try:
+        args.tol = _tol(args)
         report = args.run(args)
     except (json.JSONDecodeError, FileNotFoundError, KeyError) as err:
         print(f"parse error: {err}", file=sys.stderr)

@@ -128,3 +128,7 @@ class PreconditionFailed(CStarCatError):
 
 class InvalidParams(CStarCatError):
     """Command parameters are out of their documented bounds."""
+
+
+class MalformedInput(InvalidParams):
+    """An input file has a malformed key or matrix entry."""

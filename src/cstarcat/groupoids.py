@@ -23,22 +23,12 @@ from .coset import CosetEnumeration, invert_word
 from .errors import (
     InvalidFunctor,
     InvalidGroupoid,
-    InvalidSimplicialSet,
     NotUnitary,
 )
 from . import linalg
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_matrix
+from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_matrix, split_pair_key
+from .presentations import UnionFind, check_composition_table
 from .simplicial import FiniteSimplicialSet, SimplexRef
-
-
-def uni_membership(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff a*a = 1 and aa* = 1 within tolerance."""
-    return linalg.is_unitary(a, tol)
-
-
-def ism_membership(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff a*a = 1 within tolerance (the isometry condition only)."""
-    return linalg.is_isometry(a, tol)
 
 
 class FiniteGroupoid:
@@ -86,31 +76,8 @@ class FiniteGroupoid:
         return out
 
     def _validate(self):
-        for name, (src, tgt) in self.arrows.items():
-            if src not in self.objects or tgt not in self.objects:
-                raise InvalidGroupoid(f"arrow {name!r} has undeclared endpoints")
-        for g, (gs, gt) in self.arrows.items():
-            for f, (fs, ft) in self.arrows.items():
-                if ft != gs:
-                    if (g, f) in self.compose:
-                        raise InvalidGroupoid(f"composite of non-composable {g!r}.{f!r}")
-                    continue
-                h = self.compose.get((g, f))
-                if h is None or self.arrows.get(h) != (fs, gt):
-                    raise InvalidGroupoid(f"bad composite {g!r}.{f!r}")
-        for h, (hs, ht) in self.arrows.items():
-            for g, (gs, gt) in self.arrows.items():
-                if gt != hs:
-                    continue
-                for f, (fs, ft) in self.arrows.items():
-                    if ft != gs:
-                        continue
-                    if self.compose[(self.compose[(h, g)], f)] != \
-                            self.compose[(h, self.compose[(g, f)])]:
-                        raise InvalidGroupoid("composition not associative")
-        for x, e in self.identities.items():
-            if self.arrows.get(e) != (x, x):
-                raise InvalidGroupoid(f"identity of {x!r} is not a loop")
+        check_composition_table(self.objects, self.arrows, self.identities,
+                                self.compose, InvalidGroupoid)
         for f, g in self.inverses.items():
             src, tgt = self.arrows[f]
             if self.compose.get((g, f)) != self.identities[src] or \
@@ -133,23 +100,10 @@ class FiniteGroupoid:
         return sorted(chosen, key=lambda f: (self.arrows[f][0], f))
 
     def components(self) -> list[list[str]]:
-        parent = {x: x for x in self.objects}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for _f, (s, t) in self.arrows.items():
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                lo, hi = (rs, rt) if rs < rt else (rt, rs)
-                parent[hi] = lo
-        groups: dict[str, list[str]] = {}
-        for x in self.objects:
-            groups.setdefault(find(x), []).append(x)
-        return [sorted(groups[r]) for r in sorted(groups)]
+        classes = UnionFind(self.objects)
+        for s, t in self.arrows.values():
+            classes.union(s, t)
+        return classes.classes()
 
     def vertex_group_table(self, x: str):
         """(element arrow names, multiplication table of index pairs)."""
@@ -194,10 +148,7 @@ class FiniteGroupoid:
     def from_json(cls, data) -> "FiniteGroupoid":
         arrows = {a["name"]: (a["src"], a["tgt"]) for a in data["arrows"]}
         inverses = {a["name"]: a["inv"] for a in data["arrows"]}
-        compose = {}
-        for key, h in data["compose"].items():
-            g, f = key.split("|")
-            compose[(g, f)] = h
+        compose = {split_pair_key(key): h for key, h in data["compose"].items()}
         return cls(data["objects"], arrows, compose, inverses=inverses)
 
     def __repr__(self):
@@ -442,7 +393,7 @@ class UnitaryRep:
             rows = category.obj(self.object_map[y]).dim
             cols = category.obj(self.object_map[x]).dim
             m = as_matrix(m, rows, cols)
-            if not uni_membership(m, tol):
+            if not linalg.is_unitary(m, tol):
                 raise NotUnitary(f"image of {g!r} is not unitary")
             if not category.hom(self.object_map[x], self.object_map[y]).contains(m, tol):
                 raise InvalidFunctor(f"image of {g!r} leaves the hom space")
@@ -543,8 +494,7 @@ def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
             dims_ok = False
         if sdim:
             coord = functor.coord_matrix(x, y)
-            svals = np.linalg.svd(coord, compute_uv=False)
-            rank = int(np.sum(svals > tol.bound(float(svals[0]))))
+            rank = linalg.numerical_rank(np.linalg.svd(coord, compute_uv=False), tol)
             if rank != sdim or rank != tdim:
                 full_rank = False
     residual = max((v.residual for v in validate_functor(functor)), default=0.0)
@@ -613,23 +563,10 @@ class FPGroupoid:
             raise InvalidGroupoid("word endpoints disagree")
 
     def components(self) -> list[list[str]]:
-        parent = {x: x for x in self.objects}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for _g, (s, t) in self.generators.items():
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                lo, hi = (rs, rt) if rs < rt else (rt, rs)
-                parent[hi] = lo
-        groups: dict[str, list[str]] = {}
-        for x in self.objects:
-            groups.setdefault(find(x), []).append(x)
-        return [sorted(groups[r]) for r in sorted(groups)]
+        classes = UnionFind(self.objects)
+        for s, t in self.generators.values():
+            classes.union(s, t)
+        return classes.classes()
 
     def to_json(self) -> dict:
         def word_json(w):

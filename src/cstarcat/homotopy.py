@@ -10,12 +10,8 @@ decided.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .categories import (
-    BoundedNatSpace,
     MatCStarCategory,
-    NatTransform,
     StarFunctor,
     nat_space,
     tensor_max,
@@ -24,7 +20,6 @@ from .categories import (
 from .errors import NotFiniteWithinBound, ShapeMismatch
 from .groupoids import (
     GroupoidCStar,
-    GroupoidFunctor,
     UnitaryRep,
     adjunction_extend,
     cstar_max,

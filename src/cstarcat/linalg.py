@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     InvalidMatrix,
+    MalformedInput,
     MissingShape,
     NotHermitian,
     NotSquare,
@@ -69,16 +70,23 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def matrix_from_json(data) -> np.ndarray:
     rows = []
-    for row in data:
-        rows.append([complex(re, im) for re, im in row])
+    try:
+        for row in data:
+            rows.append([complex(re, im) for re, im in row])
+        stacked = np.array(rows, dtype=np.complex128)
+    except (TypeError, ValueError) as err:
+        raise MalformedInput(f"matrix entries must be [re, im] pairs: {err}") from None
     if not rows:
         return np.zeros((0, 0), dtype=np.complex128)
-    return as_matrix(np.array(rows, dtype=np.complex128))
+    return as_matrix(stacked)
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product <a, b> = tr(a* b)."""
-    return complex(np.vdot(a, b))
+def split_pair_key(key: str) -> tuple[str, str]:
+    """Parse the ``"a|b"`` keys of the JSON hom and composition tables."""
+    parts = key.split("|")
+    if len(parts) != 2:
+        raise MalformedInput(f"key {key!r} is not of the form 'a|b'")
+    return parts[0], parts[1]
 
 
 def hs_norm(a: np.ndarray) -> float:
@@ -91,6 +99,14 @@ def op_norm(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def numerical_rank(svals: np.ndarray, tol: Tolerance) -> int:
+    """Number of singular values (in descending order) above
+    ``tol.bound(sigma_max)``: the one rank cutoff of the package."""
+    if not svals.size:
+        return 0
+    return int(np.sum(svals > tol.bound(float(svals[0]))))
 
 
 def smallest_singular_value(m) -> float:
@@ -216,21 +232,6 @@ class Subspace:
         a = as_matrix(m, self.ambient_rows, self.ambient_cols)
         return self.residual(a) <= tol.bound(hs_norm(a))
 
-    def to_json(self) -> dict:
-        return {
-            "rows": self.ambient_rows,
-            "cols": self.ambient_cols,
-            "basis": [matrix_to_json(b) for b in self.basis],
-        }
-
-    @classmethod
-    def from_json(cls, data, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
-        basis = [matrix_from_json(b) for b in data["basis"]]
-        try:
-            return cls(data["rows"], data["cols"], basis, tol=tol)
-        except InvalidMatrix:
-            return subspace_span(basis, ambient_shape=(data["rows"], data["cols"]), tol=tol)
-
     def __repr__(self):
         return f"Subspace({self.ambient_rows}x{self.ambient_cols}, dim={self.dim})"
 
@@ -255,8 +256,7 @@ def subspace_span(mats, ambient_shape: tuple[int, int] | None = None,
     arrays = [as_matrix(m, shape[0], shape[1]) for m in mats]
     stacked = np.stack([a.ravel() for a in arrays])
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    cutoff = tol.bound(float(svals[0])) if svals.size else tol.eps_abs
-    rank = int(np.sum(svals > cutoff))
+    rank = numerical_rank(svals, tol)
     basis = [vh[i].reshape(shape) for i in range(rank)]
     return Subspace(shape[0], shape[1], basis, tol=tol, _trusted=True)
 

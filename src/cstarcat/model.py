@@ -19,7 +19,6 @@ witnesses) are made deterministic: declaration order and seeded sampling.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,22 +28,21 @@ from .categories import (
     NatTransform,
     StarFunctor,
     compose_functors,
+    functor_distance,
     functors_agree,
     identity_functor,
     iso_exists,
     unitarize,
-    validate_category,
-    validate_functor,
 )
 from .errors import (
     LiftObstruction,
     NotAWeakEquivalence,
     PreconditionFailed,
-    SingularOperand,
     SquareMismatch,
 )
 from . import linalg
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_matrix, hs_norm, op_norm
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix
+from .presentations import UnionFind
 
 
 def empty_category(tol: Tolerance = DEFAULT_TOL) -> MatCStarCategory:
@@ -69,8 +67,7 @@ def _hom_map_ranks(functor: StarFunctor, x: str, y: str):
         return 0, tdim, 0
     coord = functor.coord_matrix(x, y)
     svals = np.linalg.svd(coord, compute_uv=False) if coord.size else np.array([])
-    cutoff = functor.tol.bound(float(svals[0])) if svals.size else functor.tol.eps_abs
-    return sdim, tdim, int(np.sum(svals > cutoff))
+    return sdim, tdim, linalg.numerical_rank(svals, functor.tol)
 
 
 def is_fully_faithful(functor: StarFunctor):
@@ -286,18 +283,8 @@ class LiftingSquare:
         """(max residual of lift.left vs top, of right.lift vs bottom)."""
         first = compose_functors(lift, self.left)
         second = compose_functors(self.right, lift)
-        return (_functor_distance(first, self.top),
-                _functor_distance(second, self.bottom))
-
-
-def _functor_distance(f: StarFunctor, g: StarFunctor) -> float:
-    if f.object_map != g.object_map:
-        return float("inf")
-    worst = 0.0
-    for pair, images in f.hom_maps.items():
-        for a, b in zip(images, g.hom_maps.get(pair, [])):
-            worst = max(worst, float(np.linalg.norm(a - b)))
-    return worst
+        return (functor_distance(first, self.top),
+                functor_distance(second, self.bottom))
 
 
 def lift_tcof_fib(square: LiftingSquare, oracle=None, seed: int = 0) -> StarFunctor:
@@ -392,47 +379,7 @@ def lift_cof_tfib(square: LiftingSquare) -> StarFunctor:
 
 
 # ---------------------------------------------------------------------------
-# lazy categories and the two factorizations
-
-
-class LazyCStarCategory:
-    """A category presented by an object rule instead of a finite list: a
-    dimension function and a hom provider over opaque object descriptors.
-    Finite snapshots materialize full subcategories on demand; materialized
-    homs are memoized behind a lock."""
-
-    def __init__(self, dim_of, hom_of, describe=None, tol: Tolerance = DEFAULT_TOL):
-        self.dim_of = dim_of
-        self.hom_of = hom_of
-        self.describe = describe or (lambda key: str(key))
-        self.tol = tol
-        self._cache: dict = {}
-        self._lock = threading.Lock()
-
-    def hom(self, key1, key2) -> Subspace:
-        cache_key = (key1, key2)
-        with self._lock:
-            if cache_key in self._cache:
-                return self._cache[cache_key]
-        space = self.hom_of(key1, key2)
-        with self._lock:
-            self._cache.setdefault(cache_key, space)
-            return self._cache[cache_key]
-
-    def snapshot(self, keys, names=None) -> tuple[MatCStarCategory, dict]:
-        """Materialize the full subcategory on the given descriptors.
-        Returns (category, key -> object name)."""
-        keys = list(keys)
-        names = names or [self.describe(k) for k in keys]
-        name_of = dict(zip(keys, names))
-        objects = [(name_of[k], self.dim_of(k)) for k in keys]
-        homs = {}
-        for k1 in keys:
-            for k2 in keys:
-                space = self.hom(k1, k2)
-                if space.dim:
-                    homs[(name_of[k1], name_of[k2])] = space
-        return MatCStarCategory(objects, homs, tol=self.tol), name_of
+# the two factorizations
 
 
 @dataclass
@@ -440,81 +387,50 @@ class FactorizationResult:
     first: StarFunctor
     midway: MatCStarCategory
     second: StarFunctor
-    lazy: LazyCStarCategory | None = None
-    extras: dict = field(default_factory=dict)
+    triples: list = field(default_factory=list)  # path midway: (x, u, y, name)
 
     def composite_residual(self, original: StarFunctor) -> float:
-        composite = compose_functors(self.second, self.first)
-        if composite.object_map != original.object_map:
-            return float("inf")
-        return _functor_distance(composite, original)
-
-
-class PathMidway:
-    """The path-object midway category of a functor F: A -> B: objects are
-    triples (x, u, y) with u a unitary Fx -> y, homs are A(x, x')."""
-
-    def __init__(self, functor: StarFunctor):
-        self.functor = functor
-        src, tgt = functor.source, functor.target
-        self.lazy = LazyCStarCategory(
-            dim_of=lambda key: src.obj(key[0]).dim,
-            hom_of=lambda k1, k2: src.hom(k1[0], k2[0]),
-            describe=lambda key: f"({key[0]},{key[2]}#{key[3]})",
-            tol=functor.tol,
-        )
-
-    def triple(self, x: str, u, y: str, tag: int = 0):
-        """Descriptor for the object (x, u, y); the tag disambiguates
-        distinct unitaries over the same endpoints."""
-        u = as_matrix(u, self.functor.target.obj(y).dim,
-                      self.functor.target.obj(self.functor.object_map[x]).dim)
-        if not linalg.is_unitary(u, self.functor.tol):
-            raise SquareMismatch(f"triple over {x!r} needs a unitary")
-        return (x, u.tobytes(), y, tag, u.shape)
-
-    def unit_triple(self, x: str):
-        fx = self.functor.object_map[x]
-        return self.triple(x, self.functor.target.identity(fx), fx)
-
-    def unitary_of(self, key) -> np.ndarray:
-        return np.frombuffer(key[1], dtype=np.complex128).reshape(key[4])
+        return functor_distance(compose_functors(self.second, self.first), original)
 
 
 def factor_path(functor: StarFunctor, extra_triples=()) -> FactorizationResult:
     """F = P . I with I a trivial cofibration and P a fibration.
 
-    The snapshot midway contains the canonical triples (x, 1_Fx, Fx) plus
-    any extra (x, u, y) triples supplied; I is fully faithful with identity
-    hom maps, and P sends (x, u, y) to y and a to u' F(a) u*.
+    The midway has one object per triple (x, u, y), u a unitary Fx -> y,
+    named "(x,y#tag)" and carrying the homs of A: the canonical triples
+    (x, 1_Fx, Fx) with tag 0, then any extra triples supplied, tagged from 1.
+    I is fully faithful with identity hom maps, and P sends (x, u, y) to y
+    and a to u' F(a) u*.
     """
     src, tgt = functor.source, functor.target
-    midway = PathMidway(functor)
-    keys = [midway.unit_triple(x) for x in src.object_names]
+    triples = []
+    for x in src.object_names:
+        fx = functor.object_map[x]
+        triples.append((x, tgt.identity(fx), fx, f"({x},{fx}#0)"))
     for tag, (x, u, y) in enumerate(extra_triples, start=1):
-        keys.append(midway.triple(x, u, y, tag=tag))
-    snapshot, name_of = midway.lazy.snapshot(keys)
+        u = as_matrix(u, tgt.obj(y).dim, tgt.obj(functor.object_map[x]).dim)
+        if not linalg.is_unitary(u, functor.tol):
+            raise SquareMismatch(f"triple over {x!r} needs a unitary")
+        triples.append((x, u, y, f"({x},{y}#{tag})"))
 
-    ident_names = {x: name_of[key] for x, key in zip(src.object_names, keys)}
-    i_hom_maps = {pair: list(space.basis) for pair, space in src.homs.items()}
-    i_functor = StarFunctor(src, snapshot, ident_names, i_hom_maps, tol=src.tol)
-
-    p_obj = {name_of[k]: k[2] for k in keys}
-    p_hom_maps = {}
-    for k1 in keys:
-        for k2 in keys:
-            space = src.hom(k1[0], k2[0])
-            if space.dim == 0:
+    homs, p_hom_maps = {}, {}
+    for x1, u1, _y1, name1 in triples:
+        for x2, u2, _y2, name2 in triples:
+            space = src.homs.get((x1, x2))
+            if space is None:
                 continue
-            u1 = midway.unitary_of(k1)
-            u2 = midway.unitary_of(k2)
-            images = [u2 @ functor.apply(k1[0], k2[0], b) @ u1.conj().T
-                      for b in space.basis]
-            p_hom_maps[(name_of[k1], name_of[k2])] = images
-    p_functor = StarFunctor(snapshot, tgt, p_obj, p_hom_maps, tol=src.tol)
-    return FactorizationResult(i_functor, snapshot, p_functor, lazy=midway.lazy,
-                               extras={"path": midway, "keys": keys,
-                                       "names": name_of})
+            homs[(name1, name2)] = space
+            p_hom_maps[(name1, name2)] = [u2 @ functor.apply(x1, x2, b) @ u1.conj().T
+                                          for b in space.basis]
+    objects = [(name, src.obj(x).dim) for x, _u, _y, name in triples]
+    midway = MatCStarCategory(objects, homs, tol=functor.tol)
+
+    i_obj = {x: name for x, _u, _y, name in triples[:len(src.object_names)]}
+    i_hom_maps = {pair: list(space.basis) for pair, space in src.homs.items()}
+    i_functor = StarFunctor(src, midway, i_obj, i_hom_maps, tol=src.tol)
+    p_obj = {name: y for _x, _u, y, name in triples}
+    p_functor = StarFunctor(midway, tgt, p_obj, p_hom_maps, tol=src.tol)
+    return FactorizationResult(i_functor, midway, p_functor, triples)
 
 
 def factor_cylinder(functor: StarFunctor) -> FactorizationResult:
@@ -561,20 +477,14 @@ def factor_cylinder(functor: StarFunctor) -> FactorizationResult:
 def path_lift_oracle(result: FactorizationResult):
     """The explicit fibration structure of the path factorization: lifting a
     unitary v: P(x, u, y) -> y' lands in the triple (x, v u, y') with witness
-    1_x. Materializes the new triple into a fresh snapshot on demand, so the
+    1_x. The new triple is returned as data, not added to the midway, so the
     returned callable is suitable only for existence and residual checks."""
-    midway: PathMidway = result.extras["path"]
-    functor = midway.functor
+    source = result.first.source
 
     def oracle(name: str, v, codomain: str):
-        for key in result.extras["keys"]:
-            if result.extras["names"][key] == name:
-                x = key[0]
-                u = midway.unitary_of(key)
-                new_key = midway.triple(x, as_matrix(v) @ u, codomain,
-                                        tag=len(result.extras["keys"]) + 1)
-                witness = functor.source.identity(x)
-                return witness, new_key
+        for x, u, _y, triple_name in result.triples:
+            if triple_name == name:
+                return source.identity(x), (x, as_matrix(v) @ u, codomain)
         return None
 
     return oracle
@@ -598,20 +508,10 @@ def pushout_product_objects(f: StarFunctor, f2: StarFunctor) -> PushoutProductVe
             for a2 in f2.source.object_names]
     right = [("R", a, b2) for a in f.source.object_names
              for b2 in f2.target.object_names]
-    parent = {e: e for e in left + right}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
+    glued = UnionFind(left + right)
     for a in f.source.object_names:
         for a2 in f2.source.object_names:
-            e1 = find(("L", f.object_map[a], a2))
-            e2 = find(("R", a, f2.object_map[a2]))
-            if e1 != e2:
-                parent[max(e1, e2)] = min(e1, e2)
+            glued.union(("L", f.object_map[a], a2), ("R", a, f2.object_map[a2]))
 
     def induced(e):
         tag, p, q = e
@@ -621,7 +521,7 @@ def pushout_product_objects(f: StarFunctor, f2: StarFunctor) -> PushoutProductVe
 
     classes: dict = {}
     for e in left + right:
-        classes.setdefault(find(e), e)
+        classes.setdefault(glued.find(e), e)
     seen: dict = {}
     for rep in sorted(classes):
         target = induced(classes[rep])
@@ -663,10 +563,10 @@ def axiom_harness(kind: str, instances, seed: int = 0) -> list[dict]:
         for idx, inst in enumerate(instances):
             big, small = inst["big"], inst["small"]
             residual = max(
-                _functor_distance(compose_functors(inst["p"], inst["i"]),
-                                  identity_functor(small.source)),
-                _functor_distance(compose_functors(inst["q"], inst["j"]),
-                                  identity_functor(small.target)),
+                functor_distance(compose_functors(inst["p"], inst["i"]),
+                                 identity_functor(small.source)),
+                functor_distance(compose_functors(inst["q"], inst["j"]),
+                                 identity_functor(small.target)),
             )
             big_v = is_weak_equivalence(big, seed=seed + idx)
             small_v = is_weak_equivalence(small, seed=seed + idx)

@@ -12,7 +12,7 @@ interfaces of the model-structure layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     UnboundedGenerator,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, matrix_from_json, matrix_to_json, op_norm
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, op_norm
 
 #: coefficients with modulus at or below this are dropped from elements
 PRUNE_EPS = 1e-9
@@ -382,8 +382,8 @@ def coequalizer(f1: PresFunctor, f2: PresFunctor) -> PresentedStarCategory:
             raise NotParallel("functors do not share a target")
     target = f1.target
 
-    obj_uf = _UnionFind(target.quiver.objects)
-    arr_uf = _UnionFind(list(target.quiver.arrow_by_name))
+    obj_uf = UnionFind(target.quiver.objects)
+    arr_uf = UnionFind(list(target.quiver.arrow_by_name))
     for x in f1.source.quiver.objects:
         obj_uf.union(f1.object_map[x], f2.object_map[x])
     for a in f1.source.quiver.arrow_by_name:
@@ -409,11 +409,15 @@ def coequalizer(f1: PresFunctor, f2: PresFunctor) -> PresentedStarCategory:
     return PresentedStarCategory(quiver, relations, bounds)
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint classes of a fixed set of comparable items. The root of each
+    class is its least member, so representatives are deterministic."""
+
     def __init__(self, items):
         self.parent = {x: x for x in items}
 
     def find(self, x):
+        """The least member of x's class (path halving on the way)."""
         while self.parent[x] != x:
             self.parent[x] = self.parent[self.parent[x]]
             x = self.parent[x]
@@ -423,9 +427,15 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
-        # smaller name wins, for deterministic representatives
         lo, hi = (ra, rb) if ra < rb else (rb, ra)
         self.parent[hi] = lo
+
+    def classes(self) -> list[list]:
+        """The classes, each sorted, in the order of their least members."""
+        groups: dict = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return [sorted(groups[root]) for root in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +539,45 @@ def evaluate(presentation: PresentedStarCategory, category,
 # finite categories realized by isometries
 
 
+def check_composition_table(objects, arrows, identities, compose, error):
+    """Raise ``error`` unless the tables form a category: arrow endpoints are
+    declared, exactly the composable pairs have a composite, with the right
+    endpoints, each identity is a loop neutral on both sides, and
+    composition is associative.
+
+    ``arrows`` maps names to ``(src, tgt)``, ``identities`` objects to arrow
+    names and ``compose`` pairs ``(g, f)`` (g after f) to arrow names.
+    """
+    into = {x: [] for x in objects}          # arrow names by target
+    for name, (src, tgt) in arrows.items():
+        if src not in into or tgt not in into:
+            raise error(f"arrow {name!r} has undeclared endpoints")
+        into[tgt].append(name)
+    composable = 0
+    for g, (gs, gt) in arrows.items():
+        for f in into[gs]:
+            h = compose.get((g, f))
+            if h is None or arrows.get(h) != (arrows[f][0], gt):
+                raise error(f"bad composite {g!r}.{f!r}")
+            composable += 1
+    # every composable pair has its own key, so any further key is a
+    # composite stored for a pair that is not composable
+    if len(compose) != composable:
+        raise error("composite stored for a pair that is not composable")
+    for x in objects:
+        if arrows.get(identities.get(x)) != (x, x):
+            raise error(f"object {x!r} lacks an identity loop")
+    for f, (fs, ft) in arrows.items():
+        if compose[(identities[ft], f)] != f or compose[(f, identities[fs])] != f:
+            raise error(f"identities are not neutral on {f!r}")
+    for h, (hs, _ht) in arrows.items():
+        for g in into[hs]:
+            hg = compose[(h, g)]
+            for f in into[arrows[g][0]]:
+                if compose[(hg, f)] != compose[(h, compose[(g, f)])]:
+                    raise error("composition is not associative")
+
+
 class FiniteCategory:
     """A finite category given by explicit composition tables."""
 
@@ -540,39 +589,8 @@ class FiniteCategory:
         self._validate()
 
     def _validate(self):
-        for x in self.objects:
-            ident = self.identities.get(x)
-            if ident not in self.arrows or self.arrows[ident] != (x, x):
-                raise InvalidCategory(f"object {x!r} lacks a valid identity arrow")
-        for name, (src, tgt) in self.arrows.items():
-            if src not in self.objects or tgt not in self.objects:
-                raise InvalidCategory(f"arrow {name!r} has undeclared endpoints")
-        for g, (gs, gt) in self.arrows.items():
-            for f, (fs, ft) in self.arrows.items():
-                if ft != gs:
-                    continue
-                h = self.compose.get((g, f))
-                if h is None or h not in self.arrows:
-                    raise InvalidCategory(f"missing composite {g!r} . {f!r}")
-                if self.arrows[h] != (fs, gt):
-                    raise InvalidCategory(f"composite {g!r} . {f!r} has wrong endpoints")
-        for x in self.objects:
-            e = self.identities[x]
-            for f, (fs, ft) in self.arrows.items():
-                if ft == x and self.compose[(e, f)] != f:
-                    raise InvalidCategory("identity is not left-neutral")
-                if fs == x and self.compose[(f, e)] != f:
-                    raise InvalidCategory("identity is not right-neutral")
-        for h, (hs, ht) in self.arrows.items():
-            for g, (gs, gt) in self.arrows.items():
-                if gt != hs:
-                    continue
-                for f, (fs, ft) in self.arrows.items():
-                    if ft != gs:
-                        continue
-                    if self.compose[(self.compose[(h, g)], f)] != \
-                            self.compose[(h, self.compose[(g, f)])]:
-                        raise InvalidCategory("composition is not associative")
+        check_composition_table(self.objects, self.arrows, self.identities,
+                                self.compose, InvalidCategory)
 
     def is_identity(self, name: str) -> bool:
         src, tgt = self.arrows[name]

@@ -329,96 +329,6 @@ def random_groupoid(rng: np.random.Generator, n_objects: int = 2,
                           check=False)
 
 
-# ---------------------------------------------------------------------------
-# presentations
-
-
-def random_bounded_presentation(rng: np.random.Generator, n_objects: int = 2,
-                                n_arrows: int = 3):
-    """A free presentation (no relations) with norm bounds on every arrow."""
-    from .presentations import PresentedStarCategory, Quiver
-
-    objects = [f"q{i}" for i in range(n_objects)]
-    arrows = []
-    for i in range(n_arrows):
-        src = objects[int(rng.integers(0, n_objects))]
-        tgt = objects[int(rng.integers(0, n_objects))]
-        arrows.append((f"a{i}", src, tgt))
-    bounds = {name: float(np.round(rng.uniform(0.2, 3.0), 6))
-              for name, _s, _t in arrows}
-    return PresentedStarCategory(Quiver(objects, arrows), (), bounds)
-
-
-def random_presentation_rep(rng: np.random.Generator, pres,
-                            n_cat_objects: int = 2, max_dim: int = 4):
-    """A representation of a bounded free presentation: arrows go to random
-    hom elements scaled strictly under their bounds."""
-    from .linalg import op_norm
-
-    cat, _model = random_matcat(rng, n_objects=n_cat_objects, max_dim=max_dim,
-                                prefix="r")
-    object_assign = {x: cat.object_names[int(rng.integers(0, len(cat.objects)))]
-                     for x in pres.quiver.objects}
-    arrow_assign = {}
-    for arrow in pres.quiver.arrows:
-        space = cat.hom(object_assign[arrow.src], object_assign[arrow.tgt])
-        bound = pres.norm_bounds[arrow.name]
-        if space.dim == 0:
-            arrow_assign[arrow.name] = np.zeros(space.shape, dtype=np.complex128)
-            continue
-        m = random_hom_element(rng, space)
-        top = op_norm(m)
-        if top > 0:
-            m = m * (bound * rng.uniform(0.1, 1.0) / top)
-        arrow_assign[arrow.name] = m
-    return cat, object_assign, arrow_assign
-
-
-def random_free_element(rng: np.random.Generator, pres, max_terms: int = 3,
-                        max_len: int = 3):
-    """A random element of the free *-category: a few random composable
-    walks through the quiver (adjoint steps allowed), with shared endpoints."""
-    quiver = pres.quiver
-    arrows = list(quiver.arrows)
-    if not arrows:
-        obj = quiver.objects[0]
-        return pres.unit(obj)
-
-    def random_word():
-        steps = int(rng.integers(1, max_len + 1))
-        first = arrows[int(rng.integers(0, len(arrows)))]
-        adj = bool(rng.integers(0, 2))
-        factors = [(first.name, adj)]
-        current_tgt = first.src if adj else first.tgt
-        for _ in range(steps - 1):
-            options = []
-            for a in arrows:
-                if a.src == current_tgt:
-                    options.append((a.name, False, a.tgt))
-                if a.tgt == current_tgt:
-                    options.append((a.name, True, a.src))
-            if not options:
-                break
-            name, adj, nxt = options[int(rng.integers(0, len(options)))]
-            factors.insert(0, (name, adj))
-            current_tgt = nxt
-        element = None
-        for name, adj in reversed(factors):
-            gen = pres.gen(name)
-            gen = gen.star() if adj else gen
-            element = gen if element is None else gen * element
-        return element
-
-    out = random_word()
-    for _ in range(int(rng.integers(0, max_terms))):
-        candidate = random_word()
-        if (candidate.src, candidate.tgt) == (out.src, out.tgt):
-            z = complex(rng.standard_normal(), rng.standard_normal())
-            out = out + z * candidate
-    z = complex(rng.standard_normal(), rng.standard_normal())
-    return z * out
-
-
 def random_unitary_rep(rng: np.random.Generator, groupoid: FiniteGroupoid,
                        gc: GroupoidCStar | None = None) -> UnitaryRep:
     """A representation of the groupoid in a conjugated copy of its own

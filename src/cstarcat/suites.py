@@ -12,17 +12,12 @@ import numpy as np
 from . import model as md
 from . import randgen as rg
 from .categories import (
-    compose_functors,
     curry,
     functors_agree,
-    identity_functor,
-    pair_name,
     tensor_functor,
     tensor_max,
     uncurry,
-    unitarize,
     validate_category,
-    validate_functor,
 )
 from .errors import NotFiniteWithinBound
 from .groupoids import (

@@ -257,10 +257,10 @@ def test_nat_algebra_operations():
     u = np.array([[0, 1], [-1, 0]], dtype=complex) / 1.0
     alpha = cat.NatTransform(ident, ident, {"m0": u})
     assert np.allclose(
-        cat.nat_algebra("involute", alpha).components["m0"], u.conj().T)
-    composed = cat.nat_algebra("compose", cat.nat_involute(alpha), alpha)
+        cat.nat_involute(alpha).components["m0"], u.conj().T)
+    composed = cat.nat_compose(cat.nat_involute(alpha), alpha)
     assert np.allclose(composed.components["m0"], np.eye(2))
-    combo = cat.nat_algebra("scale_add", 2.0, alpha, alpha)
+    combo = cat.nat_scale_add(2.0, alpha, alpha)
     assert np.allclose(combo.components["m0"], 3 * u)
     ident_alpha = cat.NatTransform(ident, ident, {"m0": np.eye(2, dtype=complex)})
     assert np.allclose(cat.nat_involute(ident_alpha).components["m0"], np.eye(2))

@@ -1,10 +1,15 @@
 """End-to-end CLI tests: exit codes, artifact chaining, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cstarcat
 from cstarcat import model as md
 from cstarcat import randgen as rg
 from cstarcat.cli import main
@@ -33,6 +38,14 @@ def weq_file(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so anything escaping main is seen on
+    stderr as it would be from the shell."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cstarcat.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "cstarcat.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +88,36 @@ def test_unknown_only_exits_3(tmp_path, capsys):
 def test_generate_bounds_checked(tmp_path):
     assert run("generate", "--kind", "random_matcat", "--dims", "9",
                "--seed", "1") == 2
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+def test_rejected_tolerance_exits_2(z2_file, capsys, eps):
+    assert run("groupoid-cstar", z2_file, "--tolerance", eps) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--tolerance" in err
+
+
+@pytest.mark.parametrize("kind", ["category", "groupoid"])
+def test_pair_key_without_bar_exits_2(tmp_path, kind):
+    if kind == "category":
+        data = MatCStarCategory([("x", 1)], {("x", "x"): [np.eye(1)]}).to_json()
+        data["homs"] = {"xx": data["homs"]["x|x"]}
+        command = "validate"
+    else:
+        data = cyclic_groupoid(2).to_json()
+        data["compose"]["g1g1"] = data["compose"].pop("g1|g1")
+        command = "groupoid-cstar"
+    done = run_process(command, write(tmp_path / "bad.json", data))
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "'a|b'" in done.stderr
+
+
+def test_matrix_entry_not_a_pair_exits_2(tmp_path):
+    data = MatCStarCategory([("x", 1)], {("x", "x"): [np.eye(1)]}).to_json()
+    data["homs"]["x|x"] = [[[1.0]]]
+    done = run_process("validate", write(tmp_path / "bad.json", data))
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "[re, im]" in done.stderr
 
 
 # ---------------------------------------------------------------------------

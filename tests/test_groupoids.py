@@ -15,6 +15,7 @@ from cstarcat.categories import (
     validate_functor,
 )
 from cstarcat.errors import InvalidFunctor, InvalidGroupoid, NotUnitary
+from cstarcat.linalg import is_isometry, is_unitary
 from cstarcat.simplicial import standard
 
 
@@ -42,6 +43,23 @@ def test_groupoid_validation_catches_bad_tables():
         gp.FiniteGroupoid(["x"], {"e": ("x", "x"), "g": ("x", "x")},
                           {("e", "e"): "e", ("e", "g"): "g",
                            ("g", "e"): "g", ("g", "g"): "g"})  # g has no inverse
+    z2 = gp.cyclic_groupoid(2)
+    with pytest.raises(InvalidGroupoid):  # g1 is a loop but not neutral
+        gp.FiniteGroupoid(z2.objects, z2.arrows, z2.compose, identities={"z": "g1"})
+
+
+def test_components_are_ordered_by_least_member():
+    # three components, declared out of sorted order
+    objects = ["q", "p", "r", "b", "a"]
+    arrows, compose = {}, {}
+    for part in (["q", "b"], ["p"], ["r", "a"]):
+        piece = gp.connected_groupoid(part, [[0]])
+        arrows.update(piece.arrows)
+        compose.update(piece.compose)
+    expected = [["a", "r"], ["b", "q"], ["p"]]
+    assert gp.FiniteGroupoid(objects, arrows, compose).components() == expected
+    pres = gp.FPGroupoid(objects, {"u": ("q", "b"), "v": ("r", "a")})
+    assert pres.components() == expected
 
 
 def test_groupoid_json_round_trip():
@@ -92,17 +110,17 @@ def test_cstar_max_images_are_unitary_and_dims_count_arrows():
     gc = gp.cstar_max(g)
     assert validate_category(gc.category) == []
     for name, mat in gc.embed.items():
-        assert gp.uni_membership(mat)
+        assert is_unitary(mat)
     for x in g.objects:
         for y in g.objects:
             assert gc.category.hom(x, y).dim == len(g.hom(x, y))
 
 
 def test_membership_predicates():
-    assert gp.uni_membership(np.diag([1.0, -1.0]).astype(complex))
+    assert is_unitary(np.diag([1.0, -1.0]).astype(complex))
     col = np.array([[1.0], [0.0]], dtype=complex)
-    assert gp.ism_membership(col) and not gp.uni_membership(col)
-    assert gp.uni_membership(np.eye(3)) and gp.ism_membership(np.eye(3))
+    assert is_isometry(col) and not is_unitary(col)
+    assert is_unitary(np.eye(3)) and is_isometry(np.eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from cstarcat.errors import (
     PreconditionFailed,
     SquareMismatch,
 )
+from cstarcat.linalg import is_unitary
 
 
 def interval_category():
@@ -78,7 +79,7 @@ def test_weak_equivalence_verdicts():
     assert verdict.status == "YES"
     # the witness at the far end is a unitary in hom(i0, i1)
     x, witness = verdict.witnesses["i1"]
-    assert x == "pt" and gp.uni_membership(witness)
+    assert x == "pt" and is_unitary(witness)
     assert inc.target.hom("i0", "i1").contains(witness)
     bad = scalar_into_m2()
     v2 = md.is_weak_equivalence(bad)
@@ -154,7 +155,7 @@ def test_lift_through_groupoid_collapse():
     lifted = md.solve_unitary_lift(collapse, "i0", np.eye(1), "pt")
     assert lifted is not None
     u, obj = lifted
-    assert gp.uni_membership(u)
+    assert is_unitary(u)
     assert np.allclose(collapse.apply("i0", obj, u), np.eye(1))
 
 
@@ -192,7 +193,7 @@ def test_quasi_inverse_of_end_inclusion():
     assert g.object_map == {"i0": "pt", "i1": "pt"}
     assert np.allclose(v.components["i0"], np.eye(2))  # identity on the image
     far = v.components["i1"]
-    assert gp.uni_membership(far)
+    assert is_unitary(far)
     assert inc.target.hom("i0", "i1").contains(far)
     assert u.is_natural() and v.is_natural()
     assert u.is_unitary() and v.is_unitary()
@@ -305,19 +306,16 @@ def test_factor_path_shapes_and_formula():
     assert path.composite_residual(functor) <= 1e-9
     assert md.is_cofibration(path.first)
     assert md.is_weak_equivalence(path.first, seed=1).status == "YES"
-    # P(a) = u' F(a) u* on the materialized triples
-    keys = path.extras["keys"]
-    names = path.extras["names"]
-    midway = path.extras["path"]
-    for k1 in keys:
-        for k2 in keys:
-            space = cat.hom(k1[0], k2[0])
+    # P(a) = u' F(a) u* on the midway triples
+    assert len(path.triples) == len(cat.objects) + 1
+    for x1, u1, _y1, name1 in path.triples:
+        for x2, u2, _y2, name2 in path.triples:
+            space = cat.hom(x1, x2)
             if space.dim == 0:
                 continue
             a = rg.random_hom_element(rng, space)
-            image = path.second.apply(names[k1], names[k2], a)
-            u1, u2 = midway.unitary_of(k1), midway.unitary_of(k2)
-            expected = u2 @ functor.apply(k1[0], k2[0], a) @ u1.conj().T
+            image = path.second.apply(name1, name2, a)
+            expected = u2 @ functor.apply(x1, x2, a) @ u1.conj().T
             assert np.linalg.norm(image - expected) <= 1e-8
 
 

@@ -347,6 +347,11 @@ def test_invalid_category_table():
         pr.FiniteCategory(["o0"], arrows, {"o0": "id0"},
                           {("id0", "id0"): "id0", ("c", "c"): "c",
                            ("c", "id0"): "c", ("id0", "c"): "id0"})
+    # a composite stored for id0 after id1, which are not composable
+    good = arrow_category()
+    with pytest.raises(InvalidCategory):
+        pr.FiniteCategory(good.objects, good.arrows, good.identities,
+                          {**good.compose, ("id0", "id1"): "id0"})
 
 
 # ---------------------------------------------------------------------------
