@@ -7,7 +7,7 @@ tolerance). Functors are given by an object map plus, for every source hom
 pair, the list of images of the stored hom basis; everything else follows by
 linearity.
 
-Includes polar unitarization, probabilistic search for unitary isomorphisms,
+Includes polar unitarization, an exact test for unitary isomorphism,
 spaces of bounded natural transformations (solved as one linear system),
 maximal tensor products via Kronecker blocks, products and equalizers, and
 the exponential-law transposition between functors out of a tensor product
@@ -24,6 +24,7 @@ from .errors import (
     InvalidCategory,
     InvalidFunctor,
     InvalidMatrix,
+    MalformedInput,
     NotInvertible,
     NotParallel,
     ShapeMismatch,
@@ -129,6 +130,8 @@ class MatCStarCategory:
         homs = {}
         for key, mats in data.get("homs", {}).items():
             x, y = split_pair_key(key)
+            if x not in dims or y not in dims:
+                raise MalformedInput(f"hom key {key!r} names an undeclared object")
             basis = [matrix_from_json(m) for m in mats]
             try:
                 homs[(x, y)] = Subspace(dims[y], dims[x], basis, tol=tol)
@@ -383,7 +386,7 @@ def validate_functor(functor: StarFunctor) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# unitarization and isomorphism search
+# unitarization and unitary isomorphism
 
 
 def unitarize(cat: MatCStarCategory, a, x: str, y: str) -> np.ndarray:
@@ -402,39 +405,34 @@ def unitarize(cat: MatCStarCategory, a, x: str, y: str) -> np.ndarray:
 
 @dataclass
 class IsoVerdict:
-    status: str                    # "YES" or "NO_EVIDENCE"
+    status: str                    # "YES" or "NO"
     witness: np.ndarray | None = None
     reason: str = ""
-    deterministic: bool = False
-    seed: int | None = None
-    samples: int = 0
 
     def __bool__(self):
         return self.status == "YES"
 
 
-def iso_exists(cat: MatCStarCategory, x: str, y: str, seed: int = 0,
-               samples: int = 64) -> IsoVerdict:
-    """Search for a unitary isomorphism x -> y inside hom(x, y).
+def iso_exists(cat: MatCStarCategory, x: str, y: str, seed: int = 0) -> IsoVerdict:
+    """Decide whether x and y are unitarily isomorphic.
 
-    A YES carries a witness unitary. A NO_EVIDENCE is deterministic when the
-    dimensions differ or the hom space is zero, and probabilistic otherwise.
+    dim hom(x, y) is the inner product of the sector multiplicity vectors of
+    x and y, so by Cauchy-Schwarz the two vectors agree, which is unitary
+    isomorphism, exactly when hom(x, y), hom(y, x), hom(x, x) and hom(y, y)
+    all have the same dimension. A YES carries a witness unitary: a seeded
+    invertible element of hom(x, y), unitarized.
     """
     if x == y:
-        return IsoVerdict("YES", cat.identity(x), "identity", deterministic=True)
-    if cat.obj(x).dim != cat.obj(y).dim:
-        return IsoVerdict("NO_EVIDENCE", None, "dimension mismatch",
-                          deterministic=True, seed=seed)
+        return IsoVerdict("YES", cat.identity(x), "identity")
     space = cat.hom(x, y)
-    if space.dim == 0:
-        return IsoVerdict("NO_EVIDENCE", None, "zero hom space",
-                          deterministic=True, seed=seed)
-    inv = find_invertible(space, seed=seed, samples=samples, tol=cat.tol)
+    dims = {space.dim, cat.hom(y, x).dim, cat.hom(x, x).dim, cat.hom(y, y).dim}
+    if cat.obj(x).dim != cat.obj(y).dim or len(dims) != 1:
+        return IsoVerdict("NO", None, "hom dimensions differ")
+    inv = find_invertible(space, seed=seed, tol=cat.tol)
     if inv is None:
-        return IsoVerdict("NO_EVIDENCE", None, "sampling found no invertible element",
-                          deterministic=False, seed=seed, samples=samples)
-    return IsoVerdict("YES", unitarize(cat, inv, x, y), "unitarized sample",
-                      seed=seed, samples=samples)
+        raise InvalidCategory(f"hom({x}, {y}) has matching dimensions but no "
+                              "invertible element: not a C*-category")
+    return IsoVerdict("YES", unitarize(cat, inv, x, y), "unitarized sample")
 
 
 # ---------------------------------------------------------------------------

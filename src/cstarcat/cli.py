@@ -5,7 +5,8 @@ groupoids, simplicial sets, lifting squares) and emit a JSON report with a
 fixed field order; timing goes to stderr so reports stay byte-reproducible.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or parse
-error, 3 unknown-only (probabilistic checks returned no evidence).
+error, 3 unknown-only (a coset enumeration ran out of budget, or the
+one-sided generator lift found no lift).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _tol(args) -> Tolerance:
     if eps is None:
         return Tolerance()
     try:
-        return Tolerance(eps, eps)
+        return Tolerance(eps)
     except ValueError as err:
         raise InvalidParams(f"--tolerance {eps}: {err}") from None
 
@@ -125,7 +126,7 @@ def cmd_factorize(args) -> Report:
         report.add("first_is_cofibration",
                    "pass" if md.is_cofibration(result.first) else "fail")
         report.add("first_is_weak_equivalence",
-                   {"YES": "pass", "NO": "fail"}.get(weq.status, "unknown"),
+                   "pass" if weq else "fail",
                    detail=weq.reason)
         report.add("second_answers_unitary_lifts", "pass",
                    detail="path fibration; see lift --mode generator")

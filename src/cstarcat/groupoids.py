@@ -78,6 +78,8 @@ class FiniteGroupoid:
     def _validate(self):
         check_composition_table(self.objects, self.arrows, self.identities,
                                 self.compose, InvalidGroupoid)
+        if self.inverses.keys() != self.arrows.keys():
+            raise InvalidGroupoid("the inverse map must name exactly one inverse per arrow")
         for f, g in self.inverses.items():
             src, tgt = self.arrows[f]
             if self.compose.get((g, f)) != self.identities[src] or \

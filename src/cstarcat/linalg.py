@@ -27,13 +27,12 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute and relative comparison thresholds."""
+    """The comparison threshold, scaled by operand norms in ``bound``."""
 
     eps_abs: float = 1e-9
-    eps_rel: float = 1e-9
 
     def __post_init__(self):
-        if not (self.eps_abs > 0 and self.eps_rel > 0):
+        if not self.eps_abs > 0:
             raise ValueError("tolerances must be strictly positive")
 
     def bound(self, *scales: float) -> float:
@@ -261,24 +260,25 @@ def subspace_span(mats, ambient_shape: tuple[int, int] | None = None,
     return Subspace(shape[0], shape[1], basis, tol=tol, _trusted=True)
 
 
-def find_invertible(space: Subspace, seed: int, samples: int = 64,
+INVERTIBLE_SAMPLES = 64
+
+
+def find_invertible(space: Subspace, seed: int,
                     tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """Search a square-matrix subspace for an invertible element.
 
-    Draws ``samples`` seeded random coefficient vectors, normalizes each
-    candidate to unit operator norm, and accepts the first one whose smallest
-    singular value exceeds ``eps_abs``. A ``None`` answer is only evidence of
-    absence (the determinant polynomial may vanish on every sample), never a
-    proof; callers must report it as such.
+    Draws ``INVERTIBLE_SAMPLES`` seeded random coefficient vectors, normalizes
+    each candidate to unit operator norm, and accepts the first one whose
+    smallest singular value exceeds ``eps_abs``. A ``None`` answer is only
+    evidence of absence (the determinant polynomial may vanish on every
+    sample), never a proof.
     """
     if space.ambient_rows != space.ambient_cols:
         raise NotSquare("invertible elements require a square ambient shape")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if space.dim == 0:
         return None
     rng = np.random.default_rng(np.random.PCG64(seed))
-    for _ in range(samples):
+    for _ in range(INVERTIBLE_SAMPLES):
         coeffs = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         candidate = space.from_coords(coeffs)
         top = op_norm(candidate)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cstarcat import categories as cat
+from cstarcat import randgen as rg
 from cstarcat.errors import (
     InvalidCategory,
     NotInvertible,
@@ -191,7 +192,7 @@ def test_iso_exists_trivial_cases():
     yes = cat.iso_exists(full, "m0", "m0")
     assert yes.status == "YES" and np.allclose(yes.witness, np.eye(2))
     no = cat.iso_exists(full, "m0", "m1")
-    assert no.status == "NO_EVIDENCE" and no.deterministic
+    assert no.status == "NO" and no.witness is None
 
 
 def test_iso_exists_nilpotent_line():
@@ -202,8 +203,42 @@ def test_iso_exists_nilpotent_line():
          ("y", "y"): [np.eye(2, dtype=complex) / np.sqrt(2)],
          ("x", "y"): [nil]},
     )
-    verdict = cat.iso_exists(c, "x", "y", seed=5, samples=32)
-    assert verdict.status == "NO_EVIDENCE" and not verdict.deterministic
+    # hom(y, x) is zero, so the adjoint of the line is missing: a clean NO
+    verdict = cat.iso_exists(c, "x", "y", seed=5)
+    assert verdict.status == "NO"
+
+
+def test_iso_exists_rejects_matching_dimensions_without_invertible():
+    # all four hom dimensions are 1, but hom(x, y) holds no invertible
+    # element, which a C*-category cannot do
+    nil = np.array([[0, 1.0], [0, 0]], dtype=complex)
+    eye = np.eye(2, dtype=complex) / np.sqrt(2)
+    c = cat.MatCStarCategory(
+        [("x", 2), ("y", 2)],
+        {("x", "x"): [eye], ("y", "y"): [eye],
+         ("x", "y"): [nil], ("y", "x"): [nil.conj().T]},
+    )
+    with pytest.raises(InvalidCategory):
+        cat.iso_exists(c, "x", "y")
+
+
+def test_iso_exists_matches_sector_multiplicities():
+    # oracle: x and y are unitarily isomorphic iff their SectorModel
+    # multiplicity vectors are equal
+    rng = np.random.default_rng(1004)
+    yes = 0
+    for trial in range(200):
+        c, model = rg.random_matcat(rng, n_objects=3)
+        for x in c.object_names:
+            for y in c.object_names:
+                verdict = cat.iso_exists(c, x, y, seed=trial)
+                same = model.multiplicities[x] == model.multiplicities[y]
+                assert verdict.status == ("YES" if same else "NO"), (trial, x, y)
+                if same:
+                    yes += x != y
+                    assert is_unitary(verdict.witness)
+                    assert c.hom(x, y).contains(verdict.witness)
+    assert yes > 0
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,14 @@ def test_pair_key_without_bar_exits_2(tmp_path, kind):
     assert "Traceback" not in done.stderr and "'a|b'" in done.stderr
 
 
+def test_hom_key_naming_undeclared_object_exits_2(tmp_path):
+    data = MatCStarCategory([("x", 1)], {("x", "x"): [np.eye(1)]}).to_json()
+    data["homs"]["x|zz"] = data["homs"]["x|x"]
+    done = run_process("validate", write(tmp_path / "bad.json", data))
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "'x|zz'" in done.stderr
+
+
 def test_matrix_entry_not_a_pair_exits_2(tmp_path):
     data = MatCStarCategory([("x", 1)], {("x", "x"): [np.eye(1)]}).to_json()
     data["homs"]["x|x"] = [[[1.0]]]

@@ -46,6 +46,9 @@ def test_groupoid_validation_catches_bad_tables():
     z2 = gp.cyclic_groupoid(2)
     with pytest.raises(InvalidGroupoid):  # g1 is a loop but not neutral
         gp.FiniteGroupoid(z2.objects, z2.arrows, z2.compose, identities={"z": "g1"})
+    for inverses in ({}, {"g0": "g0"}):  # no arrow has an inverse, or g1 lacks one
+        with pytest.raises(InvalidGroupoid):
+            gp.FiniteGroupoid(z2.objects, z2.arrows, z2.compose, inverses=inverses)
 
 
 def test_components_are_ordered_by_least_member():

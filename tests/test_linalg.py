@@ -249,7 +249,7 @@ def test_find_invertible_scalar_line():
 
 def test_find_invertible_nilpotent_line_is_none():
     s = subspace_span([np.array([[0, 1], [0, 0]], dtype=complex)])
-    assert find_invertible(s, seed=3, samples=32) is None
+    assert find_invertible(s, seed=3) is None
 
 
 def test_find_invertible_full_matrix_space():

@@ -86,6 +86,19 @@ def test_weak_equivalence_verdicts():
     assert v2.status == "NO" and v2.failure == ("pt", "pt")
 
 
+def test_weak_equivalence_no_when_multiplicities_differ():
+    # x carries sector 1 twice, y carries sectors 1 and 2 once each (all
+    # sectors of dimension 1): both are 2-dimensional and hom(x, y) is
+    # nonzero, but y is not isomorphic to x, so the inclusion of x is not
+    # essentially surjective
+    model = rg.SectorModel([1, 1], [[2, 0], [1, 1]],
+                           [np.eye(2, dtype=complex)] * 2, ["x", "y"])
+    whole = model.category()
+    part = MatCStarCategory([("x", 2)], {("x", "x"): whole.hom("x", "x")})
+    verdict = md.is_weak_equivalence(inclusion_functor(part, whole))
+    assert verdict.status == "NO" and verdict.failure == ("y",)
+
+
 def test_trivial_fibration_predicate():
     unit = unit_category()
     assert md.is_trivial_fibration(identity_functor(unit))
