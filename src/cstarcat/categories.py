@@ -39,9 +39,9 @@ from .linalg import (
     find_invertible,
     herm_funcalc,
     hs_norm,
+    kernel_rows,
     matrix_from_json,
     matrix_to_json,
-    numerical_rank,
     op_norm,
     smallest_singular_value,
     split_pair_key,
@@ -155,19 +155,20 @@ class Violation:
                 "residual": self.residual, "detail": self.detail}
 
 
-def _batch_residuals(space: Subspace, flat: np.ndarray) -> np.ndarray:
-    """HS distances of a stack of flattened matrices from a subspace."""
-    if space.dim:
-        coords = flat @ space._rows.conj().T
-        flat = flat - coords @ space._rows
-    return np.linalg.norm(flat, axis=1)
+def _batch_residuals(flat: np.ndarray, rows: np.ndarray,
+                     rows_h: np.ndarray) -> np.ndarray:
+    """HS distances of a stack of flattened matrices from the span of the
+    orthonormal ``rows`` (a subspace's ``_rows``, possibly empty), with
+    ``rows_h = rows.conj().T`` computed once by the caller."""
+    return np.linalg.norm(flat - (flat @ rows_h) @ rows, axis=1)
 
 
-def _basis_products(second: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """All products b_j . a_i of two stacks of matrices, one flattened row
-    per pair in the order (j, i): the product kernel of both validators."""
-    products = np.einsum("jab,ibc->jiac", second, first)
-    return products.reshape(len(second) * len(first), -1)
+def _basis_products(b: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The products b . a_i of one matrix with a stack of matrices, one
+    flattened row per i: the product kernel of both validators, which call
+    it once per element b_j of the second basis so that memory stays that of
+    one row of products."""
+    return (b @ first).reshape(len(first), -1)
 
 
 def validate_category(cat: MatCStarCategory) -> list[Violation]:
@@ -181,26 +182,28 @@ def validate_category(cat: MatCStarCategory) -> list[Violation]:
         if res > tol.bound(hs_norm(eye)):
             out.append(Violation("unitality", (x,), res, "identity not in hom(x,x)"))
     for (x, y), space in cat.homs.items():
-        adj = cat.hom(y, x)
+        adj = cat.hom(y, x)._rows
         flipped = np.stack([b.conj().T.ravel() for b in space.basis])
-        for i, res in enumerate(_batch_residuals(adj, flipped)):
+        for i, res in enumerate(_batch_residuals(flipped, adj, adj.conj().T)):
             if res > tol.bound(1.0):
                 out.append(Violation("adjoint", (x, y, i), float(res),
                                      "adjoint of basis element leaves hom(y,x)"))
     for (x, y), first in cat.homs.items():
+        first_stack = np.stack(first.basis)
         for z in cat.object_names:
             second = cat.homs.get((y, z))
             if second is None:
                 continue
-            target = cat.hom(x, z)
-            flat = _basis_products(np.stack(second.basis), np.stack(first.basis))
-            scales = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
-            residuals = _batch_residuals(target, flat)
-            for idx in np.nonzero(residuals > tol.eps_abs * scales)[0]:
-                j, i = divmod(int(idx), len(first.basis))
-                out.append(Violation("composition", (x, y, z, j, i),
-                                     float(residuals[idx]),
-                                     "product of basis elements leaves hom(x,z)"))
+            target = cat.hom(x, z)._rows
+            target_h = target.conj().T
+            for j, b in enumerate(second.basis):
+                flat = _basis_products(b, first_stack)
+                scales = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
+                residuals = _batch_residuals(flat, target, target_h)
+                for i in np.nonzero(residuals > tol.eps_abs * scales)[0]:
+                    out.append(Violation("composition", (x, y, z, j, int(i)),
+                                         float(residuals[i]),
+                                         "product of basis elements leaves hom(x,z)"))
     return out
 
 
@@ -349,31 +352,28 @@ def validate_functor(functor: StarFunctor) -> list[Violation]:
         if res > tol.bound(1.0):
             out.append(Violation("unit", (x,), res, "F(1_x) != 1_Fx"))
     for (x, y), first in src.homs.items():
+        first_stack = np.stack(first.basis)
         fa_stack = np.stack(functor.hom_maps[(x, y)])
         for z in src.object_names:
             second = src.homs.get((y, z))
             if second is None:
                 continue
-            fb_stack = np.stack(functor.hom_maps[(y, z)])
             target = src.hom(x, z)
-            flat = _basis_products(np.stack(second.basis), np.stack(first.basis))
-            rows = tgt.obj(functor.object_map[z]).dim
-            cols = tgt.obj(functor.object_map[x]).dim
             if target.dim:
-                # image of each product, by linearity in target coordinates
-                coords = flat @ target._rows.conj().T
-                f_target = np.stack(functor.hom_maps[(x, z)])
-                lhs = np.einsum("pk,kab->pab", coords, f_target)
-            else:
-                lhs = np.zeros((flat.shape[0], rows, cols), dtype=np.complex128)
-            rhs = _basis_products(fb_stack, fa_stack).reshape(lhs.shape)
-            diffs = np.linalg.norm((lhs - rhs).reshape(flat.shape[0], -1), axis=1)
-            scales = np.maximum(
-                np.linalg.norm(rhs.reshape(flat.shape[0], -1), axis=1), 1.0)
-            for idx in np.nonzero(diffs > tol.eps_abs * scales)[0]:
-                j, i = divmod(int(idx), len(first.basis))
-                out.append(Violation("composition", (x, y, z, j, i),
-                                     float(diffs[idx]), "F(b.a) != F(b).F(a)"))
+                target_h = target._rows.conj().T
+                f_target = np.stack(functor.hom_maps[(x, z)]).reshape(target.dim, -1)
+            for j, (b, fb) in enumerate(zip(second.basis, functor.hom_maps[(y, z)])):
+                rhs = _basis_products(fb, fa_stack)
+                diffs = rhs
+                if target.dim:
+                    # image of each product, by linearity in target coordinates
+                    coords = _basis_products(b, first_stack) @ target_h
+                    diffs = coords @ f_target - rhs
+                residuals = np.linalg.norm(diffs, axis=1)
+                scales = np.maximum(np.linalg.norm(rhs, axis=1), 1.0)
+                for i in np.nonzero(residuals > tol.eps_abs * scales)[0]:
+                    out.append(Violation("composition", (x, y, z, j, int(i)),
+                                         float(residuals[i]), "F(b.a) != F(b).F(a)"))
     for (x, y), images in functor.hom_maps.items():
         space = src.hom(x, y)
         for i, a in enumerate(space.basis):
@@ -555,36 +555,29 @@ def nat_space(f: StarFunctor, g: StarFunctor) -> BoundedNatSpace:
         shapes[x] = (rows, cols)
         offsets[x] = total
         total += rows * cols
+    if total == 0:
+        return BoundedNatSpace(f, g, [])
 
-    blocks = []
+    n_rows = total + sum(space.dim * shapes[y][0] * shapes[x][1]
+                         for (x, y), space in src.homs.items())
+    system = np.zeros((n_rows, total), dtype=np.complex128)
     for x in src.object_names:
-        rows, cols = shapes[x]
-        n = rows * cols
+        n = shapes[x][0] * shapes[x][1]
         space = tgt.hom(f.object_map[x], g.object_map[x])
-        proj = space._rows.T @ space._rows.conj() if space.dim else \
-            np.zeros((n, n), dtype=np.complex128)
-        block = np.zeros((n, total), dtype=np.complex128)
-        block[:, offsets[x]:offsets[x] + n] = np.eye(n) - proj
-        blocks.append(block)
+        system[offsets[x]:offsets[x] + n, offsets[x]:offsets[x] + n] = \
+            np.eye(n) - space._rows.T @ space._rows.conj()
+    start = total
     for (x, y), space in src.homs.items():
         ry, cy = shapes[y]
         rx, cx = shapes[x]
-        for i in range(space.dim):
-            fa = f.hom_maps[(x, y)][i]
-            ga = g.hom_maps[(x, y)][i]
-            rows = ry * cx
-            block = np.zeros((rows, total), dtype=np.complex128)
+        for fa, ga in zip(f.hom_maps[(x, y)], g.hom_maps[(x, y)]):
+            block = system[start:start + ry * cx]
             block[:, offsets[y]:offsets[y] + ry * cy] = np.kron(np.eye(ry), fa.T)
             block[:, offsets[x]:offsets[x] + rx * cx] -= np.kron(ga, np.eye(cx))
-            blocks.append(block)
+            start += ry * cx
 
-    system = np.vstack(blocks) if blocks else np.zeros((0, total), dtype=np.complex128)
-    if total == 0:
-        return BoundedNatSpace(f, g, [])
-    _, svals, vh = np.linalg.svd(system, full_matrices=True)
-    rank = numerical_rank(svals, f.tol)
     basis = []
-    for row in vh[rank:].conj():
+    for row in kernel_rows(system, f.tol):
         comps = {x: row[offsets[x]:offsets[x] + shapes[x][0] * shapes[x][1]]
                  .reshape(shapes[x]) for x in src.object_names}
         basis.append(NatTransform(f, g, comps))
@@ -739,10 +732,7 @@ def equalizer(f: StarFunctor, g: StarFunctor) -> MatCStarCategory:
             (f.hom_maps[(x, y)][i] - g.hom_maps[(x, y)][i]).ravel()
             for i in range(space.dim)
         ], axis=1)
-        _, svals, vh = np.linalg.svd(diffs, full_matrices=True)
-        rank = numerical_rank(svals, src.tol)
-        kernel = vh[rank:].conj()
-        basis = [space.from_coords(row) for row in kernel]
+        basis = [space.from_coords(row) for row in kernel_rows(diffs, src.tol)]
         if basis:
             homs[(x, y)] = Subspace(space.ambient_rows, space.ambient_cols,
                                     basis, tol=src.tol, _trusted=True)

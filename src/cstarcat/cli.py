@@ -291,7 +291,11 @@ def cmd_generate(args) -> Report:
                    detail=f"{len(groupoid.objects)} objects, "
                           f"{len(groupoid.arrows)} arrows")
     elif args.kind == "random_matcat":
-        dims = [int(d) for d in args.dims.split(",")] if args.dims else [2, 3]
+        try:
+            dims = [int(d) for d in args.dims.split(",")] if args.dims else [2, 3]
+        except ValueError:
+            raise InvalidParams(f"--dims {args.dims!r}: expected comma-separated "
+                                "integers") from None
         if len(dims) > 5 or any(d > 6 or d < 1 for d in dims):
             raise InvalidParams("supported bounds: <= 5 objects, dims <= 6")
         cat, _model = rg.random_matcat(rng, n_objects=len(dims),
@@ -393,6 +397,8 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         args.tol = _tol(args)
+        if args.coset_budget < 1:
+            raise InvalidParams(f"--coset-budget {args.coset_budget}: budget must be >= 1")
         report = args.run(args)
     except (json.JSONDecodeError, FileNotFoundError, KeyError) as err:
         print(f"parse error: {err}", file=sys.stderr)

@@ -108,6 +108,20 @@ def numerical_rank(svals: np.ndarray, tol: Tolerance) -> int:
     return int(np.sum(svals > tol.bound(float(svals[0]))))
 
 
+def kernel_rows(m: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal basis of the null space of ``m``: the conjugated right
+    singular rows past ``numerical_rank``.
+
+    The SVD is taken of the R factor of a QR decomposition (Chan, ACM TOMS
+    8, 1982), which has the singular values and right singular vectors of
+    ``m`` but only min(rows, cols) rows, so the rows x rows U of a full SVD
+    of ``m`` is never formed. ``full_matrices`` stays on because R is wide
+    when ``m`` is, and the kernel then lies in the rows a thin SVD drops.
+    """
+    _, svals, vh = np.linalg.svd(np.linalg.qr(m, mode="r"), full_matrices=True)
+    return vh[numerical_rank(svals, tol):].conj()
+
+
 def smallest_singular_value(m) -> float:
     a = as_matrix(m)
     if a.size == 0:

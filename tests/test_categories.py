@@ -5,6 +5,8 @@ Derived expectations come from in-file oracles: a Gaussian-elimination rank
 count, a hand commutant solve, and hand polar decompositions.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,115 @@ def test_adjoint_closure_violation_with_witness():
     adjoint = [v for v in report if v.kind == "adjoint"]
     assert adjoint and adjoint[0].where[:2] == ("x", "y")
     assert abs(adjoint[0].residual - 1.0) < 1e-9
+
+
+def unit_matrix(rows, cols, i, j):
+    m = np.zeros((rows, cols), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def product_chain(hom_xz):
+    """Objects x, y, z of dims 1, 3, 2. hom(x, y) has the basis a_i = e_i and
+    hom(y, z) the basis b_0 = f_0 e_0*, b_1 = f_0 e_2*, b_2 = f_1 e_1*, so the
+    only nonzero products are b_0 a_0 = b_1 a_2 = f_0 and b_2 a_1 = f_1."""
+    homs = {("x", "y"): Subspace(3, 1, [unit_matrix(3, 1, i, 0) for i in range(3)]),
+            ("y", "z"): Subspace(2, 3, [unit_matrix(2, 3, 0, 0), unit_matrix(2, 3, 0, 2),
+                                        unit_matrix(2, 3, 1, 1)]),
+            ("x", "z"): Subspace(2, 1, hom_xz)}
+    return cat.MatCStarCategory([("x", 1), ("y", 3), ("z", 2)], homs)
+
+
+def composition_where(report):
+    return [v.where for v in report if v.kind == "composition"]
+
+
+def category_composition_by_pairs(c):
+    """The composition check one product b_j . a_i at a time."""
+    out = []
+    for (x, y), first in c.homs.items():
+        for z in c.object_names:
+            second = c.homs.get((y, z))
+            if second is None:
+                continue
+            for j, b in enumerate(second.basis):
+                for i, a in enumerate(first.basis):
+                    prod = b @ a
+                    bound = c.tol.eps_abs * max(1.0, np.linalg.norm(prod))
+                    if c.hom(x, z).residual(prod) > bound:
+                        out.append((x, y, z, j, i))
+    return out
+
+
+def functor_composition_by_pairs(functor):
+    """The functor's composition check one product b_j . a_i at a time."""
+    src, out = functor.source, []
+    for (x, y), first in src.homs.items():
+        for z in src.object_names:
+            second = src.homs.get((y, z))
+            if second is None:
+                continue
+            for j, b in enumerate(second.basis):
+                for i, a in enumerate(first.basis):
+                    rhs = functor.hom_maps[(y, z)][j] @ functor.hom_maps[(x, y)][i]
+                    diff = np.linalg.norm(functor.apply(x, z, b @ a) - rhs)
+                    if diff > functor.tol.eps_abs * max(1.0, np.linalg.norm(rhs)):
+                        out.append((x, y, z, j, i))
+    return out
+
+
+def test_composition_violation_names_the_broken_product():
+    # hom(x, z) = span{f_0} leaves out b_2 a_1 = f_1 alone
+    broken = product_chain([unit_matrix(2, 1, 0, 0)])
+    report = cat.validate_category(broken)
+    assert composition_where(report) == [("x", "y", "z", 2, 1)]
+    assert composition_where(report) == category_composition_by_pairs(broken)
+    whole = product_chain([unit_matrix(2, 1, k, 0) for k in range(2)])
+    assert composition_where(cat.validate_category(whole)) == []
+
+
+def test_composition_violations_follow_pair_order():
+    # dropping a basis element of a hom breaks several products at once
+    several = 0
+    for seed in range(12):
+        c, _ = rg.random_matcat(rg.rng_from_seed(seed), n_objects=2, max_dim=4)
+        pair = max(c.homs, key=lambda p: (c.homs[p].dim, p))
+        space = c.homs[pair]
+        homs = dict(c.homs)
+        homs[pair] = Subspace(*space.shape, space.basis[:-1])
+        broken = cat.MatCStarCategory([(o.name, o.dim) for o in c.objects], homs)
+        expected = category_composition_by_pairs(broken)
+        assert composition_where(cat.validate_category(broken)) == expected
+        several += len(expected) >= 2
+    assert several >= 3
+
+
+def test_functor_composition_violation_names_the_broken_product():
+    full = product_chain([unit_matrix(2, 1, k, 0) for k in range(2)])
+    ident = cat.identity_functor(full)
+    images = {pair: list(mats) for pair, mats in ident.hom_maps.items()}
+    # F(b_2) = -b_2 breaks F(b_2 a_1) = F(b_2) F(a_1) and no other product
+    images[("y", "z")][2] = -images[("y", "z")][2]
+    broken = cat.StarFunctor(full, full, ident.object_map, images)
+    report = cat.validate_functor(broken)
+    assert composition_where(report) == [("x", "y", "z", 2, 1)]
+    assert composition_where(report) == functor_composition_by_pairs(broken)
+    assert composition_where(cat.validate_functor(ident)) == []
+
+
+def test_functor_composition_violations_follow_pair_order():
+    several = 0
+    for seed in range(12):
+        c, _ = rg.random_matcat(rg.rng_from_seed(seed), n_objects=2, max_dim=4)
+        ident = cat.identity_functor(c)
+        images = {pair: list(mats) for pair, mats in ident.hom_maps.items()}
+        pair = max(c.homs, key=lambda p: (c.homs[p].dim, p))
+        images[pair][-1] = 1.5 * images[pair][-1]
+        broken = cat.StarFunctor(c, c, ident.object_map, images)
+        expected = functor_composition_by_pairs(broken)
+        assert composition_where(cat.validate_functor(broken)) == expected
+        several += len(expected) >= 2
+    assert several >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +395,21 @@ def test_nat_space_members_are_natural(rng):
     alpha = space.element([1.0])
     assert alpha.is_natural()
     assert alpha.naturality_residual() <= 1e-9
+
+
+def test_nat_space_full_8x8_fits_in_memory():
+    # the system has 16,512 rows and 128 columns (34 MB); the U of its full
+    # SVD would have 16,512^2 complex entries (4.4 GB)
+    full = cat.full_matrix_category([8, 8])
+    ident = cat.identity_functor(full)
+    tracemalloc.start()
+    try:
+        dim = cat.nat_space(ident, ident).dim
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dim == 1
+    assert peak < 128 * 2**20
 
 
 def test_nat_algebra_operations():

@@ -97,6 +97,19 @@ def test_rejected_tolerance_exits_2(z2_file, capsys, eps):
     assert err.count("\n") == 1 and "--tolerance" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate", "--kind", "random_matcat", "--dims", "2,x"),
+    ("generate", "--kind", "random_matcat", "--dims", ","),
+    ("verify-axioms", "--suite", "simplicial", "--coset-budget", "0"),
+    ("verify-axioms", "--suite", "simplicial", "--coset-budget", "-5"),
+])
+def test_rejected_numeric_flag_exits_2(argv):
+    done = run_process(*argv)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert argv[-2] in done.stderr
+
+
 @pytest.mark.parametrize("kind", ["category", "groupoid"])
 def test_pair_key_without_bar_exits_2(tmp_path, kind):
     if kind == "category":

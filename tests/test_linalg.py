@@ -235,6 +235,20 @@ def test_span_shape_mismatch():
         subspace_span([np.eye(2), np.eye(3)])
 
 
+@pytest.mark.parametrize("shape", [(7, 4), (2, 5), (4, 4)])
+def test_kernel_rows_against_rank_oracle(rng, shape):
+    # rank 2 by construction; the wide (2, 5) case has its kernel in the rows
+    # of V* that a thin SVD leaves out
+    rows, cols = shape
+    left = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+    right = rng.standard_normal((2, cols)) + 1j * rng.standard_normal((2, cols))
+    m = left @ right
+    kernel = linalg.kernel_rows(m, Tolerance())
+    assert kernel.shape == (cols - rank_by_elimination(m), cols)
+    assert np.allclose(kernel @ kernel.conj().T, np.eye(len(kernel)))
+    assert np.linalg.norm(m @ kernel.T) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # find_invertible
 
