@@ -107,6 +107,12 @@ def cmd_validate(args) -> Report:
         functor = StarFunctor.from_json(data, tol=args.tol)
         violations = validate_category(functor.source) + \
             validate_category(functor.target) + validate_functor(functor)
+    elif kind == "groupoid":
+        FiniteGroupoid.from_json(data)
+        violations = []
+    elif kind == "sset":
+        FiniteSimplicialSet.from_json(data)
+        violations = []
     else:
         raise InvalidParams(f"validate does not handle kind {kind!r}")
     if not violations:
@@ -336,9 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", type=str, default=None)
         return p
 
-    p = common(sub.add_parser("validate", help="validate a category or functor file"))
+    p = common(sub.add_parser("validate", help="validate a category, functor, "
+                                               "groupoid or simplicial-set file"))
     p.add_argument("file")
-    p.add_argument("--kind", choices=["auto", "category", "functor"], default="auto")
+    p.add_argument("--kind", choices=["auto", "category", "functor", "groupoid", "sset"],
+                   default="auto")
     p.set_defaults(run=cmd_validate)
 
     p = common(sub.add_parser("factorize", help="factor a functor (MC5)"))

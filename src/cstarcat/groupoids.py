@@ -33,7 +33,8 @@ from .simplicial import FiniteSimplicialSet, SimplexRef
 
 class FiniteGroupoid:
     """Fully enumerated groupoid: arrows, composition table, inverses and
-    identities, all checked exhaustively at construction."""
+    identities, checked at construction by ``check_composition_table`` and
+    the two-sided inverse law."""
 
     def __init__(self, objects, arrows, compose, identities=None, inverses=None,
                  check: bool = True):
@@ -717,6 +718,9 @@ def normalize_fp(pres: FPGroupoid, bound: int = 10000) -> NormalizeResult:
     for comp, gens, gen_index, path, enum in comp_payloads:
         order = enum.order()
         words = enum.words()
+        product = [[enum.multiply(h2, h1) for h1 in range(order)]
+                   for h2 in range(order)]
+        inverse = [enum.inverse(h) for h in range(order)]
         objects.extend(comp)
         for x in comp:
             for y in comp:
@@ -728,12 +732,12 @@ def normalize_fp(pres: FPGroupoid, bound: int = 10000) -> NormalizeResult:
                     for h1 in range(order):
                         for h2 in range(order):
                             compose[(aname(y, h2, z), aname(x, h1, y))] = \
-                                aname(x, enum.multiply(h2, h1), z)
+                                aname(x, product[h2][h1], z)
         for x in comp:
             identities[x] = aname(x, 0, x)
             for y in comp:
                 for h in range(order):
-                    inverses[aname(x, h, y)] = aname(y, enum.inverse(h), x)
+                    inverses[aname(x, h, y)] = aname(y, inverse[h], x)
         for g in gens:
             src, tgt = pres.generators[g]
             h = enum.act(0, (2 * gen_index[g],))

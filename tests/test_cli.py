@@ -141,6 +141,43 @@ def test_matrix_entry_not_a_pair_exits_2(tmp_path):
     assert "Traceback" not in done.stderr and "[re, im]" in done.stderr
 
 
+@pytest.fixture
+def generated_groupoid_file(tmp_path):
+    """Z/3 on the objects x0 and x1, written by ``generate``."""
+    path = str(tmp_path / "groupoid.json")
+    assert run_process("generate", "--kind", "random_groupoid", "--seed", "1",
+                       "--objects", "2", "--order", "3",
+                       "--output", path).returncode == 0
+    return path
+
+
+def test_validate_groupoid_and_nerve_files(tmp_path, generated_groupoid_file):
+    done = run_process("validate", generated_groupoid_file)
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["checks"] == [{"name": "structure", "status": "pass"}]
+
+    nerve_file = str(tmp_path / "nerve.json")
+    assert run_process("nerve", generated_groupoid_file, "--dim-cap", "2",
+                       "--output", nerve_file).returncode == 0
+    done = run_process("validate", nerve_file)
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["checks"] == [{"name": "structure", "status": "pass"}]
+
+
+def test_validate_non_associative_groupoid_exits_1(tmp_path, generated_groupoid_file):
+    data = json.loads(Path(generated_groupoid_file).read_text(encoding="utf-8"))
+    # with g = x0>1>x0, swap g.g = g^2 and g.g^2 = 1: then (g^2.g).g = g but
+    # g^2.(g.g) = g^2
+    compose = data["compose"]
+    gg, gg2 = "x0>1>x0|x0>1>x0", "x0>1>x0|x0>2>x0"
+    assert (compose[gg], compose[gg2]) == ("x0>2>x0", "x0>0>x0")
+    compose[gg], compose[gg2] = compose[gg2], compose[gg]
+    done = run_process("validate", write(tmp_path / "bad.json", data))
+    assert done.returncode == 1
+    assert done.stderr == \
+        "check failed: InvalidGroupoid: composition is not associative\n"
+
+
 # ---------------------------------------------------------------------------
 # commands and chaining
 

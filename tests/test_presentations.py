@@ -1,11 +1,15 @@
 """Tests for quivers, free *-categories and presentations."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cstarcat import groupoids as gp
 from cstarcat import presentations as pr
+from cstarcat import randgen as rg
 from cstarcat.categories import MatCStarCategory, full_matrix_category
 from cstarcat.errors import (
     BoundFailed,
@@ -352,6 +356,113 @@ def test_invalid_category_table():
     with pytest.raises(InvalidCategory):
         pr.FiniteCategory(good.objects, good.arrows, good.identities,
                           {**good.compose, ("id0", "id1"): "id0"})
+
+
+# ---------------------------------------------------------------------------
+# associativity of composition tables against an all-triples oracle
+
+
+def associative_by_triples(arrows, compose):
+    """Brute force: every composable triple h, g, f (g the middle arrow)."""
+    for h, (hs, _ht) in arrows.items():
+        for g, (gs, gt) in arrows.items():
+            if gt != hs:
+                continue
+            for f, (_fs, ft) in arrows.items():
+                if ft == gs and compose[(compose[(h, g)], f)] != compose[(h, compose[(g, f)])]:
+                    return False
+    return True
+
+
+def same_verdict_as_triples(objects, arrows, identities, compose) -> bool:
+    """Assert ``check_composition_table`` rejects the table, with the
+    all-triples loop's error and message, exactly when the oracle does;
+    return the oracle's verdict."""
+    associative = associative_by_triples(arrows, compose)
+    if associative:
+        pr.check_composition_table(objects, arrows, identities, compose, InvalidCategory)
+    else:
+        with pytest.raises(InvalidCategory, match="^composition is not associative$"):
+            pr.check_composition_table(objects, arrows, identities, compose,
+                                       InvalidCategory)
+    return associative
+
+
+def unital_magma(n, products):
+    """One object, arrows a0..a{n-1} with a0 the identity; ``products`` fills
+    a_i.a_j for i, j >= 1 row by row with indices."""
+    names = [f"a{i}" for i in range(n)]
+    arrows = {a: ("x", "x") for a in names}
+    entries = iter(products)
+    compose = {}
+    for i in range(n):
+        for j in range(n):
+            k = j if i == 0 else i if j == 0 else next(entries)
+            compose[(names[i], names[j])] = names[k]
+    return ["x"], arrows, {"x": "a0"}, compose
+
+
+def test_associativity_of_every_unital_magma_on_3_elements():
+    verdicts = [same_verdict_as_triples(*unital_magma(3, products))
+                for products in itertools.product(range(3), repeat=4)]
+    assert len(verdicts) == 81
+    assert 0 < sum(verdicts) < 81
+
+
+def test_associativity_of_sampled_unital_magmas_on_4_elements():
+    rng = np.random.default_rng(4)
+    verdicts = [same_verdict_as_triples(*unital_magma(4, rng.integers(0, 4, size=9)))
+                for _ in range(2000)]
+    assert 0 < sum(verdicts) < 2000
+
+
+@pytest.mark.parametrize("kind,order", [("cyclic", 3), ("cyclic", 4), ("cyclic", 5),
+                                        ("s3", 6)])
+@pytest.mark.parametrize("n_objects", [1, 2, 3])
+def test_associativity_of_mutated_groupoid_tables(kind, order, n_objects):
+    base = gp.connected_groupoid([f"o{i}" for i in range(n_objects)],
+                                 rg.group_table(kind, order))
+    assert same_verdict_as_triples(base.objects, base.arrows, base.identities,
+                                   base.compose)
+    idents = set(base.identities.values())
+    by_ends = {}
+    for (g, f), h in base.compose.items():
+        if g not in idents and f not in idents:
+            by_ends.setdefault(base.arrows[h], []).append((g, f))
+    swappable = sorted(keys for keys in by_ends.values() if len(keys) > 1)
+    rng = np.random.default_rng(1000 * order + n_objects)
+    rejected = 0
+    for _ in range(25):
+        keys = swappable[rng.integers(len(swappable))]
+        i, j = rng.choice(len(keys), size=2, replace=False)
+        compose = dict(base.compose)
+        compose[keys[i]], compose[keys[j]] = compose[keys[j]], compose[keys[i]]
+        rejected += not same_verdict_as_triples(base.objects, base.arrows,
+                                                base.identities, compose)
+    assert rejected > 0
+
+
+def test_associativity_failure_away_from_generator_triples():
+    # a1 is an involution that a2 and a3 absorb on both sides, and
+    # {a0, a2, a3} is Z/3, so a1.(a2.a3) = a1 while (a1.a2).a3 = a0. The
+    # greedy scan picks a1 and a2 (a3 = a2.a2); the one failing triple with
+    # a generator as its middle arrow is (a1, a2, a3), whose last arrow is
+    # no generator, and the failing triples (a1, a3, a2) and (a2, a3, a1)
+    # have the non-generator a3 in the middle.
+    objects, arrows, identities, compose = unital_magma(4, [0, 2, 3, 2, 3, 0, 3, 0, 2])
+    failing = [(h, g, f) for h in arrows for g in arrows for f in arrows
+               if compose[(compose[(h, g)], f)] != compose[(h, compose[(g, f)])]]
+    assert failing == [("a1", "a2", "a3"), ("a1", "a3", "a2"),
+                       ("a2", "a3", "a1"), ("a3", "a2", "a1")]
+    assert not same_verdict_as_triples(objects, arrows, identities, compose)
+
+
+def test_identity_named_for_an_undeclared_object_is_not_trusted():
+    # a1.a1 = a0, a1.a2 = a2.a1 = a1, a2.a2 = a0 fails only with a1 in the
+    # middle; naming a1 as the identity of an object that is not declared
+    # must not exempt it from the test
+    objects, arrows, identities, compose = unital_magma(3, [0, 1, 1, 0])
+    assert not same_verdict_as_triples(objects, arrows, {**identities, "y": "a1"}, compose)
 
 
 # ---------------------------------------------------------------------------
