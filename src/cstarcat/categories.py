@@ -385,6 +385,22 @@ def validate_functor(functor: StarFunctor) -> list[Violation]:
     return out
 
 
+def hom_map_ranks(functor: StarFunctor):
+    """Yield (x, y, source dim, target dim, numerical rank) of the hom map
+    at every source pair, in ``pairs()`` order and lazily, so callers may
+    stop at the first failure. The functor is full where rank = target dim,
+    faithful where rank = source dim, and fully faithful where both hold at
+    every pair."""
+    for x, y in functor.source.pairs():
+        sdim = functor.source.hom(x, y).dim
+        tdim = functor.target.hom(functor.object_map[x], functor.object_map[y]).dim
+        rank = 0
+        if sdim and tdim:
+            svals = np.linalg.svd(functor.coord_matrix(x, y), compute_uv=False)
+            rank = linalg.numerical_rank(svals, functor.tol)
+        yield x, y, sdim, tdim, rank
+
+
 # ---------------------------------------------------------------------------
 # unitarization and unitary isomorphism
 

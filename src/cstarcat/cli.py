@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands operate on JSON files (categories, functors, groupoids, presented
-groupoids, simplicial sets, lifting squares) and emit a JSON report with a
-fixed field order; timing goes to stderr so reports stay byte-reproducible.
+groupoids, *-category presentations, simplicial sets, lifting squares) and
+emit a JSON report with a fixed field order; timing goes to stderr so
+reports stay byte-reproducible.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or parse
 error, 3 unknown-only (a coset enumeration ran out of budget, or the
@@ -30,9 +31,10 @@ from .categories import (
     validate_functor,
 )
 from .errors import CStarCatError, InvalidParams, NotFiniteWithinBound
-from .groupoids import FiniteGroupoid, cstar_max, fundamental_groupoid, nerve
+from .groupoids import FPGroupoid, FiniteGroupoid, cstar_max, fundamental_groupoid, nerve
 from .homotopy import pi
 from .linalg import Tolerance, is_unitary, matrix_from_json
+from .presentations import PresentedStarCategory
 from .reports import Report
 from .simplicial import FiniteSimplicialSet
 
@@ -96,6 +98,14 @@ def _tol(args) -> Tolerance:
 # commands
 
 
+STRUCTURE_LOADERS = {
+    "groupoid": FiniteGroupoid.from_json,
+    "fp-groupoid": FPGroupoid.from_json,
+    "presentation": PresentedStarCategory.from_json,
+    "sset": FiniteSimplicialSet.from_json,
+}
+
+
 def cmd_validate(args) -> Report:
     data = _load(args.file)
     kind = args.kind if args.kind != "auto" else detect_kind(data)
@@ -107,14 +117,10 @@ def cmd_validate(args) -> Report:
         functor = StarFunctor.from_json(data, tol=args.tol)
         violations = validate_category(functor.source) + \
             validate_category(functor.target) + validate_functor(functor)
-    elif kind == "groupoid":
-        FiniteGroupoid.from_json(data)
-        violations = []
-    elif kind == "sset":
-        FiniteSimplicialSet.from_json(data)
-        violations = []
     else:
-        raise InvalidParams(f"validate does not handle kind {kind!r}")
+        # these kinds are checked by their constructors, which raise
+        STRUCTURE_LOADERS[kind](data)
+        violations = []
     if not violations:
         report.add("structure", "pass")
     for v in violations:
@@ -343,9 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = common(sub.add_parser("validate", help="validate a category, functor, "
-                                               "groupoid or simplicial-set file"))
+                                               "groupoid, presented groupoid, "
+                                               "presentation or simplicial-set file"))
     p.add_argument("file")
-    p.add_argument("--kind", choices=["auto", "category", "functor", "groupoid", "sset"],
+    p.add_argument("--kind", choices=["auto", "category", "functor", *STRUCTURE_LOADERS],
                    default="auto")
     p.set_defaults(run=cmd_validate)
 

@@ -41,6 +41,7 @@ class CosetEnumeration:
         self.table: list[list[int]] = []
         self.complete = False
         self._order: int | None = None
+        self._words: list[tuple[int, ...]] | None = None
         self._add_coset()
 
     # -- core table operations ------------------------------------------------
@@ -138,7 +139,7 @@ class CosetEnumeration:
         identity coset, letters in increasing order."""
         if not self.complete:
             raise RuntimeError("enumeration has not completed")
-        if getattr(self, "_words", None) is not None:
+        if self._words is not None:
             return self._words
         reps: dict[int, tuple[int, ...]] = {0: ()}
         frontier = [0]
@@ -157,10 +158,6 @@ class CosetEnumeration:
     def multiply(self, a: int, b: int) -> int:
         """Product of elements (as coset indices): a . b."""
         return self.act(a, self.words()[b])
-
-    def inverse(self, a: int) -> int:
-        word = self.words()[a]
-        return self.act(0, tuple(letter ^ 1 for letter in reversed(word)))
 
 
 def invert_word(word) -> tuple[int, ...]:

@@ -18,13 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .categories import MatCStarCategory, StarFunctor, pair_name, tensor_max
-from .coset import CosetEnumeration, invert_word
-from .errors import (
-    InvalidFunctor,
-    InvalidGroupoid,
-    NotUnitary,
+from .categories import (
+    MatCStarCategory,
+    StarFunctor,
+    hom_map_ranks,
+    pair_name,
+    tensor_max,
+    validate_functor,
 )
+from .coset import CosetEnumeration, invert_word
+from .errors import InvalidFunctor, InvalidGroupoid, MalformedInput, NotUnitary
 from . import linalg
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_matrix, split_pair_key
 from .presentations import UnionFind, check_composition_table
@@ -34,26 +37,32 @@ from .simplicial import FiniteSimplicialSet, SimplexRef
 class FiniteGroupoid:
     """Fully enumerated groupoid: arrows, composition table, inverses and
     identities, checked at construction by ``check_composition_table`` and
-    the two-sided inverse law."""
+    the two-sided inverse law.
+
+    Construction also builds the endpoint index ``_ends``: (src, tgt) to the
+    sorted names of the arrows src -> tgt. ``hom``, ``arrows_into``, the
+    identity and inverse searches and ``nerve`` read it instead of scanning
+    every arrow."""
 
     def __init__(self, objects, arrows, compose, identities=None, inverses=None,
                  check: bool = True):
         self.objects = list(objects)
         self.arrows = {name: (src, tgt) for name, (src, tgt) in arrows.items()}
         self.compose = dict(compose)
+        self._ends: dict[tuple[str, str], list[str]] = {}
+        for name in sorted(self.arrows):
+            self._ends.setdefault(self.arrows[name], []).append(name)
         self.identities = identities if identities is not None else self._find_identities()
         self.inverses = inverses if inverses is not None else self._find_inverses()
         if check:
             self._validate()
-        self._hom_cache: dict[tuple[str, str], list[str]] = {}
 
     def _find_identities(self):
         out = {}
         for x in self.objects:
-            loops = [f for f, (s, t) in self.arrows.items() if s == t == x]
-            for e in sorted(loops):
-                into = [f for f, (s, t) in self.arrows.items() if t == x]
-                outof = [f for f, (s, t) in self.arrows.items() if s == x]
+            into = [f for (_s, t), names in self._ends.items() if t == x for f in names]
+            outof = [f for (s, _t), names in self._ends.items() if s == x for f in names]
+            for e in self.hom(x, x):
                 if all(self.compose.get((e, f)) == f for f in into) and \
                         all(self.compose.get((f, e)) == f for f in outof):
                     out[x] = e
@@ -65,9 +74,7 @@ class FiniteGroupoid:
     def _find_inverses(self):
         out = {}
         for f, (src, tgt) in self.arrows.items():
-            for g, (s2, t2) in self.arrows.items():
-                if (s2, t2) != (tgt, src):
-                    continue
+            for g in self.hom(tgt, src):
                 if self.compose.get((g, f)) == self.identities[src] and \
                         self.compose.get((f, g)) == self.identities[tgt]:
                     out[f] = g
@@ -90,17 +97,12 @@ class FiniteGroupoid:
     # -- structure -----------------------------------------------------------
 
     def hom(self, x: str, y: str) -> list[str]:
-        key = (x, y)
-        if key not in self._hom_cache:
-            self._hom_cache[key] = sorted(
-                f for f, (s, t) in self.arrows.items() if (s, t) == (x, y))
-        return self._hom_cache[key]
+        return self._ends.get((x, y), [])
 
     def arrows_into(self, x: str) -> list[str]:
         """Carrier ordering of the regular representation: arrows with target
         x, sorted by (source name, arrow name)."""
-        chosen = [f for f, (s, t) in self.arrows.items() if t == x]
-        return sorted(chosen, key=lambda f: (self.arrows[f][0], f))
+        return [f for s, t in sorted(self._ends) if t == x for f in self._ends[(s, t)]]
 
     def components(self) -> list[list[str]]:
         classes = UnionFind(self.objects)
@@ -149,10 +151,20 @@ class FiniteGroupoid:
 
     @classmethod
     def from_json(cls, data) -> "FiniteGroupoid":
-        arrows = {a["name"]: (a["src"], a["tgt"]) for a in data["arrows"]}
-        inverses = {a["name"]: a["inv"] for a in data["arrows"]}
-        compose = {split_pair_key(key): h for key, h in data["compose"].items()}
-        return cls(data["objects"], arrows, compose, inverses=inverses)
+        """Read a groupoid file; a JSON shape error raises ``MalformedInput``,
+        a table that is not a groupoid ``InvalidGroupoid``."""
+        try:
+            objects = list(data["objects"])
+            arrows = {a["name"]: (a["src"], a["tgt"]) for a in data["arrows"]}
+            inverses = {a["name"]: a["inv"] for a in data["arrows"]}
+            compose = {split_pair_key(key): h for key, h in data["compose"].items()}
+        except (AttributeError, KeyError, TypeError) as err:
+            raise MalformedInput(f"groupoid file: {type(err).__name__}: {err}") from None
+        names = [*objects, *arrows, *inverses.values(), *compose.values(),
+                 *(end for ends in arrows.values() for end in ends)]
+        if not all(isinstance(name, str) for name in names):
+            raise MalformedInput("groupoid file: object and arrow names must be strings")
+        return cls(objects, arrows, compose, inverses=inverses)
 
     def __repr__(self):
         return f"FiniteGroupoid({len(self.objects)} objects, {len(self.arrows)} arrows)"
@@ -213,6 +225,10 @@ def _group_tables_isomorphic(t1, t2) -> bool:
 # constructors
 
 
+def _arrow_name(x: str, h: int, y: str) -> str:
+    return f"{x}>{h}>{y}"
+
+
 def connected_groupoid(objects, group_table, check: bool = True) -> FiniteGroupoid:
     """The connected groupoid on the given objects with the given vertex
     group: arrows (x, h, y) named "x>h>y", composing through the group."""
@@ -222,26 +238,35 @@ def connected_groupoid(objects, group_table, check: bool = True) -> FiniteGroupo
     inv = {i: next(j for j in range(n)
                    if group_table[j][i] == ident and group_table[i][j] == ident)
            for i in range(n)}
-
-    def name(x, h, y):
-        return f"{x}>{h}>{y}"
-
     arrows, compose = {}, {}
     for x in objects:
         for y in objects:
             for h in range(n):
-                arrows[name(x, h, y)] = (x, y)
+                arrows[_arrow_name(x, h, y)] = (x, y)
     for x in objects:
         for y in objects:
             for z in objects:
                 for h1 in range(n):
                     for h2 in range(n):
-                        compose[(name(y, h2, z), name(x, h1, y))] = \
-                            name(x, group_table[h2][h1], z)
-    identities = {x: name(x, ident, x) for x in objects}
-    inverses = {name(x, h, y): name(y, inv[h], x)
+                        compose[(_arrow_name(y, h2, z), _arrow_name(x, h1, y))] = \
+                            _arrow_name(x, group_table[h2][h1], z)
+    identities = {x: _arrow_name(x, ident, x) for x in objects}
+    inverses = {_arrow_name(x, h, y): _arrow_name(y, inv[h], x)
                 for x in objects for y in objects for h in range(n)}
     return FiniteGroupoid(objects, arrows, compose, identities, inverses, check=check)
+
+
+def disjoint_groupoid(parts) -> FiniteGroupoid:
+    """Disjoint union of groupoids with pairwise disjoint object and arrow
+    names: each table is the union of the parts' tables, in part order."""
+    objects, arrows, compose, identities, inverses = [], {}, {}, {}, {}
+    for part in parts:
+        objects.extend(part.objects)
+        arrows.update(part.arrows)
+        compose.update(part.compose)
+        identities.update(part.identities)
+        inverses.update(part.inverses)
+    return FiniteGroupoid(objects, arrows, compose, identities, inverses, check=False)
 
 
 def cyclic_group_table(n: int):
@@ -363,18 +388,25 @@ def cstar_max(groupoid: FiniteGroupoid, tol: Tolerance = DEFAULT_TOL) -> Groupoi
         embed[g] = mat
 
     objects = [(x, len(carrier[x])) for x in groupoid.objects]
-    homs = {}
-    for x in groupoid.objects:
-        for y in groupoid.objects:
-            names = groupoid.hom(x, y)
-            if not names:
-                continue
-            scale = 1.0 / np.sqrt(len(carrier[x]))
-            basis = [embed[g] * scale for g in names]
-            homs[(x, y)] = Subspace(len(carrier[y]), len(carrier[x]), basis,
-                                    tol=tol, _trusted=True)
+    homs = {(x, y): Subspace(len(carrier[y]), len(carrier[x]), basis, tol=tol, _trusted=True)
+            for (x, y), basis in _regular_hom_maps(groupoid, carrier, embed.__getitem__).items()}
     category = MatCStarCategory(objects, homs, tol=tol)
     return GroupoidCStar(groupoid, category, embed, carrier)
+
+
+def _regular_hom_maps(groupoid: FiniteGroupoid, carrier: dict, image) -> dict:
+    """For each pair (x, y) with arrows x -> y, the images ``image(g)`` of
+    those arrows scaled by 1/sqrt|carrier x|: at that scale the regular
+    representation's permutation matrices are an HS-orthonormal basis of
+    hom(x, y), so these are the images of the stored hom basis."""
+    out = {}
+    for x in groupoid.objects:
+        scale = 1.0 / np.sqrt(len(carrier[x]))
+        for y in groupoid.objects:
+            names = groupoid.hom(x, y)
+            if names:
+                out[(x, y)] = [image(g) * scale for g in names]
+    return out
 
 
 class UnitaryRep:
@@ -416,14 +448,7 @@ def adjunction_extend(gc: GroupoidCStar, rep: UnitaryRep) -> StarFunctor:
     if rep.groupoid is not gc.groupoid:
         if rep.groupoid.arrows != gc.groupoid.arrows:
             raise InvalidFunctor("representation is of a different groupoid")
-    hom_maps = {}
-    for x in gc.groupoid.objects:
-        for y in gc.groupoid.objects:
-            names = gc.groupoid.hom(x, y)
-            if not names:
-                continue
-            scale = 1.0 / np.sqrt(len(gc.carrier[x]))
-            hom_maps[(x, y)] = [rep.arrow_map[g] * scale for g in names]
+    hom_maps = _regular_hom_maps(gc.groupoid, gc.carrier, rep.arrow_map.__getitem__)
     return StarFunctor(gc.category, rep.category, dict(rep.object_map), hom_maps,
                        tol=gc.category.tol)
 
@@ -444,15 +469,20 @@ def adjunction_restrict(gc: GroupoidCStar, functor: StarFunctor) -> UnitaryRep:
 
 @dataclass
 class ComparisonVerdict:
+    """The verdict on the comparison functor C*(G x H) -> C*(G) (x) C*(H).
+
+    ``fully_faithful`` means that at every pair of objects the hom map has
+    numerical rank equal to the dimension of its source hom and to the
+    dimension of its target hom."""
+
     objects_bijective: bool
-    hom_dims_equal: bool
-    hom_maps_full_rank: bool
+    fully_faithful: bool
     functor_residual: float
 
     @property
     def isomorphism(self) -> bool:
-        return self.objects_bijective and self.hom_dims_equal and \
-            self.hom_maps_full_rank and self.functor_residual <= 1e-8
+        return self.objects_bijective and self.fully_faithful and \
+            self.functor_residual <= 1e-8
 
 
 def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
@@ -460,48 +490,26 @@ def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
     """The canonical functor from the C*-category of a product groupoid to
     the tensor product of the factors' C*-categories, (a, b) -> a (x) b,
     together with the verdict certifying it is an isomorphism."""
-    from .categories import validate_functor
-
     product = product_groupoid(g1, g2)
     gc = cstar_max(product, tol=tol)
     c1, c2 = cstar_max(g1, tol=tol), cstar_max(g2, tol=tol)
     tensor = tensor_max(c1.category, c2.category, check=False)
 
+    def image(a):
+        # product arrow names are pair_name(a1, a2)
+        a1, a2 = _split_pair(a)
+        return np.kron(c1.embed[a1], c2.embed[a2])
+
     object_map = {x: x for x in gc.category.object_names}
-    hom_maps = {}
-    for x1 in g1.objects:
-        for x2 in g2.objects:
-            for y1 in g1.objects:
-                for y2 in g2.objects:
-                    names1, names2 = g1.hom(x1, y1), g2.hom(x2, y2)
-                    if not names1 or not names2:
-                        continue
-                    src = pair_name(x1, x2)
-                    tgt = pair_name(y1, y2)
-                    scale = 1.0 / np.sqrt(len(gc.carrier[src]))
-                    images = []
-                    for a in gc.groupoid.hom(src, tgt):
-                        # product arrow names are pair_name(a1, a2)
-                        a1, a2 = _split_pair(a)
-                        images.append(np.kron(c1.embed[a1], c2.embed[a2]) * scale)
-                    hom_maps[(src, tgt)] = images
+    hom_maps = _regular_hom_maps(product, gc.carrier, image)
     functor = StarFunctor(gc.category, tensor, object_map, hom_maps, tol=tol)
 
     objects_ok = len(gc.category.objects) == len(tensor.objects) and \
         set(object_map.values()) == set(tensor.object_names)
-    dims_ok, full_rank = True, True
-    for (x, y) in gc.category.pairs():
-        sdim = gc.category.hom(x, y).dim
-        tdim = tensor.hom(object_map[x], object_map[y]).dim
-        if sdim != tdim:
-            dims_ok = False
-        if sdim:
-            coord = functor.coord_matrix(x, y)
-            rank = linalg.numerical_rank(np.linalg.svd(coord, compute_uv=False), tol)
-            if rank != sdim or rank != tdim:
-                full_rank = False
+    fully_faithful = all(rank == sdim == tdim
+                         for _x, _y, sdim, tdim, rank in hom_map_ranks(functor))
     residual = max((v.residual for v in validate_functor(functor)), default=0.0)
-    return functor, ComparisonVerdict(objects_ok, dims_ok, full_rank, residual)
+    return functor, ComparisonVerdict(objects_ok, fully_faithful, residual)
 
 
 def _split_pair(name: str) -> tuple[str, str]:
@@ -708,40 +716,17 @@ def normalize_fp(pres: FPGroupoid, bound: int = 10000) -> NormalizeResult:
             return NormalizeResult("not_finite_within_bound", bound)
         comp_payloads.append((comp, gens, gen_index, path, enum))
 
-    objects, arrows, compose = [], {}, {}
-    identities, inverses = {}, {}
-    gen_arrow, arrow_words = {}, {}
-
-    def aname(x, h, y):
-        return f"{x}>{h}>{y}"
-
+    parts, gen_arrow, arrow_words = [], {}, {}
     for comp, gens, gen_index, path, enum in comp_payloads:
         order = enum.order()
         words = enum.words()
         product = [[enum.multiply(h2, h1) for h1 in range(order)]
                    for h2 in range(order)]
-        inverse = [enum.inverse(h) for h in range(order)]
-        objects.extend(comp)
-        for x in comp:
-            for y in comp:
-                for h in range(order):
-                    arrows[aname(x, h, y)] = (x, y)
-        for x in comp:
-            for y in comp:
-                for z in comp:
-                    for h1 in range(order):
-                        for h2 in range(order):
-                            compose[(aname(y, h2, z), aname(x, h1, y))] = \
-                                aname(x, product[h2][h1], z)
-        for x in comp:
-            identities[x] = aname(x, 0, x)
-            for y in comp:
-                for h in range(order):
-                    inverses[aname(x, h, y)] = aname(y, inverse[h], x)
+        parts.append(connected_groupoid(comp, product, check=False))
         for g in gens:
             src, tgt = pres.generators[g]
             h = enum.act(0, (2 * gen_index[g],))
-            gen_arrow[g] = aname(src, h, tgt)
+            gen_arrow[g] = _arrow_name(src, h, tgt)
 
         # expansion of group letters into presentation words, for transport
         def letter_factors(letter):
@@ -758,11 +743,8 @@ def normalize_fp(pres: FPGroupoid, bound: int = 10000) -> NormalizeResult:
                     for letter in words[h]:
                         factors = factors + letter_factors(letter)
                     factors = factors + _invert_factors(path[x])
-                    arrow_words[aname(x, h, y)] = FPWord(x, y, factors)
-
-    groupoid = FiniteGroupoid(objects, arrows, compose, identities, inverses,
-                              check=False)
-    return NormalizeResult("finite", bound, groupoid, gen_arrow, arrow_words)
+                    arrow_words[_arrow_name(x, h, y)] = FPWord(x, y, factors)
+    return NormalizeResult("finite", bound, disjoint_groupoid(parts), gen_arrow, arrow_words)
 
 
 def eval_fp_word(groupoid: FiniteGroupoid, gen_arrow: dict, word: FPWord,
@@ -818,6 +800,8 @@ def nerve(groupoid: FiniteGroupoid, dim_cap: int) -> FiniteSimplicialSet:
 
     idents = set(groupoid.identities.values())
     nonident = sorted(a for a in groupoid.arrows if a not in idents)
+    nonident_from = {x: [a for y in groupoid.objects for a in groupoid.hom(x, y)
+                         if a not in idents] for x in groupoid.objects}
 
     def chain_name(chain):
         return "|".join(chain)
@@ -833,9 +817,7 @@ def nerve(groupoid: FiniteGroupoid, dim_cap: int) -> FiniteSimplicialSet:
         current = []
         for chain in prev:
             tail_tgt = groupoid.arrows[chain[-1]][1]
-            for a in nonident:
-                if groupoid.arrows[a][0] == tail_tgt:
-                    current.append(chain + (a,))
+            current.extend(chain + (a,) for a in nonident_from[tail_tgt])
         for chain in sorted(current):
             faces = []
             for i in range(dim + 1):

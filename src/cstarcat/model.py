@@ -30,6 +30,7 @@ from .categories import (
     compose_functors,
     functor_distance,
     functors_agree,
+    hom_map_ranks,
     identity_functor,
     iso_exists,
     unitarize,
@@ -59,21 +60,9 @@ def is_cofibration(functor: StarFunctor) -> bool:
     return len(set(images)) == len(images)
 
 
-def _hom_map_ranks(functor: StarFunctor, x: str, y: str):
-    """(source dim, target dim, numerical rank) of the hom map at (x, y)."""
-    sdim = functor.source.hom(x, y).dim
-    tdim = functor.target.hom(functor.object_map[x], functor.object_map[y]).dim
-    if sdim == 0:
-        return 0, tdim, 0
-    coord = functor.coord_matrix(x, y)
-    svals = np.linalg.svd(coord, compute_uv=False) if coord.size else np.array([])
-    return sdim, tdim, linalg.numerical_rank(svals, functor.tol)
-
-
 def is_fully_faithful(functor: StarFunctor):
     """(verdict, witness pair or None): every hom map bijective, by ranks."""
-    for x, y in functor.source.pairs():
-        sdim, tdim, rank = _hom_map_ranks(functor, x, y)
+    for x, y, sdim, tdim, rank in hom_map_ranks(functor):
         if rank != sdim or rank != tdim:
             return False, (x, y)
     return True, None
@@ -134,17 +123,9 @@ def rlp_generating(functor: StarFunctor, which: str) -> bool:
     if which == "U":
         return set(functor.object_map.values()) == set(functor.target.object_names)
     if which == "V":
-        for x, y in functor.source.pairs():
-            _sdim, tdim, rank = _hom_map_ranks(functor, x, y)
-            if rank != tdim:
-                return False
-        return True
+        return all(rank == tdim for _x, _y, _sdim, tdim, rank in hom_map_ranks(functor))
     if which == "W":
-        for x, y in functor.source.pairs():
-            sdim, _tdim, rank = _hom_map_ranks(functor, x, y)
-            if rank != sdim:
-                return False
-        return True
+        return all(rank == sdim for _x, _y, sdim, _tdim, rank in hom_map_ranks(functor))
     raise ValueError(f"unknown generating cofibration {which!r}")
 
 

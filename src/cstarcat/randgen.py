@@ -13,6 +13,8 @@ give identical instances.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .categories import (
@@ -30,6 +32,7 @@ from .groupoids import (
     connected_groupoid,
     cstar_max,
     cyclic_group_table,
+    disjoint_groupoid,
 )
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
 
@@ -129,23 +132,42 @@ def random_hom_element(rng: np.random.Generator, space: Subspace) -> np.ndarray:
     return space.from_coords(coeffs)
 
 
+def _conjugate(rng: np.random.Generator, cat: MatCStarCategory,
+               beta: dict) -> tuple[MatCStarCategory, dict]:
+    """Conjugate by one unitary per object: draw u_n for each new object n
+    of ``beta`` (new name -> object of ``cat``), in its order, and span
+    hom(n1, n2) by u_n2 b u_n1* over the basis b of hom(beta n1, beta n2).
+    Returns the new category and the unitaries."""
+    units = {n: random_unitary(rng, cat.obj(x).dim) for n, x in beta.items()}
+    homs = {}
+    for n1 in beta:
+        for n2 in beta:
+            space = cat.homs.get((beta[n1], beta[n2]))
+            if space is not None:
+                basis = [units[n2] @ b @ units[n1].conj().T for b in space.basis]
+                homs[(n1, n2)] = Subspace(space.ambient_rows, space.ambient_cols,
+                                          basis, tol=cat.tol, _trusted=True)
+    target = MatCStarCategory([(n, cat.obj(x).dim) for n, x in beta.items()],
+                              homs, tol=cat.tol)
+    return target, units
+
+
+def _conjugation_functor(cat: MatCStarCategory, target: MatCStarCategory,
+                         copy_of: dict) -> StarFunctor:
+    """The functor x -> copy_of[x] into a conjugated copy: each basis
+    element goes to its conjugate, the same index of the target basis."""
+    hom_maps = {(x, y): list(target.homs[(copy_of[x], copy_of[y])].basis)
+                for (x, y) in cat.homs}
+    return StarFunctor(cat, target, copy_of, hom_maps, tol=cat.tol)
+
+
 def conjugate_category(rng: np.random.Generator, cat: MatCStarCategory,
                        prefix: str = "c") -> tuple[MatCStarCategory, StarFunctor]:
     """An isomorphic copy with freshly conjugated hom spaces, plus the
     conjugation functor (a weak equivalence and an isomorphism)."""
-    units = {x: random_unitary(rng, cat.obj(x).dim) for x in cat.object_names}
     names = {x: f"{prefix}:{x}" for x in cat.object_names}
-    homs = {}
-    for (x, y), space in cat.homs.items():
-        basis = [units[y] @ b @ units[x].conj().T for b in space.basis]
-        homs[(names[x], names[y])] = Subspace(space.ambient_rows, space.ambient_cols,
-                                              basis, tol=cat.tol, _trusted=True)
-    target = MatCStarCategory([(names[x.name], x.dim) for x in cat.objects],
-                              homs, tol=cat.tol)
-    hom_maps = {(x, y): [units[y] @ b @ units[x].conj().T for b in space.basis]
-                for (x, y), space in cat.homs.items()}
-    functor = StarFunctor(cat, target, names, hom_maps, tol=cat.tol)
-    return target, functor
+    target, _units = _conjugate(rng, cat, {names[x]: x for x in cat.object_names})
+    return target, _conjugation_functor(cat, target, names)
 
 
 def random_weq(rng: np.random.Generator, cat: MatCStarCategory,
@@ -154,27 +176,9 @@ def random_weq(rng: np.random.Generator, cat: MatCStarCategory,
     unitarily isomorphic duplicate objects."""
     base = list(cat.object_names)
     extras = [str(rng.choice(base)) for _ in range(n_extra)]
-    carriers = base + extras
-    names = [f"{prefix}{i}" for i in range(len(carriers))]
-    beta = dict(zip(names, carriers))
-    units = {n: random_unitary(rng, cat.obj(beta[n]).dim) for n in names}
-    homs = {}
-    for n1 in names:
-        for n2 in names:
-            space = cat.homs.get((beta[n1], beta[n2]))
-            if space is None:
-                continue
-            basis = [units[n2] @ b @ units[n1].conj().T for b in space.basis]
-            homs[(n1, n2)] = Subspace(space.ambient_rows, space.ambient_cols,
-                                      basis, tol=cat.tol, _trusted=True)
-    target = MatCStarCategory([(n, cat.obj(beta[n]).dim) for n in names],
-                              homs, tol=cat.tol)
-    copy_of = {x: names[i] for i, x in enumerate(base)}
-    hom_maps = {}
-    for (x, y), space in cat.homs.items():
-        nx, ny = copy_of[x], copy_of[y]
-        hom_maps[(x, y)] = [units[ny] @ b @ units[nx].conj().T for b in space.basis]
-    return StarFunctor(cat, target, copy_of, hom_maps, tol=cat.tol)
+    names = [f"{prefix}{i}" for i in range(len(base) + n_extra)]
+    target, _units = _conjugate(rng, cat, dict(zip(names, base + extras)))
+    return _conjugation_functor(cat, target, dict(zip(base, names)))
 
 
 def fattening_functor(cat: MatCStarCategory, model: SectorModel) -> StarFunctor:
@@ -276,7 +280,6 @@ _S3 = None
 def _s3_table():
     global _S3
     if _S3 is None:
-        import itertools
         perms = sorted(itertools.permutations(range(3)))
         index = {p: i for i, p in enumerate(perms)}
         _S3 = [[index[tuple(p[q[k]] for k in range(3))] for q in perms]
@@ -296,37 +299,27 @@ def group_table(kind: str, order: int = 1):
 
 def random_groupoid(rng: np.random.Generator, n_objects: int = 2,
                     max_order: int = 4) -> FiniteGroupoid:
-    """Random disjoint union of connected groupoids with small vertex groups."""
+    """Random disjoint union of connected groupoids with small vertex groups.
+    A Klein or S3 draw that exceeds ``max_order`` falls back to a cyclic
+    group."""
     if not (1 <= n_objects <= 5 and 1 <= max_order <= 8):
         raise InvalidParams("supported bounds: <= 5 objects, group order <= 8")
     names = [f"x{i}" for i in range(n_objects)]
     n_components = int(rng.integers(1, n_objects + 1))
     assignment = [int(rng.integers(0, n_components)) for _ in names]
     assignment[0] = 0
-    objects, arrows, compose = [], {}, {}
-    identities, inverses = {}, {}
+    parts = []
     for comp in range(n_components):
         members = [n for n, a in zip(names, assignment) if a == comp]
         if not members:
             continue
         choices = ["cyclic", "klein", "s3"]
         kind = choices[int(rng.integers(0, len(choices)))]
-        if kind == "cyclic":
-            table = cyclic_group_table(int(rng.integers(1, max_order + 1)))
-        elif kind == "klein" and max_order >= 4:
-            table = _KLEIN
-        elif kind == "s3" and max_order >= 6:
-            table = _s3_table()
-        else:
-            table = cyclic_group_table(int(rng.integers(1, max_order + 1)))
-        part = connected_groupoid(members, table, check=False)
-        objects.extend(part.objects)
-        arrows.update(part.arrows)
-        compose.update(part.compose)
-        identities.update(part.identities)
-        inverses.update(part.inverses)
-    return FiniteGroupoid(objects, arrows, compose, identities, inverses,
-                          check=False)
+        table = group_table(kind)
+        if kind == "cyclic" or len(table) > max_order:
+            table = group_table("cyclic", int(rng.integers(1, max_order + 1)))
+        parts.append(connected_groupoid(members, table, check=False))
+    return disjoint_groupoid(parts)
 
 
 def random_unitary_rep(rng: np.random.Generator, groupoid: FiniteGroupoid,
@@ -335,18 +328,11 @@ def random_unitary_rep(rng: np.random.Generator, groupoid: FiniteGroupoid,
     C*-category: arrows go to conjugated regular-representation unitaries."""
     gc = gc or cstar_max(groupoid)
     cat = gc.category
-    units = {x: random_unitary(rng, cat.obj(x).dim) for x in cat.object_names}
     names = {x: f"r:{x}" for x in cat.object_names}
-    homs = {}
-    for (x, y), space in cat.homs.items():
-        basis = [units[y] @ b @ units[x].conj().T for b in space.basis]
-        homs[(names[x], names[y])] = Subspace(space.ambient_rows, space.ambient_cols,
-                                              basis, tol=cat.tol, _trusted=True)
-    target = MatCStarCategory([(names[o.name], o.dim) for o in cat.objects],
-                              homs, tol=cat.tol)
+    target, units = _conjugate(rng, cat, {names[x]: x for x in cat.object_names})
     arrow_map = {}
     for g, (x, y) in groupoid.arrows.items():
-        arrow_map[g] = units[y] @ gc.embed[g] @ units[x].conj().T
+        arrow_map[g] = units[names[y]] @ gc.embed[g] @ units[names[x]].conj().T
     return UnitaryRep(groupoid, target,
                       {x: names[x] for x in groupoid.objects}, arrow_map,
                       tol=cat.tol)

@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParams, InvalidSimplicialSet
+from .errors import InvalidParams, InvalidSimplicialSet, MalformedInput
 
 
 def canon_degens(word) -> tuple[int, ...]:
@@ -163,20 +163,25 @@ class FiniteSimplicialSet:
 
     @classmethod
     def from_json(cls, data) -> "FiniteSimplicialSet":
-        out = cls(data["dim_cap"])
-        for dim in range(out.dim_cap + 1):
-            for entry in data["simplices"].get(str(dim), []):
-                if entry.get("degenerate"):
-                    raise InvalidSimplicialSet(
-                        "only nondegenerate simplices may be listed")
-                faces = []
-                for raw in entry.get("faces", []):
-                    if isinstance(raw, str):
-                        faces.append(SimplexRef(raw, dim - 1))
-                    else:
-                        degens = canon_degens(raw["degens"])
-                        faces.append(SimplexRef(raw["of"], dim - 1 - len(degens), degens))
-                out.add_simplex(dim, entry["name"], faces)
+        """Read a simplicial-set file; a JSON shape error raises
+        ``MalformedInput``, face data that breaks the simplicial identities
+        ``InvalidSimplicialSet``."""
+        try:
+            dim_cap = data["dim_cap"]
+            if type(dim_cap) is not int:
+                raise TypeError(f"dim_cap {dim_cap!r} is not an integer")
+            listed = [(dim, entry, [_face_from_json(raw, dim) for raw in entry.get("faces", [])])
+                      for dim in range(dim_cap + 1)
+                      for entry in data["simplices"].get(str(dim), [])]
+            if not all(isinstance(entry["name"], str) for _dim, entry, _faces in listed):
+                raise TypeError("simplex names must be strings")
+        except (AttributeError, KeyError, TypeError) as err:
+            raise MalformedInput(f"simplicial-set file: {type(err).__name__}: {err}") from None
+        out = cls(dim_cap)
+        for dim, entry, faces in listed:
+            if entry.get("degenerate"):
+                raise InvalidSimplicialSet("only nondegenerate simplices may be listed")
+            out.add_simplex(dim, entry["name"], faces)
         bad = out.identity_violations()
         if bad:
             raise InvalidSimplicialSet("; ".join(bad[:3]))
@@ -185,6 +190,17 @@ class FiniteSimplicialSet:
     def __repr__(self):
         counts = [self.count_nondegenerate(d) for d in range(self.dim_cap + 1)]
         return f"FiniteSimplicialSet(nondegenerate per dim: {counts})"
+
+
+def _face_from_json(raw, dim: int) -> SimplexRef:
+    """A face entry of a ``dim``-simplex: a base name, or {"of", "degens"}."""
+    if isinstance(raw, str):
+        return SimplexRef(raw, dim - 1)
+    base, degens = raw["of"], list(raw["degens"])
+    if not isinstance(base, str) or not all(type(j) is int for j in degens):
+        raise TypeError(f"face {raw!r} needs a name and integer degeneracies")
+    degens = canon_degens(degens)
+    return SimplexRef(base, dim - 1 - len(degens), degens)
 
 
 class SimplicialMap:

@@ -12,7 +12,9 @@ import numpy as np
 from . import model as md
 from . import randgen as rg
 from .categories import (
+    StarFunctor,
     curry,
+    disjoint_union,
     functors_agree,
     tensor_functor,
     tensor_max,
@@ -21,6 +23,8 @@ from .categories import (
 )
 from .errors import NotFiniteWithinBound
 from .groupoids import (
+    adjunction_extend,
+    adjunction_restrict,
     comparison_functor,
     connected_groupoid,
     cstar_max,
@@ -76,7 +80,6 @@ def functor_zoo(rng: np.random.Generator, count: int):
             out.append((kind, rg.sector_projection_functor(model, keep=0)))
         else:  # fold of a two-copy union onto one copy
             cat, _ = rg.random_matcat(rng, n_objects=1, max_dim=3)
-            from .categories import StarFunctor, disjoint_union
             two = disjoint_union([cat, cat], prefixes=["l_", "r_"])
             obj_map = {}
             hom_maps = {}
@@ -173,10 +176,8 @@ def suite_monoidal(seed: int = 0):
     for name1, g1 in groupoids.items():
         for name2, g2 in groupoids.items():
             _functor, verdict = comparison_functor(g1, g2)
-            ok = verdict.objects_bijective and verdict.hom_dims_equal and \
-                verdict.hom_maps_full_rank and verdict.functor_residual <= 1e-8
             entries.append(CheckEntry(f"comparison[{name1},{name2}]",
-                                      "pass" if ok else "fail",
+                                      "pass" if verdict.isomorphism else "fail",
                                       residual=verdict.functor_residual))
     for idx in range(6):
         cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3)
@@ -228,8 +229,6 @@ def suite_simplicial(seed: int = 0, budget: int = 10000):
 
 def suite_adjunctions(seed: int = 0, n_round: int = 10, n_exp: int = 6):
     """Groupoid adjunction round trips and the exponential law."""
-    from .groupoids import adjunction_extend, adjunction_restrict
-
     rng = rg.rng_from_seed(seed)
     entries = []
     for idx in range(n_round):

@@ -15,6 +15,7 @@ from cstarcat import randgen as rg
 from cstarcat.cli import main
 from cstarcat.categories import MatCStarCategory, StarFunctor
 from cstarcat.groupoids import FPGroupoid, FiniteGroupoid, cyclic_groupoid
+from cstarcat.presentations import PresentedStarCategory, Quiver
 from cstarcat.simplicial import FiniteSimplicialSet, standard
 
 
@@ -139,6 +140,60 @@ def test_matrix_entry_not_a_pair_exits_2(tmp_path):
     done = run_process("validate", write(tmp_path / "bad.json", data))
     assert done.returncode == 2
     assert "Traceback" not in done.stderr and "[re, im]" in done.stderr
+
+
+def malformed(case):
+    """A groupoid or simplicial-set file with one JSON shape error."""
+    groupoid = cyclic_groupoid(2).to_json()
+    sset = standard("delta", 2).to_json()
+    if case == "compose_is_a_list":
+        groupoid["compose"] = list(groupoid["compose"].items())
+        return groupoid
+    if case == "arrow_entry_is_a_number":
+        groupoid["arrows"][0] = 5
+        return groupoid
+    if case == "dim_cap_is_a_string":
+        sset["dim_cap"] = "x"
+        return sset
+    sset["simplices"]["1"][0]["faces"][0] = 5
+    return sset
+
+
+@pytest.mark.parametrize("case, command", [
+    ("compose_is_a_list", "validate"),
+    ("arrow_entry_is_a_number", "groupoid-cstar"),
+    ("dim_cap_is_a_string", "validate"),
+    ("face_entry_is_a_number", "pi"),
+])
+def test_malformed_groupoid_and_sset_files_exit_2(tmp_path, case, command):
+    done = run_process(command, write(tmp_path / "bad.json", malformed(case)))
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert "file:" in done.stderr
+
+
+def test_validate_fp_groupoid_file(tmp_path, capsys):
+    delta2 = write(tmp_path / "delta2.json", standard("delta", 2).to_json())
+    fp_file = str(tmp_path / "fp.json")
+    assert run("fundamental-groupoid", delta2, "--output", fp_file) == 0
+    capsys.readouterr()
+    assert run("validate", fp_file) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == \
+        [{"name": "structure", "status": "pass"}]
+
+
+def test_validate_presentation_file(tmp_path, capsys):
+    quiver = Quiver(["x", "y"], [("a", "x", "y")])
+    pres = PresentedStarCategory(quiver)
+    a = pres.gen("a")
+    data = PresentedStarCategory(quiver, [(a.star() * a, pres.unit("x"))]).to_json()
+    assert run("validate", write(tmp_path / "ok.json", data)) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == \
+        [{"name": "structure", "status": "pass"}]
+    data["relations"][0][1] = {"src": "x", "tgt": "y", "terms": []}
+    assert run("validate", write(tmp_path / "bad.json", data)) == 1
+    assert capsys.readouterr().err == \
+        "check failed: NotParallel: relation sides are not parallel\n"
 
 
 @pytest.fixture

@@ -81,6 +81,51 @@ def test_groupoid_isomorphism_distinguishes_group_structure():
 
 
 # ---------------------------------------------------------------------------
+# the endpoint index
+
+
+def index_instances():
+    rng = rg.rng_from_seed(17)
+    randoms = [rg.random_groupoid(rng, n_objects=n, max_order=6)
+               for n in (1, 2, 3, 4, 5) for _ in range(2)]
+    products = [gp.product_groupoid(gp.interval_groupoid(), gp.cyclic_groupoid(3)),
+                gp.product_groupoid(randoms[4], gp.cyclic_groupoid(2))]
+    built = [gp.terminal_groupoid(), gp.interval_groupoid(), gp.cyclic_groupoid(5)]
+    return randoms + products + built
+
+
+def test_endpoint_index_agrees_with_brute_force_scans():
+    for g in index_instances():
+        for x in g.objects:
+            for y in g.objects:
+                assert g.hom(x, y) == sorted(f for f, ends in g.arrows.items()
+                                             if ends == (x, y))
+            assert g.arrows_into(x) == sorted(
+                (f for f, (_s, t) in g.arrows.items() if t == x),
+                key=lambda f: (g.arrows[f][0], f))
+        # oracle: the one loop neutral against every arrow, and for each arrow
+        # the one arrow that composes to identities on both sides
+        identities = {}
+        for x in g.objects:
+            neutral = [e for e, ends in g.arrows.items() if ends == (x, x) and all(
+                g.compose[(e, f)] == f for f, (_s, t) in g.arrows.items() if t == x)
+                and all(g.compose[(f, e)] == f for f, (s, _t) in g.arrows.items() if s == x)]
+            assert len(neutral) == 1
+            identities[x] = neutral[0]
+        inverses = {}
+        for f, (src, tgt) in g.arrows.items():
+            two_sided = [h for h in g.arrows
+                         if g.compose.get((h, f)) == identities[src]
+                         and g.compose.get((f, h)) == identities[tgt]]
+            assert len(two_sided) == 1
+            inverses[f] = two_sided[0]
+        assert g.identities == identities and g.inverses == inverses
+        # the searches run again when neither table is given
+        again = gp.FiniteGroupoid(g.objects, g.arrows, g.compose)
+        assert again.identities == identities and again.inverses == inverses
+
+
+# ---------------------------------------------------------------------------
 # the regular representation
 
 
@@ -307,6 +352,31 @@ def test_nerve_simplicial_identities_with_inverse_chains():
     n = gp.nerve(gp.cyclic_groupoid(2), 3)
     assert n.identity_violations() == []
     assert n.count_simplices(2) == 4 and n.count_simplices(3) == 8
+
+
+def composable_strings(g, length):
+    """Oracle: strings of ``length`` composable non-identity arrows, by
+    dynamic programming over the number of strings ending at each object."""
+    idents = set(g.identities.values())
+    ends = [ends for a, ends in g.arrows.items() if a not in idents]
+    ending_at = {x: sum(1 for _s, t in ends if t == x) for x in g.objects}
+    for _ in range(length - 1):
+        ending_at = {x: sum(ending_at[s] for s, t in ends if t == x) for x in g.objects}
+    return sum(ending_at.values())
+
+
+def test_nerve_counts_match_composable_strings_on_several_components():
+    rng = rg.rng_from_seed(23)
+    checked = 0
+    while checked < 4:
+        g = rg.random_groupoid(rng, n_objects=4, max_order=4)
+        if len(g.components()) < 2:
+            continue
+        n = gp.nerve(g, 3)
+        assert n.count_nondegenerate(0) == len(g.objects)
+        for d in (1, 2, 3):
+            assert n.count_nondegenerate(d) == composable_strings(g, d)
+        checked += 1
 
 
 # ---------------------------------------------------------------------------

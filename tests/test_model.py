@@ -24,7 +24,8 @@ from cstarcat.errors import (
     PreconditionFailed,
     SquareMismatch,
 )
-from cstarcat.linalg import is_unitary
+from cstarcat.linalg import Subspace, is_unitary
+from cstarcat.suites import functor_zoo
 
 
 def interval_category():
@@ -129,6 +130,38 @@ def test_rlp_generating_characterizations():
     collapse = collapse_with_kernel()
     assert validate_functor(collapse) == []
     assert not md.rlp_generating(collapse, "W")
+
+
+def rank_oracle(functor):
+    """(full, faithful) from ``np.linalg.matrix_rank`` of every hom map's
+    coordinate matrix."""
+    full = faithful = True
+    for x, y in functor.source.pairs():
+        sdim = functor.source.hom(x, y).dim
+        tdim = functor.target.hom(functor.object_map[x], functor.object_map[y]).dim
+        rank = np.linalg.matrix_rank(functor.coord_matrix(x, y)) if sdim and tdim else 0
+        full = full and rank == tdim
+        faithful = faithful and rank == sdim
+    return full, faithful
+
+
+def test_rank_predicates_agree_with_matrix_rank_over_the_zoo():
+    # the zoo's non-full or non-faithful functors all change hom dimensions;
+    # (a, b) -> (a, a) on the diagonal algebra C^2 keeps them and has rank 1
+    e11, e22 = np.diag([1.0, 0]).astype(complex), np.diag([0, 1.0]).astype(complex)
+    diagonal = MatCStarCategory([("d", 2)], {("d", "d"): Subspace(2, 2, [e11, e22])})
+    squash = StarFunctor(diagonal, diagonal, {"d": "d"},
+                         {("d", "d"): [np.eye(2, dtype=complex), np.zeros((2, 2))]})
+    assert validate_functor(squash) == []
+    zoo = functor_zoo(rg.rng_from_seed(11), 24) + [("squash", squash)]
+    verdicts = set()
+    for kind, functor in zoo:
+        full, faithful = rank_oracle(functor)
+        assert md.rlp_generating(functor, "V") == full, kind
+        assert md.rlp_generating(functor, "W") == faithful, kind
+        assert md.is_fully_faithful(functor)[0] == (full and faithful), kind
+        verdicts.add((full, faithful))
+    assert len(verdicts) == 4
 
 
 def test_rlp_agreement_with_trivial_fibration():
