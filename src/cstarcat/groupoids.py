@@ -593,14 +593,24 @@ class FPGroupoid:
 
     @classmethod
     def from_json(cls, data) -> "FPGroupoid":
-        gens = {g["name"]: (g["src"], g["tgt"]) for g in data["generators"]}
-
+        """Read a presented-groupoid file; a JSON shape error raises
+        ``MalformedInput``, a word that does not compose ``InvalidGroupoid``."""
         def word(w):
             return FPWord(w["src"], w["tgt"],
                           tuple((f["gen"], f["inv"]) for f in w["word"]))
 
-        rels = [(word(l), word(r)) for l, r in data.get("relations", [])]
-        return cls(data["objects"], gens, rels)
+        try:
+            objects = list(data["objects"])
+            gens = {g["name"]: (g["src"], g["tgt"]) for g in data["generators"]}
+            rels = [(word(l), word(r)) for l, r in data.get("relations", [])]
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise MalformedInput(f"fp-groupoid file: {type(err).__name__}: {err}") from None
+        names = [*objects, *gens, *(end for ends in gens.values() for end in ends),
+                 *(name for pair in rels for w in pair
+                   for name in (w.src, w.tgt, *(gen for gen, _inv in w.factors)))]
+        if not all(isinstance(name, str) for name in names):
+            raise MalformedInput("fp-groupoid file: object and generator names must be strings")
+        return cls(objects, gens, rels)
 
     def __repr__(self):
         return (f"FPGroupoid({len(self.objects)} objects, "
@@ -798,41 +808,39 @@ def nerve(groupoid: FiniteGroupoid, dim_cap: int) -> FiniteSimplicialSet:
     if dim_cap == 0:
         return out
 
+    arrows, compose = groupoid.arrows, groupoid.compose
     idents = set(groupoid.identities.values())
-    nonident = sorted(a for a in groupoid.arrows if a not in idents)
+    nonident = sorted(a for a in arrows if a not in idents)
     nonident_from = {x: [a for y in groupoid.objects for a in groupoid.hom(x, y)
                          if a not in idents] for x in groupoid.objects}
 
-    def chain_name(chain):
-        return "|".join(chain)
-
-    # chains are tuples (g1, ..., gn) in path order: src(g_{i+1}) == tgt(g_i)
-    prev: list[tuple] = [(a,) for a in nonident]
+    # chains are tuples (g1, ..., gn) in path order: src(g_{i+1}) == tgt(g_i);
+    # refs maps each nondegenerate chain of the level below to its ref
+    refs = {}
     for a in nonident:
-        src, _ = groupoid.arrows[a]
-        out.add_simplex(1, a, (SimplexRef(groupoid.arrows[a][1], 0),
-                               SimplexRef(src, 0)))
-    dim = 2
-    while dim <= dim_cap:
-        current = []
-        for chain in prev:
-            tail_tgt = groupoid.arrows[chain[-1]][1]
-            current.extend(chain + (a,) for a in nonident_from[tail_tgt])
-        for chain in sorted(current):
-            faces = []
-            for i in range(dim + 1):
-                if i == 0:
-                    sub = chain[1:]
-                elif i == dim:
-                    sub = chain[:-1]
+        src, tgt = arrows[a]
+        out.add_simplex(1, a, (SimplexRef(tgt, 0), SimplexRef(src, 0)))
+        refs[(a,)] = SimplexRef(a, 1)
+    for dim in range(2, dim_cap + 1):
+        level = {}
+        for chain in sorted(chain + (a,) for chain in refs
+                            for a in nonident_from[arrows[chain[-1]][1]]):
+            # dropping an end leaves a chain of the level below; so does a
+            # middle composite unless it is an identity, which _string_ref
+            # turns into a degeneracy
+            faces = [refs[chain[1:]]]
+            for i in range(1, dim):
+                composite = compose[(chain[i], chain[i - 1])]
+                sub = chain[:i - 1] + (composite,) + chain[i + 1:]
+                if composite in idents:
+                    faces.append(_string_ref(groupoid, idents, sub, arrows[sub[0]][0]))
                 else:
-                    composite = groupoid.compose[(chain[i], chain[i - 1])]
-                    sub = chain[:i - 1] + (composite,) + chain[i + 1:]
-                anchor = groupoid.arrows[sub[0]][0]
-                faces.append(_string_ref(groupoid, idents, sub, anchor))
-            out.add_simplex(dim, chain_name(chain), faces)
-        prev = current
-        dim += 1
+                    faces.append(refs[sub])
+            faces.append(refs[chain[:-1]])
+            name = "|".join(chain)
+            out.add_simplex(dim, name, faces)
+            level[chain] = SimplexRef(name, dim)
+        refs = level
     return out
 
 

@@ -20,7 +20,9 @@ from .errors import (
     BoundFailed,
     InvalidCategory,
     InvalidFunctor,
+    InvalidParams,
     InvalidQuiver,
+    MalformedInput,
     NameClash,
     NotParallel,
     RelationFailed,
@@ -237,7 +239,7 @@ class PresentedStarCategory:
             if name not in quiver.arrow_by_name:
                 raise InvalidQuiver(f"bound on unknown arrow {name!r}")
             if bound < 0:
-                raise ValueError("norm bounds must be nonnegative")
+                raise InvalidParams("norm bounds must be nonnegative")
             self.norm_bounds[name] = float(bound)
 
     # -- element constructors ------------------------------------------------
@@ -271,11 +273,21 @@ class PresentedStarCategory:
 
     @classmethod
     def from_json(cls, data) -> "PresentedStarCategory":
-        quiver = Quiver(data["objects"],
-                        [(a["name"], a["src"], a["tgt"]) for a in data["arrows"]])
-        rels = [(FreeStarElement.from_json(l, quiver), FreeStarElement.from_json(r, quiver))
-                for l, r in data.get("relations", [])]
-        return cls(quiver, rels, data.get("bounds", {}))
+        """Read a presentation file; a JSON shape error raises
+        ``MalformedInput``, a quiver or relation that does not fit together
+        its own typed error."""
+        try:
+            quiver = Quiver(data["objects"],
+                            [(a["name"], a["src"], a["tgt"]) for a in data["arrows"]])
+            rels = [(FreeStarElement.from_json(l, quiver), FreeStarElement.from_json(r, quiver))
+                    for l, r in data.get("relations", [])]
+            bounds = data.get("bounds", {})
+            if not isinstance(bounds, dict) or \
+                    not all(type(b) in (int, float) for b in bounds.values()):
+                raise TypeError("bounds must map arrow names to numbers")
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise MalformedInput(f"presentation file: {type(err).__name__}: {err}") from None
+        return cls(quiver, rels, bounds)
 
     def __repr__(self):
         return (f"PresentedStarCategory({len(self.quiver.objects)} objects, "

@@ -1,10 +1,12 @@
 """Finite simplicial sets with explicit degeneracy bookkeeping.
 
-Only nondegenerate simplices are stored; every simplex is addressed by a
-:class:`SimplexRef`, a nondegenerate base name together with a canonical
-strictly-decreasing word of degeneracy operators. Faces of arbitrary refs are
-computed by pushing face operators through degeneracies with the simplicial
-identities, bottoming out in the stored face tables.
+Only nondegenerate simplices are stored, and only the dimensions that hold
+some; every simplex is addressed by a :class:`SimplexRef`, a nondegenerate
+base name together with a canonical strictly-decreasing word of degeneracy
+operators. Faces of arbitrary refs are computed by pushing face operators
+through degeneracies with the simplicial identities, bottoming out in the
+stored face tables. The exhaustive check of the simplicial identities computes
+the faces of each distinct face ref once per check.
 
 Standard simplices, horns and boundaries are generated from vertex subsets of
 {0..n}; the horn inclusions come out as :class:`SimplicialMap` values.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParams, InvalidSimplicialSet, MalformedInput
 
@@ -34,8 +36,7 @@ def canon_degens(word) -> tuple[int, ...]:
     return tuple(word)
 
 
-@dataclass(frozen=True)
-class SimplexRef:
+class SimplexRef(NamedTuple):
     """A (possibly degenerate) simplex: ``s_{j1} ... s_{jk}`` applied to a
     nondegenerate base, with j1 > ... > jk."""
 
@@ -69,15 +70,18 @@ class FiniteSimplicialSet:
         if dim_cap < 0:
             raise InvalidParams("dim_cap must be >= 0")
         self.dim_cap = dim_cap
-        # dim -> name -> tuple of SimplexRef faces (empty for vertices)
-        self.simplices: dict[int, dict[str, tuple]] = {d: {} for d in range(dim_cap + 1)}
+        # dim -> name -> tuple of SimplexRef faces (empty for vertices); a
+        # dimension appears once it holds a simplex
+        self.simplices: dict[int, dict[str, tuple]] = {}
 
     # -- construction --------------------------------------------------------
 
     def add_simplex(self, dim: int, name: str, faces=()):
         if dim > self.dim_cap or dim < 0:
             raise InvalidParams(f"dimension {dim} outside 0..{self.dim_cap}")
-        if name in self.simplices[dim]:
+        known = self.simplices
+        here = known.setdefault(dim, {})
+        if name in here:
             raise InvalidSimplicialSet(f"duplicate {dim}-simplex {name!r}")
         faces = tuple(faces)
         if dim == 0:
@@ -87,13 +91,13 @@ class FiniteSimplicialSet:
             if len(faces) != dim + 1:
                 raise InvalidSimplicialSet(
                     f"{dim}-simplex {name!r} needs {dim + 1} faces")
-            for ref in faces:
-                if ref.dim != dim - 1:
+            for base, base_dim, degens in faces:
+                if base_dim + len(degens) != dim - 1:
                     raise InvalidSimplicialSet(f"face of {name!r} has wrong dimension")
-                if ref.base not in self.simplices.get(ref.base_dim, {}):
+                if base not in known.get(base_dim, ()):
                     raise InvalidSimplicialSet(f"face of {name!r} references "
-                                               f"unknown simplex {ref.base!r}")
-        self.simplices[dim][name] = faces
+                                               f"unknown simplex {base!r}")
+        here[name] = faces
 
     def ref(self, dim: int, name: str) -> SimplexRef:
         if name not in self.simplices.get(dim, {}):
@@ -104,14 +108,16 @@ class FiniteSimplicialSet:
 
     def face(self, ref: SimplexRef, i: int) -> SimplexRef:
         """d_i of an arbitrary simplex ref, by the simplicial identities."""
-        if ref.dim == 0:
+        base, base_dim, degens = ref
+        dim = base_dim + len(degens)
+        if dim == 0:
             raise InvalidParams("vertices have no faces")
-        if not 0 <= i <= ref.dim:
-            raise InvalidParams(f"face index {i} out of range for dim {ref.dim}")
-        if not ref.degens:
-            return self.simplices[ref.base_dim][ref.base][i]
-        j = ref.degens[0]
-        inner = SimplexRef(ref.base, ref.base_dim, ref.degens[1:])
+        if not 0 <= i <= dim:
+            raise InvalidParams(f"face index {i} out of range for dim {dim}")
+        if not degens:
+            return self.simplices[base_dim][base][i]
+        j = degens[0]
+        inner = SimplexRef(base, base_dim, degens[1:])
         if i == j or i == j + 1:
             return inner
         if i < j:
@@ -134,17 +140,29 @@ class FiniteSimplicialSet:
 
     def identity_violations(self) -> list[str]:
         """Exhaustive check of d_i d_j = d_{j-1} d_i (i < j) on every stored
-        simplex up to dim_cap."""
+        simplex up to dim_cap. d_j x is read from the stored faces of x, and
+        the faces of each distinct face ref are computed once per call."""
         out = []
-        for dim in range(2, self.dim_cap + 1):
-            for name in self.simplices[dim]:
-                ref = self.ref(dim, name)
-                for j in range(1, dim + 1):
-                    for i in range(j):
-                        left = self.face(self.face(ref, j), i)
-                        right = self.face(self.face(ref, i), j - 1)
-                        if left != right:
-                            out.append(f"d_{i} d_{j} != d_{j-1} d_{i} at {name!r}")
+        face_tuples: dict[SimplexRef, tuple] = {}
+        for dim in sorted(d for d in self.simplices if d >= 2):
+            pairs = [(i, j) for j in range(1, dim + 1) for i in range(j)]
+            for name, faces in self.simplices[dim].items():
+                try:
+                    lower = [face_tuples[f] if f in face_tuples else
+                             face_tuples.setdefault(f, tuple(self.face(f, k) for k in range(dim)))
+                             for f in faces]
+                except InvalidParams:
+                    # a face ref whose degeneracy word does not apply: redo the
+                    # check face by face, so the error the face-by-face order
+                    # meets first is the one raised
+                    ref = SimplexRef(name, dim)
+                    for i, j in pairs:
+                        self.face(self.face(ref, j), i)
+                        self.face(self.face(ref, i), j - 1)
+                    raise
+                for i, j in pairs:
+                    if lower[j][i] != lower[i][j - 1]:
+                        out.append(f"d_{i} d_{j} != d_{j-1} d_{i} at {name!r}")
         return out
 
     # -- serialization ----------------------------------------------------------
@@ -153,7 +171,7 @@ class FiniteSimplicialSet:
         blob = {}
         for dim in range(self.dim_cap + 1):
             entries = []
-            for name, faces in self.simplices[dim].items():
+            for name, faces in self.simplices.get(dim, {}).items():
                 entry = {"name": name, "degenerate": False}
                 if dim > 0:
                     entry["faces"] = [f.to_json() for f in faces]
@@ -165,14 +183,17 @@ class FiniteSimplicialSet:
     def from_json(cls, data) -> "FiniteSimplicialSet":
         """Read a simplicial-set file; a JSON shape error raises
         ``MalformedInput``, face data that breaks the simplicial identities
-        ``InvalidSimplicialSet``."""
+        ``InvalidSimplicialSet``. Keys of ``simplices`` other than the
+        dimensions 0..dim_cap are ignored."""
         try:
             dim_cap = data["dim_cap"]
             if type(dim_cap) is not int:
                 raise TypeError(f"dim_cap {dim_cap!r} is not an integer")
+            blob = data["simplices"]
+            if not isinstance(blob, dict):
+                raise TypeError(f"simplices must be an object, not {type(blob).__name__}")
             listed = [(dim, entry, [_face_from_json(raw, dim) for raw in entry.get("faces", [])])
-                      for dim in range(dim_cap + 1)
-                      for entry in data["simplices"].get(str(dim), [])]
+                      for dim in _listed_dims(blob, dim_cap) for entry in blob[str(dim)]]
             if not all(isinstance(entry["name"], str) for _dim, entry, _faces in listed):
                 raise TypeError("simplex names must be strings")
         except (AttributeError, KeyError, TypeError) as err:
@@ -190,6 +211,19 @@ class FiniteSimplicialSet:
     def __repr__(self):
         counts = [self.count_nondegenerate(d) for d in range(self.dim_cap + 1)]
         return f"FiniteSimplicialSet(nondegenerate per dim: {counts})"
+
+
+def _listed_dims(blob: dict, dim_cap: int) -> list[int]:
+    """The dimensions 0..dim_cap that have a key in ``blob``, ascending."""
+    dims = []
+    for key in blob:
+        try:
+            dim = int(key)
+        except (TypeError, ValueError):
+            continue
+        if 0 <= dim <= dim_cap and str(dim) == key:
+            dims.append(dim)
+    return sorted(dims)
 
 
 def _face_from_json(raw, dim: int) -> SimplexRef:

@@ -172,6 +172,53 @@ def test_malformed_groupoid_and_sset_files_exit_2(tmp_path, case, command):
     assert "file:" in done.stderr
 
 
+def malformed_fp_or_presentation(case):
+    """An fp-groupoid or presentation file with one shape or value error."""
+    if case.startswith("fp"):
+        data = FPGroupoid(["x"], {"a": ("x", "x")}).to_json()
+        if case == "fp_generators_is_a_number":
+            data["generators"] = 5
+        else:
+            data["relations"] = [[{"src": "x", "tgt": "x", "word": [{"gen": ["a"], "inv": False}]},
+                                  {"src": "x", "tgt": "x", "word": []}]]
+        return data
+    data = PresentedStarCategory(Quiver(["x"], [("a", "x", "x")])).to_json()
+    data["bounds"] = {"a": -1 if case == "presentation_negative_bound" else "big"}
+    return data
+
+
+@pytest.mark.parametrize("case, message", [
+    ("fp_generators_is_a_number", "fp-groupoid file: TypeError"),
+    ("fp_generator_name_is_a_list", "names must be strings"),
+    ("presentation_negative_bound", "norm bounds must be nonnegative"),
+    ("presentation_bound_is_a_string", "presentation file: TypeError"),
+])
+def test_malformed_fp_groupoid_and_presentation_files_exit_2(tmp_path, case, message):
+    done = run_process("validate", write(tmp_path / "bad.json",
+                                         malformed_fp_or_presentation(case)))
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert message in done.stderr
+
+
+def test_validate_sset_file_with_huge_dim_cap(tmp_path):
+    # an empty simplicial set that declares dimensions up to 10**7: one dict
+    # per declared dimension would need about 1.5 GB, over the 1 GiB limit
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = write(tmp_path / "wide.json", {"dim_cap": 10**7, "simplices": {}})
+    env = dict(os.environ, PYTHONPATH=str(Path(cstarcat.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "cstarcat.cli", "validate", path],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit_memory, timeout=120)
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["checks"] == [{"name": "structure", "status": "pass"}]
+
+
 def test_validate_fp_groupoid_file(tmp_path, capsys):
     delta2 = write(tmp_path / "delta2.json", standard("delta", 2).to_json())
     fp_file = str(tmp_path / "fp.json")

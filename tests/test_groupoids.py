@@ -379,6 +379,27 @@ def test_nerve_counts_match_composable_strings_on_several_components():
         checked += 1
 
 
+def test_nerve_faces_equal_the_normal_form_of_each_face_string():
+    rng = rg.rng_from_seed(41)
+    identity_composites = 0
+    for trial in range(12):
+        g = rg.random_groupoid(rng, n_objects=1 + trial % 3, max_order=2 + trial % 5)
+        idents = set(g.identities.values())
+        n = gp.nerve(g, 3)
+        for dim in (2, 3):
+            for name in n.nondegenerate(dim):
+                chain = tuple(name.split("|"))
+                for i, face in enumerate(n.simplices[dim][name]):
+                    if i in (0, dim):
+                        sub = chain[1:] if i == 0 else chain[:-1]
+                    else:
+                        composite = g.compose[(chain[i], chain[i - 1])]
+                        identity_composites += composite in idents
+                        sub = chain[:i - 1] + (composite,) + chain[i + 1:]
+                    assert face == gp._string_ref(g, idents, sub, g.arrows[sub[0]][0])
+    assert identity_composites > 100
+
+
 # ---------------------------------------------------------------------------
 # the comparison functor
 

@@ -1,5 +1,8 @@
 """Tests for simplicial sets, the pi functor and the simplicial structure."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,85 @@ def test_json_round_trip_and_degenerate_rejection():
     blob["simplices"]["1"][0]["degenerate"] = True
     with pytest.raises(InvalidSimplicialSet):
         FiniteSimplicialSet.from_json(blob)
+
+
+def violations_face_by_face(sset):
+    """Oracle for ``identity_violations``: both sides of every identity
+    computed from scratch, two ``face`` calls each, no memo."""
+    out = []
+    for dim in range(2, sset.dim_cap + 1):
+        for name in sset.nondegenerate(dim):
+            ref = sset.ref(dim, name)
+            for j in range(1, dim + 1):
+                for i in range(j):
+                    if sset.face(sset.face(ref, j), i) != sset.face(sset.face(ref, i), j - 1):
+                        out.append(f"d_{i} d_{j} != d_{j-1} d_{i} at {name!r}")
+    return out
+
+
+def refs_of_dim(sset, dim):
+    """Every ``dim``-simplex: each nondegenerate k-simplex under each
+    canonical degeneracy word j1 > ... > j_{dim-k} with j1 < dim."""
+    return [SimplexRef(name, k, tuple(reversed(word)))
+            for k in range(dim + 1) for name in sset.nondegenerate(k)
+            for word in itertools.combinations(range(dim), dim - k)]
+
+
+def perturbed(sset, seed, changes):
+    """A copy of ``sset`` in which ``changes`` stored faces of 2- and
+    3-simplices are replaced by other simplices of the right dimension."""
+    rng = random.Random(seed)
+    faces = {(d, name): list(sset.simplices[d][name])
+             for d in range(sset.dim_cap + 1) for name in sset.nondegenerate(d)}
+    for _ in range(changes):
+        dim = rng.choice([d for d in (2, 3) if sset.count_nondegenerate(d)])
+        name = rng.choice(sset.nondegenerate(dim))
+        faces[(dim, name)][rng.randrange(dim + 1)] = rng.choice(refs_of_dim(sset, dim - 1))
+    out = FiniteSimplicialSet(sset.dim_cap)
+    for (dim, name), listed in faces.items():
+        out.add_simplex(dim, name, listed)
+    return out
+
+
+@pytest.mark.parametrize("shape", ["delta3", "z3_nerve"])
+def test_memoized_identity_check_matches_face_by_face_oracle(shape):
+    base = standard("delta", 3) if shape == "delta3" else gp.nerve(gp.cyclic_groupoid(3), 3)
+    broken = 0
+    for seed in range(12):
+        sset = perturbed(base, seed, changes=1 + seed % 3)
+        want = violations_face_by_face(sset)
+        assert sset.identity_violations() == want
+        if want:
+            broken += 1
+            with pytest.raises(InvalidSimplicialSet) as err:
+                FiniteSimplicialSet.from_json(sset.to_json())
+            assert str(err.value) == "; ".join(want[:3])
+    assert broken >= 8
+
+
+def test_face_ref_with_inapplicable_degeneracy_raises_as_face_by_face():
+    # s_3 e and s_5 s_4 a do not apply: the first fails only at its face 2,
+    # the second at its face 0, which the face-by-face order reaches first
+    sset = FiniteSimplicialSet(3)
+    sset.add_simplex(0, "a")
+    sset.add_simplex(0, "b")
+    sset.add_simplex(1, "e", (SimplexRef("b", 0), SimplexRef("a", 0)))
+    sset.add_simplex(3, "w", (SimplexRef("e", 1, (3,)), SimplexRef("a", 0, (5, 4)),
+                              SimplexRef("e", 1, (1,)), SimplexRef("e", 1, (0,))))
+    with pytest.raises(InvalidParams) as want:
+        violations_face_by_face(sset)
+    with pytest.raises(InvalidParams) as got:
+        sset.identity_violations()
+    assert str(got.value) == str(want.value) == "vertices have no faces"
+
+
+def test_from_json_reads_only_the_listed_dimensions_up_to_dim_cap():
+    sset = FiniteSimplicialSet.from_json({"dim_cap": 3, "simplices": {
+        "0": [{"name": "v", "degenerate": False}], "00": 5, "-1": 5, "4": 5, " 1": 5}})
+    assert [sset.count_nondegenerate(d) for d in range(5)] == [1, 0, 0, 0, 0]
+    assert sset.identity_violations() == []
+    assert sset.to_json() == {"dim_cap": 3, "simplices": {
+        "0": [{"name": "v", "degenerate": False}], "1": [], "2": [], "3": []}}
 
 
 # ---------------------------------------------------------------------------
