@@ -125,10 +125,19 @@ class MatCStarCategory:
 
     @classmethod
     def from_json(cls, data, tol: Tolerance = DEFAULT_TOL) -> "MatCStarCategory":
-        objects = [(o["name"], o["dim"]) for o in data["objects"]]
+        """Read a category file; a JSON shape error raises ``MalformedInput``,
+        objects or homs that do not fit ``InvalidCategory``."""
+        try:
+            objects = [(o["name"], o["dim"]) for o in data["objects"]]
+            hom_data = [(key, list(mats)) for key, mats in data.get("homs", {}).items()]
+        except (AttributeError, KeyError, TypeError) as err:
+            raise MalformedInput(f"category file: {type(err).__name__}: {err}") from None
+        if not all(isinstance(name, str) and type(dim) is int for name, dim in objects):
+            raise MalformedInput("category file: object names must be strings "
+                                 "and dims integers")
         dims = dict(objects)
         homs = {}
-        for key, mats in data.get("homs", {}).items():
+        for key, mats in hom_data:
             x, y = split_pair_key(key)
             if x not in dims or y not in dims:
                 raise MalformedInput(f"hom key {key!r} names an undeclared object")
@@ -279,12 +288,22 @@ class StarFunctor:
 
     @classmethod
     def from_json(cls, data, tol: Tolerance = DEFAULT_TOL) -> "StarFunctor":
-        source = MatCStarCategory.from_json(data["source"], tol=tol)
-        target = MatCStarCategory.from_json(data["target"], tol=tol)
-        hom_maps = {}
-        for key, mats in data.get("hom_maps", {}).items():
-            hom_maps[split_pair_key(key)] = [matrix_from_json(m) for m in mats]
-        return cls(source, target, data["object_map"], hom_maps, tol=tol)
+        """Read a functor file; a JSON shape error raises ``MalformedInput``,
+        maps that are not a functor ``InvalidFunctor``."""
+        try:
+            source, target, object_map = data["source"], data["target"], data["object_map"]
+            if not isinstance(object_map, dict):
+                raise TypeError(f"object_map must be an object, not {type(object_map).__name__}")
+            hom_data = [(key, list(mats)) for key, mats in data.get("hom_maps", {}).items()]
+        except (AttributeError, KeyError, TypeError) as err:
+            raise MalformedInput(f"functor file: {type(err).__name__}: {err}") from None
+        if not all(isinstance(name, str) for name in object_map.values()):
+            raise MalformedInput("functor file: object_map values must be object names")
+        source = MatCStarCategory.from_json(source, tol=tol)
+        target = MatCStarCategory.from_json(target, tol=tol)
+        hom_maps = {split_pair_key(key): [matrix_from_json(m) for m in mats]
+                    for key, mats in hom_data}
+        return cls(source, target, object_map, hom_maps, tol=tol)
 
     def __repr__(self):
         return f"StarFunctor({self.source.object_names} -> {self.target.object_names})"

@@ -5,6 +5,14 @@ groupoids, *-category presentations, simplicial sets, lifting squares) and
 emit a JSON report with a fixed field order; timing goes to stderr so
 reports stay byte-reproducible.
 
+Each command takes ``--output`` and only the shared flags it reads:
+``--seed`` (factorize, lift, verify-axioms, generate), ``--tolerance``
+(every command but nerve and fundamental-groupoid, which decide exactly),
+``--coset-budget`` (pi, verify-axioms) and ``--dim-cap`` (nerve). The
+tolerance reaches every comparison of its command: instances are built
+with it, and each residual verdict is judged against its ``eps_abs`` or
+its composite bound (see ``linalg.Tolerance``).
+
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or parse
 error, 3 unknown-only (a coset enumeration ran out of budget, or the
 one-sided generator lift found no lift).
@@ -33,7 +41,7 @@ from .categories import (
 from .errors import CStarCatError, InvalidParams, NotFiniteWithinBound
 from .groupoids import FPGroupoid, FiniteGroupoid, cstar_max, fundamental_groupoid, nerve
 from .homotopy import pi
-from .linalg import Tolerance, is_unitary, matrix_from_json
+from .linalg import DEFAULT_TOL, Tolerance, is_unitary, matrix_from_json
 from .presentations import PresentedStarCategory
 from .reports import Report
 from .simplicial import FiniteSimplicialSet
@@ -83,8 +91,8 @@ def _emit(report: Report, args, started: float) -> int:
 
 
 def _tol(args) -> Tolerance:
-    """The --tolerance flag as a Tolerance; only a missing flag means the
-    default."""
+    """The --tolerance flag as a Tolerance; only a missing flag, or a
+    command that takes none, means the default."""
     eps = getattr(args, "tolerance", None)
     if eps is None:
         return Tolerance()
@@ -150,7 +158,7 @@ def cmd_factorize(args) -> Report:
                    "pass" if md.is_trivial_fibration(result.second) else "fail")
     residual = result.composite_residual(functor)
     report.add("composite_equals_original",
-               "pass" if residual <= 1e-8 else "fail", residual=residual)
+               "pass" if residual <= args.tol.composite else "fail", residual=residual)
     bad = validate_category(result.midway)
     report.add("midway_validates", "pass" if not bad else "fail",
                detail="" if not bad else str(bad[0]))
@@ -187,7 +195,7 @@ def cmd_lift(args) -> Report:
             u, obj = lifted
             residual = float(np.linalg.norm(
                 functor.apply(data["x"], obj, u) - v))
-            report.add("unitary_lift", "pass" if residual <= 1e-8 else "fail",
+            report.add("unitary_lift", "pass" if residual <= tol.composite else "fail",
                        residual=residual, witness=obj)
         return report
     square = md.LiftingSquare(
@@ -201,8 +209,8 @@ def cmd_lift(args) -> Report:
     else:
         lift = md.lift_cof_tfib(square)
     res1, res2 = square.triangle_residuals(lift)
-    report.add("upper_triangle", "pass" if res1 <= 1e-8 else "fail", residual=res1)
-    report.add("lower_triangle", "pass" if res2 <= 1e-8 else "fail", residual=res2)
+    report.add("upper_triangle", "pass" if res1 <= tol.composite else "fail", residual=res1)
+    report.add("lower_triangle", "pass" if res2 <= tol.composite else "fail", residual=res2)
     report.payload = {"lift": lift.to_json()}
     return report
 
@@ -231,7 +239,7 @@ def cmd_groupoid_cstar(args) -> Report:
     report = Report("groupoid-cstar")
     bad = validate_category(gc.category)
     report.add("validates", "pass" if not bad else "fail")
-    unitary = all(is_unitary(m) for m in gc.embed.values())
+    unitary = all(is_unitary(m, args.tol) for m in gc.embed.values())
     report.add("arrows_are_unitary", "pass" if unitary else "fail")
     dims_ok = all(gc.category.hom(x, y).dim == len(groupoid.hom(x, y))
                   for x in groupoid.objects for y in groupoid.objects)
@@ -280,14 +288,14 @@ def cmd_pi(args) -> Report:
 def cmd_verify_axioms(args) -> Report:
     report = Report(f"verify-axioms:{args.suite}")
     if args.suite == "mc":
-        entries = suites.suite_mc(seed=args.seed)
+        entries = suites.suite_mc(seed=args.seed, tol=args.tol)
     elif args.suite == "monoidal":
-        entries = suites.suite_monoidal(seed=args.seed)
+        entries = suites.suite_monoidal(seed=args.seed, tol=args.tol)
     elif args.suite == "simplicial":
-        entries = suites.suite_simplicial(seed=args.seed,
-                                          budget=args.coset_budget)
+        entries = suites.suite_simplicial(seed=args.seed, budget=args.coset_budget,
+                                          tol=args.tol)
     else:
-        entries = suites.suite_adjunctions(seed=args.seed)
+        entries = suites.suite_adjunctions(seed=args.seed, tol=args.tol)
     report.checks.extend(entries)
     return report
 
@@ -311,12 +319,13 @@ def cmd_generate(args) -> Report:
         if len(dims) > 5 or any(d > 6 or d < 1 for d in dims):
             raise InvalidParams("supported bounds: <= 5 objects, dims <= 6")
         cat, _model = rg.random_matcat(rng, n_objects=len(dims),
-                                       max_dim=max(dims))
+                                       max_dim=max(dims), tol=args.tol)
         bad = validate_category(cat)
         report.add("passes_validator", "pass" if not bad else "fail")
         payload = cat.to_json()
     elif args.kind == "random_weq":
-        cat, _model = rg.random_matcat(rng, n_objects=args.objects, max_dim=4)
+        cat, _model = rg.random_matcat(rng, n_objects=args.objects, max_dim=4,
+                                       tol=args.tol)
         functor = rg.random_weq(rng, cat, n_extra=1)
         verdict = md.is_weak_equivalence(functor, seed=args.seed)
         report.add("is_weak_equivalence",
@@ -332,6 +341,24 @@ def cmd_generate(args) -> Report:
 # argument wiring
 
 
+#: the flags that several commands share; each command registers only the
+#: ones it reads, next to the --output that all of them take
+SHARED_FLAGS = {
+    "--seed": dict(type=int, default=0, help="seed of the command's random choices"),
+    "--tolerance": dict(
+        type=float, default=None,
+        help=f"comparison threshold eps_abs > 0 (default {DEFAULT_TOL.eps_abs:g}); "
+             "single comparisons and numerical ranks are judged against eps_abs, "
+             "scaled by the operand norms, and composite residuals (functor "
+             "distances, lifting triangles, lifted unitaries) against "
+             "10 * eps_abs"),
+    "--coset-budget": dict(type=int, default=10000,
+                           help="cosets a coset enumeration may define before the "
+                                "verdict is unknown"),
+    "--dim-cap": dict(type=int, default=2, help="highest dimension of the nerve"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cstarcat",
@@ -340,68 +367,69 @@ def build_parser() -> argparse.ArgumentParser:
                     "axiom-verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--coset-budget", type=int, default=10000)
-        p.add_argument("--dim-cap", type=int, default=2)
-        p.add_argument("--output", type=str, default=None)
+    def command(name, run, flags, help, artifact=False):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+        p.add_argument("--output", type=str, default=None,
+                       help="write the artifact, or else the report, to this file")
+        p.set_defaults(run=run, artifact=artifact)
         return p
 
-    p = common(sub.add_parser("validate", help="validate a category, functor, "
-                                               "groupoid, presented groupoid, "
-                                               "presentation or simplicial-set file"))
+    p = command("validate", cmd_validate, ["--tolerance"],
+                help="validate a category, functor, groupoid, presented groupoid, "
+                     "presentation or simplicial-set file")
     p.add_argument("file")
     p.add_argument("--kind", choices=["auto", "category", "functor", *STRUCTURE_LOADERS],
                    default="auto")
-    p.set_defaults(run=cmd_validate)
 
-    p = common(sub.add_parser("factorize", help="factor a functor (MC5)"))
+    p = command("factorize", cmd_factorize, ["--seed", "--tolerance"],
+                help="factor a functor (MC5)", artifact=True)
     p.add_argument("file")
     p.add_argument("--mode", choices=["path", "cylinder"], required=True)
-    p.set_defaults(run=cmd_factorize, artifact=True)
 
-    p = common(sub.add_parser("lift", help="solve a lifting problem (MC4)"))
+    p = command("lift", cmd_lift, ["--seed", "--tolerance"],
+                help="solve a lifting problem (MC4)")
     p.add_argument("file")
     p.add_argument("--mode", choices=["tcof-fib", "cof-tfib", "generator"],
                    required=True)
-    p.set_defaults(run=cmd_lift)
 
-    p = common(sub.add_parser("tensor", help="maximal tensor product of two categories"))
+    p = command("tensor", cmd_tensor, ["--tolerance"],
+                help="maximal tensor product of two categories", artifact=True)
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(run=cmd_tensor, artifact=True)
 
-    p = common(sub.add_parser("groupoid-cstar",
-                              help="groupoid C*-category via the regular representation"))
+    p = command("groupoid-cstar", cmd_groupoid_cstar, ["--tolerance"],
+                help="groupoid C*-category via the regular representation",
+                artifact=True)
     p.add_argument("file")
-    p.set_defaults(run=cmd_groupoid_cstar, artifact=True)
 
-    p = common(sub.add_parser("fundamental-groupoid",
-                              help="presented fundamental groupoid of a simplicial set"))
+    p = command("fundamental-groupoid", cmd_fundamental_groupoid, [],
+                help="presented fundamental groupoid of a simplicial set",
+                artifact=True)
     p.add_argument("file")
-    p.set_defaults(run=cmd_fundamental_groupoid, artifact=True)
 
-    p = common(sub.add_parser("nerve", help="nerve of a finite groupoid"))
+    p = command("nerve", cmd_nerve, ["--dim-cap"],
+                help="nerve of a finite groupoid", artifact=True)
     p.add_argument("file")
-    p.set_defaults(run=cmd_nerve, artifact=True)
 
-    p = common(sub.add_parser("pi", help="C*-category of the fundamental groupoid"))
+    p = command("pi", cmd_pi, ["--tolerance", "--coset-budget"],
+                help="C*-category of the fundamental groupoid", artifact=True)
     p.add_argument("file")
-    p.set_defaults(run=cmd_pi, artifact=True)
 
-    p = common(sub.add_parser("verify-axioms", help="run a verification suite"))
+    p = command("verify-axioms", cmd_verify_axioms,
+                ["--seed", "--tolerance", "--coset-budget"],
+                help="run a verification suite")
     p.add_argument("--suite", choices=["mc", "monoidal", "simplicial", "adjunctions"],
                    required=True)
-    p.set_defaults(run=cmd_verify_axioms)
 
-    p = common(sub.add_parser("generate", help="emit a random instance file"))
+    p = command("generate", cmd_generate, ["--seed", "--tolerance"],
+                help="emit a random instance file", artifact=True)
     p.add_argument("--kind", choices=["random_groupoid", "random_matcat",
                                       "random_weq"], required=True)
     p.add_argument("--objects", type=int, default=2)
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--dims", type=str, default=None)
-    p.set_defaults(run=cmd_generate, artifact=True)
 
     return parser
 
@@ -412,8 +440,9 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         args.tol = _tol(args)
-        if args.coset_budget < 1:
-            raise InvalidParams(f"--coset-budget {args.coset_budget}: budget must be >= 1")
+        budget = getattr(args, "coset_budget", None)
+        if budget is not None and budget < 1:
+            raise InvalidParams(f"--coset-budget {budget}: budget must be >= 1")
         report = args.run(args)
     except (json.JSONDecodeError, FileNotFoundError, KeyError) as err:
         print(f"parse error: {err}", file=sys.stderr)

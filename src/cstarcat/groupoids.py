@@ -319,13 +319,12 @@ class GroupoidFunctor:
     composition; all laws checked exhaustively."""
 
     def __init__(self, source: FiniteGroupoid, target: FiniteGroupoid,
-                 object_map: dict, arrow_map: dict, check: bool = True):
+                 object_map: dict, arrow_map: dict):
         self.source = source
         self.target = target
         self.object_map = dict(object_map)
         self.arrow_map = dict(arrow_map)
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         for x in self.source.objects:
@@ -473,16 +472,18 @@ class ComparisonVerdict:
 
     ``fully_faithful`` means that at every pair of objects the hom map has
     numerical rank equal to the dimension of its source hom and to the
-    dimension of its target hom."""
+    dimension of its target hom. ``bound`` is the composite bound of the
+    tolerance the functor was built with."""
 
     objects_bijective: bool
     fully_faithful: bool
     functor_residual: float
+    bound: float
 
     @property
     def isomorphism(self) -> bool:
         return self.objects_bijective and self.fully_faithful and \
-            self.functor_residual <= 1e-8
+            self.functor_residual <= self.bound
 
 
 def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
@@ -509,7 +510,7 @@ def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
     fully_faithful = all(rank == sdim == tdim
                          for _x, _y, sdim, tdim, rank in hom_map_ranks(functor))
     residual = max((v.residual for v in validate_functor(functor)), default=0.0)
-    return functor, ComparisonVerdict(objects_ok, fully_faithful, residual)
+    return functor, ComparisonVerdict(objects_ok, fully_faithful, residual, tol.composite)
 
 
 def _split_pair(name: str) -> tuple[str, str]:
@@ -800,8 +801,9 @@ def induced_functor(src: NormalizeResult, tgt: NormalizeResult,
 
 def nerve(groupoid: FiniteGroupoid, dim_cap: int) -> FiniteSimplicialSet:
     """Composable strings of arrows; nondegenerate simplices are the strings
-    with no identity factor, with faces by dropping or composing and the
-    degenerate faces synthesized through the degeneracy calculus."""
+    with no identity factor, with faces by dropping or composing. A face
+    whose middle composite is an identity is the degeneracy of the string
+    with both factors dropped."""
     out = FiniteSimplicialSet(dim_cap)
     for x in groupoid.objects:
         out.add_simplex(0, x)
@@ -815,54 +817,33 @@ def nerve(groupoid: FiniteGroupoid, dim_cap: int) -> FiniteSimplicialSet:
                          if a not in idents] for x in groupoid.objects}
 
     # chains are tuples (g1, ..., gn) in path order: src(g_{i+1}) == tgt(g_i);
-    # refs maps each nondegenerate chain of the level below to its ref
-    refs = {}
+    # refs maps each nondegenerate chain of the level below to its ref, and
+    # lower each chain of the level two below
+    refs, lower = {}, {}
     for a in nonident:
         src, tgt = arrows[a]
         out.add_simplex(1, a, (SimplexRef(tgt, 0), SimplexRef(src, 0)))
         refs[(a,)] = SimplexRef(a, 1)
     for dim in range(2, dim_cap + 1):
+        if not refs:
+            break
         level = {}
         for chain in sorted(chain + (a,) for chain in refs
                             for a in nonident_from[arrows[chain[-1]][1]]):
-            # dropping an end leaves a chain of the level below; so does a
-            # middle composite unless it is an identity, which _string_ref
-            # turns into a degeneracy
             faces = [refs[chain[1:]]]
             for i in range(1, dim):
                 composite = compose[(chain[i], chain[i - 1])]
-                sub = chain[:i - 1] + (composite,) + chain[i + 1:]
                 if composite in idents:
-                    faces.append(_string_ref(groupoid, idents, sub, arrows[sub[0]][0]))
+                    # g_{i+1} g_i = 1: s_{i-1} of the string without both,
+                    # which for dim 2 is the vertex src(g1)
+                    rest = chain[:i - 1] + chain[i + 1:]
+                    base = lower[rest] if rest else SimplexRef(arrows[chain[0]][0], 0)
+                    faces.append(base.degenerate_by(i - 1))
                 else:
-                    faces.append(refs[sub])
+                    faces.append(refs[chain[:i - 1] + (composite,) + chain[i + 1:]])
             faces.append(refs[chain[:-1]])
             name = "|".join(chain)
             out.add_simplex(dim, name, faces)
             level[chain] = SimplexRef(name, dim)
-        refs = level
+        refs, lower = level, refs
     return out
-
-
-def _string_ref(groupoid: FiniteGroupoid, idents: set, chain, anchor) -> SimplexRef:
-    """Normal form of a composable string: strip identity factors (leftmost
-    first) as degeneracy operators over the reduced nondegenerate string."""
-    chain = list(chain)
-    degens = []
-    while True:
-        for pos, arrow in enumerate(chain):
-            if arrow in idents:
-                degens.append(pos)
-                del chain[pos]
-                break
-        else:
-            break
-    if chain:
-        ref = SimplexRef("|".join(chain), len(chain))
-    else:
-        if anchor is None:
-            raise InvalidGroupoid("empty string needs an anchor vertex")
-        ref = SimplexRef(anchor, 0)
-    for j in reversed(degens):
-        ref = ref.degenerate_by(j)
-    return ref

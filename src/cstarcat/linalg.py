@@ -27,13 +27,23 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tolerance:
-    """The comparison threshold, scaled by operand norms in ``bound``."""
+    """The comparison policy of the package. ``eps_abs`` judges single
+    comparisons (``close``, the rank cutoff, the adjunction and exponential
+    round trips); ``composite`` judges residuals that accumulate several
+    products and solves: functor distances, factorization composites,
+    lifting triangles, lifted unitaries, retracts and the comparison
+    functor's residual."""
 
     eps_abs: float = 1e-9
 
     def __post_init__(self):
         if not self.eps_abs > 0:
             raise ValueError("tolerances must be strictly positive")
+
+    @property
+    def composite(self) -> float:
+        """The bound on composite residuals: ``10 * eps_abs``."""
+        return 10 * self.eps_abs
 
     def bound(self, *scales: float) -> float:
         """Comparison threshold scaled by ``max(1, scales)``."""

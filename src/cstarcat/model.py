@@ -508,7 +508,8 @@ def pushout_product_objects(f: StarFunctor, f2: StarFunctor) -> PushoutProductVe
 
 def axiom_harness(kind: str, instances, seed: int = 0) -> list[dict]:
     """Run one of the model-axiom suites over supplied instances; returns a
-    list of per-check entries with status pass/fail."""
+    list of per-check entries with status pass/fail. Residuals are judged
+    against the composite bound of the judged functor's tolerance."""
     entries = []
     if kind == "two_of_three":
         for idx, (f, g) in enumerate(instances):
@@ -534,7 +535,8 @@ def axiom_harness(kind: str, instances, seed: int = 0) -> list[dict]:
             )
             big_v = is_weak_equivalence(big, seed=seed + idx)
             small_v = is_weak_equivalence(small, seed=seed + idx)
-            status = "fail" if residual > 1e-8 or not (big_v and small_v) else "pass"
+            ok = residual <= small.tol.composite and big_v and small_v
+            status = "pass" if ok else "fail"
             entries.append({"name": f"retract[{idx}]", "status": status,
                             "residual": residual,
                             "detail": f"retract={small_v.status}"})
@@ -546,7 +548,7 @@ def axiom_harness(kind: str, instances, seed: int = 0) -> list[dict]:
                            cylinder.composite_residual(functor))
             entries.append({
                 "name": f"factor_roundtrip[{idx}]",
-                "status": "pass" if residual <= 1e-8 else "fail",
+                "status": "pass" if residual <= functor.tol.composite else "fail",
                 "residual": residual,
             })
     elif kind == "rlp_equiv":

@@ -31,8 +31,11 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, op_norm
 
-#: coefficients with modulus at or below this are dropped from elements
-PRUNE_EPS = 1e-9
+#: coefficients with modulus at or below this are dropped from elements. It
+#: is the default tolerance and does not follow ``--tolerance``: equality and
+#: hashing of ``FreeStarElement`` compare pruned terms, so the normal form of
+#: the free algebra must not depend on the caller.
+PRUNE_EPS = DEFAULT_TOL.eps_abs
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,8 @@ class SectorModel:
 
 def random_matcat(rng: np.random.Generator, n_objects: int = 2,
                   max_dim: int = 4, n_sectors: int | None = None,
-                  prefix: str = "o") -> tuple[MatCStarCategory, SectorModel]:
+                  prefix: str = "o",
+                  tol: Tolerance = DEFAULT_TOL) -> tuple[MatCStarCategory, SectorModel]:
     """A random valid category with at most ``max_dim``-dimensional carriers."""
     if not (1 <= n_objects <= 5 and 1 <= max_dim <= 6):
         raise InvalidParams("supported bounds: <= 5 objects, dims <= 6")
@@ -123,7 +124,7 @@ def random_matcat(rng: np.random.Generator, n_objects: int = 2,
                 break
     unitaries = [random_unitary(rng, sum(mi * d for mi, d in zip(m, sector_dims)))
                  for m in mults]
-    model = SectorModel(sector_dims, mults, unitaries, names)
+    model = SectorModel(sector_dims, mults, unitaries, names, tol=tol)
     return model.category(), model
 
 
@@ -205,6 +206,7 @@ def sector_projection_functor(model: SectorModel, keep: int = 0) -> StarFunctor:
         [np.eye(model.multiplicities[n][keep] * model.sector_dims[keep],
                 dtype=np.complex128) for n in model.names],
         [f"p:{n}" for n in model.names],
+        tol=model.tol,
     )
     target = kept_model.category()
 
@@ -230,8 +232,9 @@ def padding_functor(rng: np.random.Generator, cat: MatCStarCategory,
                     pad_objects: int = 1) -> StarFunctor:
     """Inclusion of A into A + (random padding): injective on objects but
     not surjective; fully faithful."""
-    pad, _ = random_matcat(rng, n_objects=pad_objects, max_dim=3, prefix="pad")
-    whole = disjoint_union([cat, pad])
+    pad, _ = random_matcat(rng, n_objects=pad_objects, max_dim=3, prefix="pad",
+                           tol=cat.tol)
+    whole = disjoint_union([cat, pad], tol=cat.tol)
     return inclusion_functor(cat, whole)
 
 
@@ -239,8 +242,8 @@ def build_retract(small: StarFunctor):
     """Embed F': A' -> B' as a retract of F = F' + id_{A'}: returns the
     retract diagram (big, i, p, j, q) with p.i = id and q.j = id."""
     a_small, b_small = small.source, small.target
-    big_source = disjoint_union([a_small, a_small], prefixes=["", "pad:"])
-    big_target = disjoint_union([b_small, a_small], prefixes=["", "pad:"])
+    big_source = disjoint_union([a_small, a_small], prefixes=["", "pad:"], tol=small.tol)
+    big_target = disjoint_union([b_small, a_small], prefixes=["", "pad:"], tol=small.tol)
     object_map = dict(small.object_map)
     hom_maps = {pair: list(images) for pair, images in small.hom_maps.items()}
     for x in a_small.object_names:

@@ -242,14 +242,13 @@ class SimplicialMap:
     commuting with all face maps up to dim_cap."""
 
     def __init__(self, source: FiniteSimplicialSet, target: FiniteSimplicialSet,
-                 maps: dict, check: bool = True):
+                 maps: dict):
         self.source = source
         self.target = target
         self.maps = {int(d): dict(m) for d, m in maps.items()}
-        if check:
-            bad = self.violations()
-            if bad:
-                raise InvalidSimplicialSet("; ".join(bad[:3]))
+        bad = self.violations()
+        if bad:
+            raise InvalidSimplicialSet("; ".join(bad[:3]))
 
     def apply(self, ref: SimplexRef) -> SimplexRef:
         image = self.maps[ref.base_dim][ref.base]

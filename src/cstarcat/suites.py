@@ -2,7 +2,8 @@
 monoidality, simplicial and adjunction properties, emitting report entries.
 
 Each suite is deterministic in its seed; counts are parameters so the CLI
-can run quick passes while the acceptance tests run the full sizes.
+can run quick passes while the acceptance tests run the full sizes. Every
+instance is built with the suite's ``tol``, whose bounds judge every residual.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .groupoids import (
     terminal_groupoid,
 )
 from .homotopy import cotensor, pi, pi_map, tensor_with_sset
-from .linalg import op_norm
+from .linalg import DEFAULT_TOL, Tolerance, op_norm
 from .reports import CheckEntry
 from .simplicial import horn_inclusion, standard
 
@@ -52,7 +53,7 @@ def monoidality_groupoids():
     }
 
 
-def functor_zoo(rng: np.random.Generator, count: int):
+def functor_zoo(rng: np.random.Generator, count: int, tol: Tolerance = DEFAULT_TOL):
     """A labeled mix of functors covering full / non-full, faithful /
     non-faithful, object-surjective / non-surjective cases."""
     out = []
@@ -61,26 +62,26 @@ def functor_zoo(rng: np.random.Generator, count: int):
         kind = kinds[len(out) % len(kinds)]
         if kind == "weq":
             cat, _ = rg.random_matcat(rng, n_objects=int(rng.integers(1, 3)),
-                                      max_dim=4)
+                                      max_dim=4, tol=tol)
             out.append((kind, rg.random_weq(rng, cat, n_extra=1)))
         elif kind == "conjugation":
-            cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=4)
+            cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=4, tol=tol)
             out.append((kind, rg.conjugate_category(rng, cat)[1]))
         elif kind == "padding":
-            cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3)
+            cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
             out.append((kind, rg.padding_functor(rng, cat)))
         elif kind == "fattening":
-            cat, model = rg.random_matcat(rng, n_objects=2, max_dim=3)
+            cat, model = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
             out.append((kind, rg.fattening_functor(cat, model)))
         elif kind == "projection":
             cat, model = rg.random_matcat(rng, n_objects=2, max_dim=4,
-                                          n_sectors=2)
+                                          n_sectors=2, tol=tol)
             if not all(m[0] >= 1 for m in model.multiplicities.values()):
                 continue
             out.append((kind, rg.sector_projection_functor(model, keep=0)))
         else:  # fold of a two-copy union onto one copy
-            cat, _ = rg.random_matcat(rng, n_objects=1, max_dim=3)
-            two = disjoint_union([cat, cat], prefixes=["l_", "r_"])
+            cat, _ = rg.random_matcat(rng, n_objects=1, max_dim=3, tol=tol)
+            two = disjoint_union([cat, cat], prefixes=["l_", "r_"], tol=cat.tol)
             obj_map = {}
             hom_maps = {}
             for pre in ("l_", "r_"):
@@ -98,7 +99,8 @@ def functor_zoo(rng: np.random.Generator, count: int):
 
 
 def suite_mc(seed: int = 0, n_factor: int = 10, n_lift: int = 10,
-             n_rlp: int = 24, n_two: int = 10, n_retract: int = 6):
+             n_rlp: int = 24, n_two: int = 10, n_retract: int = 6,
+             tol: Tolerance = DEFAULT_TOL):
     """MC2-MC5 at reduced scale: factorizations, lifts, retracts, 2-of-3 and
     the RLP agreement checks."""
     rng = rg.rng_from_seed(seed)
@@ -106,7 +108,7 @@ def suite_mc(seed: int = 0, n_factor: int = 10, n_lift: int = 10,
 
     for idx in range(n_factor):
         cat, _ = rg.random_matcat(rng, n_objects=int(rng.integers(1, 3)),
-                                  max_dim=4)
+                                  max_dim=4, tol=tol)
         functor = rg.random_weq(rng, cat, n_extra=1)
         path = md.factor_path(functor)
         cylinder = md.factor_cylinder(functor)
@@ -119,11 +121,11 @@ def suite_mc(seed: int = 0, n_factor: int = 10, n_lift: int = 10,
         residual = max(path.composite_residual(functor),
                        cylinder.composite_residual(functor))
         entries.append(CheckEntry(
-            f"mc5[{idx}]", "pass" if ok and residual <= 1e-8 else "fail",
+            f"mc5[{idx}]", "pass" if ok and residual <= tol.composite else "fail",
             residual=residual))
 
     for idx in range(n_lift):
-        cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3)
+        cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
         functor = rg.random_weq(rng, cat, n_extra=1)
         path = md.factor_path(functor)
         cylinder = md.factor_cylinder(functor)
@@ -134,10 +136,10 @@ def suite_mc(seed: int = 0, n_factor: int = 10, n_lift: int = 10,
         residual = max(*square.triangle_residuals(lift1),
                        *square.triangle_residuals(lift2))
         entries.append(CheckEntry(
-            f"mc4[{idx}]", "pass" if residual <= 1e-8 else "fail",
+            f"mc4[{idx}]", "pass" if residual <= tol.composite else "fail",
             residual=residual))
 
-    zoo = functor_zoo(rng, n_rlp)
+    zoo = functor_zoo(rng, n_rlp, tol)
     entries.extend(
         CheckEntry(f"rlp[{i}]:{kind}", entry["status"], detail=entry.get("detail", ""))
         for i, ((kind, functor), entry) in enumerate(
@@ -145,7 +147,7 @@ def suite_mc(seed: int = 0, n_factor: int = 10, n_lift: int = 10,
 
     pairs = []
     for _ in range(n_two):
-        cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3)
+        cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
         f = rg.random_weq(rng, cat, n_extra=1)
         g = rg.random_weq(rng, f.target, n_extra=1, prefix="v")
         pairs.append((f, g))
@@ -155,7 +157,7 @@ def suite_mc(seed: int = 0, n_factor: int = 10, n_lift: int = 10,
 
     retracts = []
     for _ in range(n_retract):
-        cat, _ = rg.random_matcat(rng, n_objects=1, max_dim=3)
+        cat, _ = rg.random_matcat(rng, n_objects=1, max_dim=3, tol=tol)
         small = rg.random_weq(rng, cat, n_extra=1)
         big, i, p, j, q = rg.build_retract(small)
         retracts.append({"big": big, "small": small, "i": i, "p": p,
@@ -167,7 +169,7 @@ def suite_mc(seed: int = 0, n_factor: int = 10, n_lift: int = 10,
     return entries
 
 
-def suite_monoidal(seed: int = 0):
+def suite_monoidal(seed: int = 0, tol: Tolerance = DEFAULT_TOL):
     """Comparison isomorphisms for all pairs of the bundled groupoids, plus
     pushout-product object checks on generated cofibrations."""
     rng = rg.rng_from_seed(seed)
@@ -175,14 +177,14 @@ def suite_monoidal(seed: int = 0):
     groupoids = monoidality_groupoids()
     for name1, g1 in groupoids.items():
         for name2, g2 in groupoids.items():
-            _functor, verdict = comparison_functor(g1, g2)
+            _functor, verdict = comparison_functor(g1, g2, tol=tol)
             entries.append(CheckEntry(f"comparison[{name1},{name2}]",
                                       "pass" if verdict.isomorphism else "fail",
                                       residual=verdict.functor_residual))
     for idx in range(6):
-        cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3)
+        cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
         f = rg.padding_functor(rng, cat)
-        cat2, _ = rg.random_matcat(rng, n_objects=1, max_dim=3, prefix="s")
+        cat2, _ = rg.random_matcat(rng, n_objects=1, max_dim=3, prefix="s", tol=tol)
         f2 = rg.padding_functor(rng, cat2)
         verdict = md.pushout_product_objects(f, f2)
         entries.append(CheckEntry(f"pushout_product[{idx}]",
@@ -190,14 +192,15 @@ def suite_monoidal(seed: int = 0):
     return entries
 
 
-def suite_simplicial(seed: int = 0, budget: int = 10000):
+def suite_simplicial(seed: int = 0, budget: int = 10000,
+                     tol: Tolerance = DEFAULT_TOL):
     """Quillen-pair content: horn inclusions, the interval identification,
     the circle obstruction, and tensor/cotensor sanity."""
     entries = []
     for n in (2, 3):
         for k in range(n + 1):
             _functor, gfunctor = pi_map(horn_inclusion(n, k, dim_cap=3),
-                                        bound=budget)
+                                        bound=budget, tol=tol)
             entries.append(CheckEntry(
                 f"pi_horn_iso[{n},{k}]",
                 "pass" if gfunctor.is_isomorphism() else "fail"))
@@ -206,14 +209,14 @@ def suite_simplicial(seed: int = 0, budget: int = 10000):
     ok = edge.finite and edge.groupoid.is_isomorphic_to(interval_groupoid())
     entries.append(CheckEntry("pi_edge_is_interval", "pass" if ok else "fail"))
     try:
-        pi(standard("boundary", 2), bound=budget)
+        pi(standard("boundary", 2), bound=budget, tol=tol)
         entries.append(CheckEntry("pi_circle_unbounded", "fail",
                                   detail="expected NotFiniteWithinBound"))
     except NotFiniteWithinBound:
         entries.append(CheckEntry("pi_circle_unbounded", "pass"))
 
     rng = rg.rng_from_seed(seed)
-    cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3)
+    cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
     tensored = tensor_with_sset(cat, standard("delta", 0, dim_cap=2),
                                 bound=budget)
     ok = sorted(o.dim for o in tensored.objects) == \
@@ -227,13 +230,14 @@ def suite_simplicial(seed: int = 0, budget: int = 10000):
     return entries
 
 
-def suite_adjunctions(seed: int = 0, n_round: int = 10, n_exp: int = 6):
+def suite_adjunctions(seed: int = 0, n_round: int = 10, n_exp: int = 6,
+                      tol: Tolerance = DEFAULT_TOL):
     """Groupoid adjunction round trips and the exponential law."""
     rng = rg.rng_from_seed(seed)
     entries = []
     for idx in range(n_round):
         groupoid = rg.random_groupoid(rng, n_objects=2, max_order=4)
-        gc = cstar_max(groupoid)
+        gc = cstar_max(groupoid, tol=tol)
         rep = rg.random_unitary_rep(rng, groupoid, gc)
         functor = adjunction_extend(gc, rep)
         back = adjunction_restrict(gc, functor)
@@ -243,12 +247,12 @@ def suite_adjunctions(seed: int = 0, n_round: int = 10, n_exp: int = 6):
         again = adjunction_extend(gc, back)
         ok = functors_agree(again, functor) and back.object_map == rep.object_map
         entries.append(CheckEntry(
-            f"adjunction[{idx}]", "pass" if ok and residual <= 1e-9 else "fail",
+            f"adjunction[{idx}]", "pass" if ok and residual <= tol.eps_abs else "fail",
             residual=residual))
 
     for idx in range(n_exp):
-        a, _ = rg.random_matcat(rng, n_objects=1, max_dim=2, prefix="a")
-        b, _ = rg.random_matcat(rng, n_objects=1, max_dim=2, prefix="b")
+        a, _ = rg.random_matcat(rng, n_objects=1, max_dim=2, prefix="a", tol=tol)
+        b, _ = rg.random_matcat(rng, n_objects=1, max_dim=2, prefix="b", tol=tol)
         _target, g = rg.conjugate_category(rng, a)
         _target2, h = rg.conjugate_category(rng, b, prefix="d")
         tensor = tensor_max(a, b, check=False)
@@ -263,6 +267,6 @@ def suite_adjunctions(seed: int = 0, n_round: int = 10, n_exp: int = 6):
                 worst = max(worst, alpha.sup_norm() - op_norm(space.basis[i]))
         entries.append(CheckEntry(
             f"exponential[{idx}]",
-            "pass" if ok and worst <= 1e-9 else "fail",
+            "pass" if ok and worst <= tol.eps_abs else "fail",
             residual=max(worst, 0.0)))
     return entries

@@ -111,6 +111,23 @@ def test_rejected_numeric_flag_exits_2(argv):
     assert argv[-2] in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("nerve", "--seed", "1"),
+    ("nerve", "--tolerance", "1e-6"),
+    ("fundamental-groupoid", "--tolerance", "1e-6"),
+    ("tensor", "--coset-budget", "5"),
+    ("validate", "--dim-cap", "3"),
+    ("groupoid-cstar", "--seed", "1"),
+    ("pi", "--dim-cap", "3"),
+    ("generate", "--kind", "random_groupoid", "--coset-budget", "5"),
+])
+def test_flags_a_command_does_not_read_exit_2(z2_file, argv):
+    command, *flags = argv
+    done = run_process(command, *([] if command == "generate" else [z2_file]), *flags)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert "unrecognized arguments" in done.stderr and flags[-2] in done.stderr
+
+
 @pytest.mark.parametrize("kind", ["category", "groupoid"])
 def test_pair_key_without_bar_exits_2(tmp_path, kind):
     if kind == "category":
@@ -196,6 +213,48 @@ def malformed_fp_or_presentation(case):
 def test_malformed_fp_groupoid_and_presentation_files_exit_2(tmp_path, case, message):
     done = run_process("validate", write(tmp_path / "bad.json",
                                          malformed_fp_or_presentation(case)))
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert message in done.stderr
+
+
+def malformed_category_or_functor(case):
+    """A category or functor file with one JSON shape error."""
+    rng = rg.rng_from_seed(3)
+    cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=2)
+    category, functor = cat.to_json(), rg.random_weq(rng, cat).to_json()
+    if case == "objects_is_a_number":
+        category["objects"] = 5
+    elif case == "object_entry_is_a_string":
+        category["objects"] = ["x"]
+    elif case == "dim_is_a_string":
+        category["objects"][0]["dim"] = "2"
+    elif case == "object_name_is_a_number":
+        category["objects"][0]["name"] = 7
+    elif case == "homs_is_a_list":
+        category["homs"] = []
+    elif case == "object_map_is_a_number":
+        functor["object_map"] = 5
+    elif case == "hom_maps_is_a_list":
+        functor["hom_maps"] = []
+    else:
+        functor["source"] = 5
+    return functor if "map" in case or case == "source_is_a_number" else category
+
+
+@pytest.mark.parametrize("case, message", [
+    ("objects_is_a_number", "category file: TypeError"),
+    ("object_entry_is_a_string", "category file: TypeError"),
+    ("dim_is_a_string", "dims integers"),
+    ("object_name_is_a_number", "names must be strings"),
+    ("homs_is_a_list", "category file: AttributeError"),
+    ("object_map_is_a_number", "functor file: TypeError"),
+    ("hom_maps_is_a_list", "functor file: AttributeError"),
+    ("source_is_a_number", "category file: TypeError"),
+])
+def test_malformed_category_and_functor_files_exit_2(tmp_path, case, message):
+    done = run_process("validate", write(tmp_path / "bad.json",
+                                         malformed_category_or_functor(case)))
     assert done.returncode == 2
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert message in done.stderr
@@ -323,6 +382,22 @@ def test_lift_generator_shorthand(tmp_path, capsys):
     assert out["checks"][0]["residual"] <= 1e-8
 
 
+def test_lift_generator_judges_the_residual_by_the_tolerance(tmp_path, capsys):
+    from cstarcat.categories import full_matrix_category, identity_functor
+    from cstarcat.linalg import matrix_to_json
+
+    # a unitary off by 5e-8: a lift within 1e-6, with residual 5e-8 * sqrt(2)
+    ident = identity_functor(full_matrix_category([2]))
+    v = np.array([[0, 1], [-1, 0]], dtype=complex) + 5e-8 * np.diag([1, -1])
+    data = {"x": "m0", "v": matrix_to_json(v), "F": ident.to_json(), "y": "m0"}
+    near = write(tmp_path / "near.json", data)
+    assert run("lift", near, "--mode", "generator", "--tolerance", "1e-6") == 0
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["status"] == "pass" and 7e-8 < check["residual"] < 7.2e-8
+    # at the default tolerance v is not unitary, so no lift is attempted
+    assert run("lift", near, "--mode", "generator") == 3
+
+
 def test_tensor_and_pi_chain(tmp_path, z2_file, capsys):
     cat_file = str(tmp_path / "cat.json")
     assert run("groupoid-cstar", z2_file, "--output", cat_file) == 0
@@ -404,3 +479,23 @@ def test_generate_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     groupoid = FiniteGroupoid.from_json(json.load(open(a)))
     assert len(groupoid.objects) == 3
+
+
+@pytest.mark.parametrize("suite", ["mc", "monoidal", "simplicial", "adjunctions"])
+def test_default_tolerance_flag_is_byte_identical_to_no_flag(tmp_path, suite):
+    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+    assert run("verify-axioms", "--suite", suite, "--output", str(plain)) == 0
+    assert run("verify-axioms", "--suite", suite, "--tolerance", "1e-9",
+               "--output", str(flagged)) == 0
+    assert plain.read_bytes() == flagged.read_bytes()
+
+
+def test_tolerance_reaches_the_mc_suite():
+    done = run_process("verify-axioms", "--suite", "mc", "--seed", "0",
+                       "--tolerance", "1e-15")
+    assert done.returncode == 1
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert report["status"] == "fail" and len(report["checks"]) == 60
+    failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+    assert failing and all(name.startswith(("mc4[", "mc5[")) for name in failing)

@@ -1,6 +1,9 @@
 """Tests for groupoids, the regular-representation C*-category, the
 adjunction with unitary subgroupoids, fundamental groupoids and nerves."""
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,8 @@ from cstarcat.categories import (
     validate_functor,
 )
 from cstarcat.errors import InvalidFunctor, InvalidGroupoid, NotUnitary
-from cstarcat.linalg import is_isometry, is_unitary
-from cstarcat.simplicial import standard
+from cstarcat.linalg import Tolerance, is_isometry, is_unitary
+from cstarcat.simplicial import SimplexRef, standard
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +382,30 @@ def test_nerve_counts_match_composable_strings_on_several_components():
         checked += 1
 
 
+def _string_ref(groupoid: gp.FiniteGroupoid, idents: set, chain, anchor) -> SimplexRef:
+    """Normal form of a composable string: strip identity factors (leftmost
+    first) as degeneracy operators over the reduced nondegenerate string."""
+    chain = list(chain)
+    degens = []
+    while True:
+        for pos, arrow in enumerate(chain):
+            if arrow in idents:
+                degens.append(pos)
+                del chain[pos]
+                break
+        else:
+            break
+    if chain:
+        ref = SimplexRef("|".join(chain), len(chain))
+    else:
+        if anchor is None:
+            raise InvalidGroupoid("empty string needs an anchor vertex")
+        ref = SimplexRef(anchor, 0)
+    for j in reversed(degens):
+        ref = ref.degenerate_by(j)
+    return ref
+
+
 def test_nerve_faces_equal_the_normal_form_of_each_face_string():
     rng = rg.rng_from_seed(41)
     identity_composites = 0
@@ -396,8 +423,17 @@ def test_nerve_faces_equal_the_normal_form_of_each_face_string():
                         composite = g.compose[(chain[i], chain[i - 1])]
                         identity_composites += composite in idents
                         sub = chain[:i - 1] + (composite,) + chain[i + 1:]
-                    assert face == gp._string_ref(g, idents, sub, g.arrows[sub[0]][0])
+                    assert face == _string_ref(g, idents, sub, g.arrows[sub[0]][0])
     assert identity_composites > 100
+
+
+def test_nerve_stops_at_the_first_empty_level():
+    # the terminal groupoid has no nondegenerate simplex above dimension 0;
+    # a level loop running up to the cap would take seconds here
+    started = time.perf_counter()
+    n = gp.nerve(gp.terminal_groupoid(), 10**7)
+    assert time.perf_counter() - started < 2.0
+    assert n.dim_cap == 10**7 and list(n.simplices) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +444,15 @@ def test_comparison_with_terminal_is_unit_isomorphism():
     _functor, verdict = gp.comparison_functor(gp.terminal_groupoid(),
                                               gp.cyclic_groupoid(2))
     assert verdict.isomorphism
+
+
+def test_comparison_verdict_is_judged_by_the_functors_tolerance():
+    z2 = gp.cyclic_groupoid(2)
+    _functor, verdict = gp.comparison_functor(z2, z2)
+    assert verdict.bound == Tolerance().composite
+    _functor, verdict = gp.comparison_functor(z2, z2, tol=Tolerance(1e-6))
+    assert verdict.bound == Tolerance(1e-6).composite and verdict.isomorphism
+    assert not replace(verdict, functor_residual=2 * verdict.bound).isomorphism
 
 
 def test_comparison_z2_z2():

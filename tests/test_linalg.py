@@ -5,6 +5,7 @@ closed-form 2x2 singular values / eigendecompositions and a Gaussian
 elimination rank count, none of which share code with the library.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -307,6 +308,12 @@ def test_tolerance_validation():
     t = Tolerance()
     assert t.bound(5.0) == 5.0e-9
     assert t.bound(0.5) == 1.0e-9
+
+
+def test_tolerance_has_one_field_and_one_derived_bound():
+    assert [f.name for f in dataclasses.fields(Tolerance)] == ["eps_abs"]
+    assert Tolerance().composite == 1e-8
+    assert Tolerance(1e-6).composite == 10 * 1e-6
 
 
 def test_unitary_and_isometry_predicates():

@@ -24,7 +24,7 @@ from cstarcat.errors import (
     PreconditionFailed,
     SquareMismatch,
 )
-from cstarcat.linalg import Subspace, is_unitary
+from cstarcat.linalg import Subspace, Tolerance, is_unitary
 from cstarcat.suites import functor_zoo
 
 
@@ -490,3 +490,21 @@ def test_factor_roundtrip_harness():
         functors.append(rg.random_weq(rng, cat, n_extra=1))
     report = md.axiom_harness("factor_roundtrip", functors)
     assert all(entry["status"] == "pass" for entry in report)
+
+
+def test_generated_instances_carry_the_callers_tolerance():
+    tol = Tolerance(1e-6)
+    rng = rg.rng_from_seed(71)
+    functors = [f for _kind, f in functor_zoo(rng, 12, tol)]
+    cat, _ = rg.random_matcat(rng, n_objects=1, max_dim=3, tol=tol)
+    functors += rg.build_retract(rg.random_weq(rng, cat, n_extra=1))
+    for f in functors:
+        assert f.tol == f.source.tol == f.target.tol == tol
+
+
+def test_harnesses_judge_residuals_by_the_functors_tolerance():
+    rng = rg.rng_from_seed(67)
+    cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=Tolerance(1e-17))
+    functor = rg.random_weq(rng, cat, n_extra=1)
+    [entry] = md.axiom_harness("factor_roundtrip", [functor])
+    assert entry["residual"] > functor.tol.composite and entry["status"] == "fail"
