@@ -159,10 +159,6 @@ class Violation:
     residual: float
     detail: str = ""
 
-    def to_json(self):
-        return {"kind": self.kind, "where": list(self.where),
-                "residual": self.residual, "detail": self.detail}
-
 
 def _batch_residuals(flat: np.ndarray, rows: np.ndarray,
                      rows_h: np.ndarray) -> np.ndarray:
@@ -310,8 +306,7 @@ class StarFunctor:
 
 
 def identity_functor(cat: MatCStarCategory) -> StarFunctor:
-    hom_maps = {pair: list(space.basis) for pair, space in cat.homs.items()}
-    return StarFunctor(cat, cat, {x: x for x in cat.object_names}, hom_maps, tol=cat.tol)
+    return inclusion_functor(cat, cat)
 
 
 def compose_functors(second: StarFunctor, first: StarFunctor) -> StarFunctor:
@@ -334,12 +329,11 @@ def _paired_images(f: StarFunctor, g: StarFunctor):
         yield from zip(images, g.hom_maps.get(pair, []))
 
 
-def functors_agree(f: StarFunctor, g: StarFunctor, tol: Tolerance | None = None) -> bool:
-    """Equal object maps and basis images within tolerance."""
-    tol = tol or f.tol
+def functors_agree(f: StarFunctor, g: StarFunctor) -> bool:
+    """Equal object maps and basis images within ``f``'s tolerance."""
     if f.object_map != g.object_map:
         return False
-    return all(tol.close(a, b) for a, b in _paired_images(f, g))
+    return all(f.tol.close(a, b) for a, b in _paired_images(f, g))
 
 
 def functor_distance(f: StarFunctor, g: StarFunctor) -> float:
@@ -512,14 +506,12 @@ class NatTransform:
                 worst = max(worst, res)
         return worst
 
-    def is_natural(self, tol: Tolerance | None = None) -> bool:
-        tol = tol or self.f.tol
+    def is_natural(self) -> bool:
         scale = max((op_norm(m) for m in self.components.values()), default=0.0)
-        return self.naturality_residual() <= tol.bound(scale)
+        return self.naturality_residual() <= self.f.tol.bound(scale)
 
-    def is_unitary(self, tol: Tolerance | None = None) -> bool:
-        tol = tol or self.f.tol
-        return all(linalg.is_unitary(m, tol) for m in self.components.values())
+    def is_unitary(self) -> bool:
+        return all(linalg.is_unitary(m, self.f.tol) for m in self.components.values())
 
 
 def nat_compose(beta: NatTransform, alpha: NatTransform) -> NatTransform:
@@ -623,10 +615,10 @@ def nat_space(f: StarFunctor, g: StarFunctor) -> BoundedNatSpace:
 # tensor products, unions, limits
 
 
-def unit_category(tol: Tolerance = DEFAULT_TOL) -> MatCStarCategory:
+def unit_category() -> MatCStarCategory:
     """The tensor unit: one object of dimension 1 with scalar endomorphisms."""
     eye = np.eye(1, dtype=np.complex128)
-    return MatCStarCategory([("pt", 1)], {("pt", "pt"): Subspace(1, 1, [eye])}, tol=tol)
+    return MatCStarCategory([("pt", 1)], {("pt", "pt"): Subspace(1, 1, [eye])})
 
 
 def full_matrix_category(dims, names=None, tol: Tolerance = DEFAULT_TOL) -> MatCStarCategory:
@@ -675,11 +667,10 @@ def tensor_max(a: MatCStarCategory, b: MatCStarCategory, check: bool = True) -> 
 
 
 def tensor_functor(f: StarFunctor, g: StarFunctor,
-                   source: MatCStarCategory | None = None,
-                   target: MatCStarCategory | None = None) -> StarFunctor:
-    """F (x) G on Kronecker generators."""
-    source = source if source is not None else tensor_max(f.source, g.source, check=False)
-    target = target if target is not None else tensor_max(f.target, g.target, check=False)
+                   source: MatCStarCategory) -> StarFunctor:
+    """F (x) G on Kronecker generators, out of ``source``, the tensor product
+    of the two sources."""
+    target = tensor_max(f.target, g.target, check=False)
     object_map = {}
     for x in f.source.object_names:
         for y in g.source.object_names:
@@ -707,8 +698,11 @@ def disjoint_union(parts, prefixes=None, tol: Tolerance = DEFAULT_TOL) -> MatCSt
 
 
 def inclusion_functor(part: MatCStarCategory, whole: MatCStarCategory,
-                      prefix: str = "") -> StarFunctor:
-    object_map = {x: prefix + x for x in part.object_names}
+                      object_map: dict | None = None) -> StarFunctor:
+    """The functor that keeps each stored basis element of ``part``, along
+    ``object_map`` (by default the identity on names)."""
+    if object_map is None:
+        object_map = {x: x for x in part.object_names}
     hom_maps = {pair: list(space.basis) for pair, space in part.homs.items()}
     return StarFunctor(part, whole, object_map, hom_maps, tol=part.tol)
 
@@ -821,11 +815,10 @@ def curry(f: StarFunctor, a: MatCStarCategory, b: MatCStarCategory) -> CurriedFu
     return CurriedFunctor(a, b, f.target, obj_functors, hom_transforms)
 
 
-def uncurry(data: CurriedFunctor, tensor: MatCStarCategory | None = None) -> StarFunctor:
-    """Rebuild the *-functor A (x) B -> C from curried data, sending a (x) b
-    to G(a)_{y'} . G(x)(b)."""
+def uncurry(data: CurriedFunctor, tensor: MatCStarCategory) -> StarFunctor:
+    """Rebuild the *-functor A (x) B -> C out of ``tensor`` = A (x) B from
+    curried data, sending a (x) b to G(a)_{y'} . G(x)(b)."""
     a, b = data.outer, data.inner
-    tensor = tensor if tensor is not None else tensor_max(a, b, check=False)
     object_map = {}
     for x in a.object_names:
         fx = data.obj_functors[x]

@@ -38,6 +38,7 @@ from .categories import (
     validate_category,
     validate_functor,
 )
+from .coset import DEFAULT_BUDGET
 from .errors import CStarCatError, InvalidParams, NotFiniteWithinBound
 from .groupoids import FPGroupoid, FiniteGroupoid, cstar_max, fundamental_groupoid, nerve
 from .homotopy import pi
@@ -327,7 +328,7 @@ def cmd_generate(args) -> Report:
         cat, _model = rg.random_matcat(rng, n_objects=args.objects, max_dim=4,
                                        tol=args.tol)
         functor = rg.random_weq(rng, cat, n_extra=1)
-        verdict = md.is_weak_equivalence(functor, seed=args.seed)
+        verdict = md.is_weak_equivalence(functor)
         report.add("is_weak_equivalence",
                    "pass" if verdict.status == "YES" else "fail")
         payload = functor.to_json()
@@ -352,7 +353,7 @@ SHARED_FLAGS = {
              "scaled by the operand norms, and composite residuals (functor "
              "distances, lifting triangles, lifted unitaries) against "
              "10 * eps_abs"),
-    "--coset-budget": dict(type=int, default=10000,
+    "--coset-budget": dict(type=int, default=DEFAULT_BUDGET,
                            help="cosets a coset enumeration may define before the "
                                 "verdict is unknown"),
     "--dim-cap": dict(type=int, default=2, help="highest dimension of the nerve"),

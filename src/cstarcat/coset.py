@@ -15,12 +15,15 @@ from __future__ import annotations
 
 SENTINEL = -1
 
+#: the default table budget of every coset enumeration and of its callers
+DEFAULT_BUDGET = 10000
+
 
 class CosetEnumeration:
     """Enumerate the elements of <g_0..g_{n-1} | relators> up to ``budget``
     table rows. ``relators`` are tuples of letters multiplying to 1."""
 
-    def __init__(self, ngens: int, relators, budget: int = 10000):
+    def __init__(self, ngens: int, relators, budget: int = DEFAULT_BUDGET):
         if budget < 1:
             raise ValueError("budget must be >= 1")
         self.ngens = ngens

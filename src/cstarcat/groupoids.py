@@ -26,7 +26,7 @@ from .categories import (
     tensor_max,
     validate_functor,
 )
-from .coset import CosetEnumeration, invert_word
+from .coset import DEFAULT_BUDGET, CosetEnumeration, invert_word
 from .errors import InvalidFunctor, InvalidGroupoid, MalformedInput, NotUnitary
 from . import linalg
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_matrix, split_pair_key
@@ -411,13 +411,13 @@ def _regular_hom_maps(groupoid: FiniteGroupoid, carrier: dict, image) -> dict:
 class UnitaryRep:
     """A functor from a groupoid into the unitaries of a matrix category:
     object assignment plus one unitary matrix per arrow, with functoriality
-    and unitarity checked on the nose."""
+    and unitarity checked against the category's tolerance."""
 
     def __init__(self, groupoid: FiniteGroupoid, category: MatCStarCategory,
-                 object_map: dict, arrow_map: dict, tol: Tolerance = DEFAULT_TOL):
+                 object_map: dict, arrow_map: dict):
         self.groupoid = groupoid
         self.category = category
-        self.tol = tol
+        tol = category.tol
         self.object_map = dict(object_map)
         self.arrow_map = {}
         for g, (x, y) in groupoid.arrows.items():
@@ -459,7 +459,7 @@ def adjunction_restrict(gc: GroupoidCStar, functor: StarFunctor) -> UnitaryRep:
     for g, (x, y) in gc.groupoid.arrows.items():
         arrow_map[g] = functor.apply(x, y, gc.embed[g])
     return UnitaryRep(gc.groupoid, functor.target, dict(functor.object_map),
-                      arrow_map, tol=functor.tol)
+                      arrow_map)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +674,7 @@ def _invert_factors(factors):
     return tuple((g, not inv) for g, inv in reversed(factors))
 
 
-def normalize_fp(pres: FPGroupoid, bound: int = 10000) -> NormalizeResult:
+def normalize_fp(pres: FPGroupoid, bound: int = DEFAULT_BUDGET) -> NormalizeResult:
     """Decide finiteness of a presented groupoid within a coset budget.
 
     Per component: pick a spanning tree, translate relations into the vertex

@@ -17,6 +17,7 @@ from .categories import (
     tensor_max,
     validate_functor,
 )
+from .coset import DEFAULT_BUDGET
 from .errors import NotFiniteWithinBound, ShapeMismatch
 from .groupoids import (
     GroupoidCStar,
@@ -31,7 +32,7 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .simplicial import FiniteSimplicialSet, SimplicialMap
 
 
-def pi(sset: FiniteSimplicialSet, bound: int = 10000,
+def pi(sset: FiniteSimplicialSet, bound: int = DEFAULT_BUDGET,
        tol: Tolerance = DEFAULT_TOL) -> GroupoidCStar:
     """The groupoid C*-category of the fundamental groupoid, provided the
     normalization stays within the coset budget."""
@@ -42,7 +43,7 @@ def pi(sset: FiniteSimplicialSet, bound: int = 10000,
     return cstar_max(result.groupoid, tol=tol)
 
 
-def pi_map(smap: SimplicialMap, bound: int = 10000,
+def pi_map(smap: SimplicialMap, bound: int = DEFAULT_BUDGET,
            tol: Tolerance = DEFAULT_TOL):
     """Transport a simplicial map K -> L to the induced *-functor
     pi(K) -> pi(L). Returns (functor, groupoid functor)."""
@@ -64,13 +65,12 @@ def pi_map(smap: SimplicialMap, bound: int = 10000,
     rep = UnitaryRep(
         src.groupoid, gc_tgt.category,
         {x: gfunctor.object_map[x] for x in src.groupoid.objects},
-        {a: gc_tgt.embed[gfunctor.arrow_map[a]] for a in src.groupoid.arrows},
-        tol=tol)
+        {a: gc_tgt.embed[gfunctor.arrow_map[a]] for a in src.groupoid.arrows})
     return adjunction_extend(gc_src, rep), gfunctor
 
 
 def tensor_with_sset(cat: MatCStarCategory, sset: FiniteSimplicialSet,
-                     bound: int = 10000) -> MatCStarCategory:
+                     bound: int = DEFAULT_BUDGET) -> MatCStarCategory:
     """A (x) K := A (x)_max pi(K)."""
     return tensor_max(cat, pi(sset, bound, tol=cat.tol).category)
 
@@ -81,21 +81,20 @@ def constant_probe(gc: GroupoidCStar, cat: MatCStarCategory, at: str) -> StarFun
     gpd = gc.groupoid
     eye = cat.identity(at)
     rep = UnitaryRep(gpd, cat, {x: at for x in gpd.objects},
-                     {a: eye for a in gpd.arrows}, tol=cat.tol)
+                     {a: eye for a in gpd.arrows})
     return adjunction_extend(gc, rep)
 
 
 def cotensor(cat: MatCStarCategory, sset: FiniteSimplicialSet,
-             bound: int = 10000, probes=None) -> dict:
+             bound: int = DEFAULT_BUDGET) -> dict:
     """Hom data of A^K = C*(pi K, A): for every ordered pair of probe
     functors pi(K) -> A, the space of bounded natural transformations.
 
-    Without explicit probes, the constant functors at the objects of A are
-    used (for K = Delta[0] these are exactly the objects of A, and the
-    returned spaces are the homs of A)."""
+    The probes are the constant functors at the objects of A, in order (for
+    K = Delta[0] these are exactly the objects of A, and the returned
+    spaces are the homs of A)."""
     gc = pi(sset, bound, tol=cat.tol)
-    if probes is None:
-        probes = [constant_probe(gc, cat, x) for x in cat.object_names]
+    probes = [constant_probe(gc, cat, x) for x in cat.object_names]
     out = {}
     for i, f in enumerate(probes):
         for j, g in enumerate(probes):
@@ -104,11 +103,11 @@ def cotensor(cat: MatCStarCategory, sset: FiniteSimplicialSet,
 
 
 def map_simplex_check(a: MatCStarCategory, b: MatCStarCategory, level: int,
-                      functors, transforms, tol: Tolerance | None = None) -> bool:
+                      functors, transforms) -> bool:
     """Membership of a candidate chain in the level-n simplices of the
     mapping space: n+1 validated parallel functors A -> B joined by n
-    natural transformations that are unitary at every component."""
-    tol = tol or a.tol
+    natural transformations that are unitary at every component, each
+    judged by its own tolerance."""
     functors = list(functors)
     transforms = list(transforms)
     if len(functors) != level + 1 or len(transforms) != level:
@@ -126,6 +125,6 @@ def map_simplex_check(a: MatCStarCategory, b: MatCStarCategory, level: int,
             if alpha.f.object_map != functors[i].object_map or \
                     alpha.g.object_map != functors[i + 1].object_map:
                 raise ShapeMismatch(f"transform {i} does not join functors {i},{i+1}")
-        if not alpha.is_natural(tol) or not alpha.is_unitary(tol):
+        if not alpha.is_natural() or not alpha.is_unitary():
             return False
     return True

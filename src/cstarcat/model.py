@@ -32,6 +32,7 @@ from .categories import (
     functors_agree,
     hom_map_ranks,
     identity_functor,
+    inclusion_functor,
     iso_exists,
     unitarize,
 )
@@ -137,24 +138,23 @@ def fibrancy_witness(cat: MatCStarCategory) -> bool:
 
 def cofibrancy_witness(cat: MatCStarCategory) -> bool:
     """The inclusion of the empty category is injective on objects."""
-    empty = empty_category(cat.tol)
-    return is_cofibration(StarFunctor(empty, cat, {}, {}, tol=cat.tol))
+    return is_cofibration(inclusion_functor(empty_category(cat.tol), cat))
 
 
 # ---------------------------------------------------------------------------
 # unitary lifts and quasi-inverses
 
 
-def solve_unitary_lift(functor: StarFunctor, x: str, v, y: str,
-                       tol: Tolerance | None = None):
+def solve_unitary_lift(functor: StarFunctor, x: str, v, y: str):
     """Lift a unitary v: Fx -> y through the functor.
 
     Searches the preimages x' of y in declaration order, solves F(a) = v
     linearly on hom(x, x'), and polar-corrects an invertible solution; the
     functor then carries the correction to v (v*v)^(-1/2) = v, so F(u) = v.
-    Returns (u, x') or None.
+    Every comparison is judged by the functor's tolerance. Returns (u, x')
+    or None.
     """
-    tol = tol or functor.tol
+    tol = functor.tol
     src, tgt = functor.source, functor.target
     fx = functor.object_map[x]
     v = as_matrix(v)
@@ -257,9 +257,9 @@ class LiftingSquare:
                 functor_distance(second, self.bottom))
 
 
-def lift_tcof_fib(square: LiftingSquare, oracle=None, seed: int = 0) -> StarFunctor:
+def lift_tcof_fib(square: LiftingSquare, seed: int = 0) -> StarFunctor:
     """Lift when the left leg is a trivial cofibration and the right leg
-    answers unitary-lift queries.
+    answers unitary-lift queries through ``solve_unitary_lift``.
 
     Follows the constructive recipe: choose a quasi-inverse F' of the left
     leg with F'F = id and identity witnesses on the image, lift the unitaries
@@ -269,9 +269,6 @@ def lift_tcof_fib(square: LiftingSquare, oracle=None, seed: int = 0) -> StarFunc
     f, u_top, g, v_bottom = square.left, square.top, square.right, square.bottom
     if not is_cofibration(f):
         raise PreconditionFailed("left leg is not a cofibration")
-    if oracle is None:
-        def oracle(y_obj, v_mat, codomain):
-            return solve_unitary_lift(g, y_obj, v_mat, codomain)
     f_prime, _u, v = quasi_inverse(f, seed=seed)
 
     image = {f.object_map[z]: z for z in f.source.object_names}
@@ -285,7 +282,7 @@ def lift_tcof_fib(square: LiftingSquare, oracle=None, seed: int = 0) -> StarFunc
         y_x = u_top.object_map[f_prime.object_map[x]]
         v_x = v.components[x]     # unitary FF'x -> x in B
         vv = v_bottom.apply(f.object_map[f_prime.object_map[x]], x, v_x)
-        lifted = oracle(y_x, vv, v_bottom.object_map[x])
+        lifted = solve_unitary_lift(g, y_x, vv, v_bottom.object_map[x])
         if lifted is None:
             raise LiftObstruction(f"no unitary lift over object {x!r}", obj=x)
         w_units[x], obj_map[x] = lifted
@@ -396,8 +393,7 @@ def factor_path(functor: StarFunctor, extra_triples=()) -> FactorizationResult:
     midway = MatCStarCategory(objects, homs, tol=functor.tol)
 
     i_obj = {x: name for x, _u, _y, name in triples[:len(src.object_names)]}
-    i_hom_maps = {pair: list(space.basis) for pair, space in src.homs.items()}
-    i_functor = StarFunctor(src, midway, i_obj, i_hom_maps, tol=src.tol)
+    i_functor = inclusion_functor(src, midway, i_obj)
     p_obj = {name: y for _x, _u, y, name in triples}
     p_functor = StarFunctor(midway, tgt, p_obj, p_hom_maps, tol=src.tol)
     return FactorizationResult(i_functor, midway, p_functor, triples)
@@ -438,9 +434,7 @@ def factor_cylinder(functor: StarFunctor) -> FactorizationResult:
         j_hom_maps[(x, x2)] = [functor.apply(x, x2, b) for b in space.basis]
     j_functor = StarFunctor(src, midway, j_obj, j_hom_maps, tol=src.tol)
 
-    q_obj = {n: in_b(n) for n in names}
-    q_hom_maps = {pair: list(space.basis) for pair, space in midway.homs.items()}
-    q_functor = StarFunctor(midway, tgt, q_obj, q_hom_maps, tol=src.tol)
+    q_functor = inclusion_functor(midway, tgt, {n: in_b(n) for n in names})
     return FactorizationResult(j_functor, midway, q_functor)
 
 
@@ -506,7 +500,7 @@ def pushout_product_objects(f: StarFunctor, f2: StarFunctor) -> PushoutProductVe
 # axiom harnesses
 
 
-def axiom_harness(kind: str, instances, seed: int = 0) -> list[dict]:
+def axiom_harness(kind: str, instances) -> list[dict]:
     """Run one of the model-axiom suites over supplied instances; returns a
     list of per-check entries with status pass/fail. Residuals are judged
     against the composite bound of the judged functor's tolerance."""
@@ -514,11 +508,8 @@ def axiom_harness(kind: str, instances, seed: int = 0) -> list[dict]:
     if kind == "two_of_three":
         for idx, (f, g) in enumerate(instances):
             gf = compose_functors(g, f)
-            verdicts = {
-                "F": is_weak_equivalence(f, seed=seed + 3 * idx),
-                "G": is_weak_equivalence(g, seed=seed + 3 * idx + 1),
-                "GF": is_weak_equivalence(gf, seed=seed + 3 * idx + 2),
-            }
+            verdicts = {"F": is_weak_equivalence(f), "G": is_weak_equivalence(g),
+                        "GF": is_weak_equivalence(gf)}
             yes = sum(1 for v in verdicts.values() if v)
             status = "fail" if yes == 2 else "pass"
             detail = ",".join(f"{k}={v.status}" for k, v in verdicts.items())
@@ -533,8 +524,8 @@ def axiom_harness(kind: str, instances, seed: int = 0) -> list[dict]:
                 functor_distance(compose_functors(inst["q"], inst["j"]),
                                  identity_functor(small.target)),
             )
-            big_v = is_weak_equivalence(big, seed=seed + idx)
-            small_v = is_weak_equivalence(small, seed=seed + idx)
+            big_v = is_weak_equivalence(big)
+            small_v = is_weak_equivalence(small)
             ok = residual <= small.tol.composite and big_v and small_v
             status = "pass" if ok else "fail"
             entries.append({"name": f"retract[{idx}]", "status": status,

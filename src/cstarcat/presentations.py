@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     UnboundedGenerator,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, op_norm
+from .linalg import DEFAULT_TOL, as_matrix, op_norm
 
 #: coefficients with modulus at or below this are dropped from elements. It
 #: is the default tolerance and does not follow ``--tolerance``: equality and
@@ -474,14 +474,13 @@ def norm_bound(e: FreeStarElement, gens: dict) -> float:
 
 class Evaluation:
     """A representation of a presentation in a concrete matrix C*-category,
-    with all relations and bounds verified at construction time."""
+    with all relations and bounds verified at construction time against the
+    category's tolerance."""
 
     def __init__(self, presentation: PresentedStarCategory, category,
-                 object_assign: dict, arrow_assign: dict,
-                 tol: Tolerance = DEFAULT_TOL):
+                 object_assign: dict, arrow_assign: dict):
         self.presentation = presentation
         self.category = category
-        self.tol = tol
         self.object_assign = dict(object_assign)
         self.arrow_assign = {}
         q = presentation.quiver
@@ -496,7 +495,7 @@ class Evaluation:
             cols = category.obj(self.object_assign[a.src]).dim
             m = as_matrix(m, rows, cols)
             hom = category.hom(self.object_assign[a.src], self.object_assign[a.tgt])
-            if not hom.contains(m, tol):
+            if not hom.contains(m, category.tol):
                 raise InvalidFunctor(f"image of {a.name!r} is not in the target hom space")
             self.arrow_assign[a.name] = m
         self._check_relations()
@@ -526,7 +525,7 @@ class Evaluation:
             left, right = self(lhs), self(rhs)
             scale = max(op_norm(left), op_norm(right))
             residual = op_norm(left - right)
-            if residual > self.tol.bound(scale):
+            if residual > self.category.tol.bound(scale):
                 raise RelationFailed(
                     f"relation #{idx} fails with residual {residual:.3e}",
                     witness={"relation": idx, "residual": residual},
@@ -535,7 +534,7 @@ class Evaluation:
     def _check_bounds(self):
         for name, bound in self.presentation.norm_bounds.items():
             value = op_norm(self.arrow_assign[name])
-            if value > bound + self.tol.eps_abs:
+            if value > bound + self.category.tol.eps_abs:
                 raise BoundFailed(
                     f"generator {name!r} has norm {value:.6f} > bound {bound}",
                     arrow=name, value=value,
@@ -543,11 +542,10 @@ class Evaluation:
 
 
 def evaluate(presentation: PresentedStarCategory, category,
-             object_assign: dict, arrow_assign: dict,
-             tol: Tolerance = DEFAULT_TOL) -> Evaluation:
+             object_assign: dict, arrow_assign: dict) -> Evaluation:
     """Check a representation against a presentation and return the induced
     evaluation map on free elements."""
-    return Evaluation(presentation, category, object_assign, arrow_assign, tol)
+    return Evaluation(presentation, category, object_assign, arrow_assign)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .groupoids import (
     GroupoidCStar,
     UnitaryRep,
     connected_groupoid,
-    cstar_max,
     cyclic_group_table,
     disjoint_groupoid,
 )
@@ -188,9 +187,7 @@ def fattening_functor(cat: MatCStarCategory, model: SectorModel) -> StarFunctor:
     exactly when the category already had full homs."""
     target = full_matrix_category([cat.obj(x).dim for x in cat.object_names],
                                   names=list(cat.object_names), tol=cat.tol)
-    hom_maps = {pair: list(space.basis) for pair, space in cat.homs.items()}
-    return StarFunctor(cat, target, {x: x for x in cat.object_names}, hom_maps,
-                       tol=cat.tol)
+    return inclusion_functor(cat, target)
 
 
 def sector_projection_functor(model: SectorModel, keep: int = 0) -> StarFunctor:
@@ -228,12 +225,10 @@ def sector_projection_functor(model: SectorModel, keep: int = 0) -> StarFunctor:
                        tol=source.tol)
 
 
-def padding_functor(rng: np.random.Generator, cat: MatCStarCategory,
-                    pad_objects: int = 1) -> StarFunctor:
-    """Inclusion of A into A + (random padding): injective on objects but
-    not surjective; fully faithful."""
-    pad, _ = random_matcat(rng, n_objects=pad_objects, max_dim=3, prefix="pad",
-                           tol=cat.tol)
+def padding_functor(rng: np.random.Generator, cat: MatCStarCategory) -> StarFunctor:
+    """Inclusion of A into A + (one random padding object): injective on
+    objects but not surjective; fully faithful."""
+    pad, _ = random_matcat(rng, n_objects=1, max_dim=3, prefix="pad", tol=cat.tol)
     whole = disjoint_union([cat, pad], tol=cat.tol)
     return inclusion_functor(cat, whole)
 
@@ -256,9 +251,7 @@ def build_retract(small: StarFunctor):
     j = inclusion_functor(b_small, big_target)
     p_obj = {x: x for x in a_small.object_names}
     p_obj.update({f"pad:{x}": x for x in a_small.object_names})
-    p_maps = {pair: [b.copy() for b in space.basis]
-              for pair, space in big_source.homs.items()}
-    p = StarFunctor(big_source, a_small, p_obj, p_maps, tol=small.tol)
+    p = inclusion_functor(big_source, a_small, p_obj)
     q_obj = {y: y for y in b_small.object_names}
     q_obj.update({f"pad:{x}": small.object_map[x] for x in a_small.object_names})
     q_maps = {}
@@ -326,10 +319,11 @@ def random_groupoid(rng: np.random.Generator, n_objects: int = 2,
 
 
 def random_unitary_rep(rng: np.random.Generator, groupoid: FiniteGroupoid,
-                       gc: GroupoidCStar | None = None) -> UnitaryRep:
-    """A representation of the groupoid in a conjugated copy of its own
-    C*-category: arrows go to conjugated regular-representation unitaries."""
-    gc = gc or cstar_max(groupoid)
+                       gc: GroupoidCStar) -> UnitaryRep:
+    """A representation of the groupoid in a conjugated copy of its
+    C*-category ``gc``: arrows go to conjugated regular-representation
+    unitaries. The conjugating unitaries are drawn before the
+    representation is checked."""
     cat = gc.category
     names = {x: f"r:{x}" for x in cat.object_names}
     target, units = _conjugate(rng, cat, {names[x]: x for x in cat.object_names})
@@ -337,5 +331,4 @@ def random_unitary_rep(rng: np.random.Generator, groupoid: FiniteGroupoid,
     for g, (x, y) in groupoid.arrows.items():
         arrow_map[g] = units[names[y]] @ gc.embed[g] @ units[names[x]].conj().T
     return UnitaryRep(groupoid, target,
-                      {x: names[x] for x in groupoid.objects}, arrow_map,
-                      tol=cat.tol)
+                      {x: names[x] for x in groupoid.objects}, arrow_map)

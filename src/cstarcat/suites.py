@@ -1,9 +1,9 @@
 """Verification suites: seeded end-to-end runs of the model-category,
 monoidality, simplicial and adjunction properties, emitting report entries.
 
-Each suite is deterministic in its seed; counts are parameters so the CLI
-can run quick passes while the acceptance tests run the full sizes. Every
-instance is built with the suite's ``tol``, whose bounds judge every residual.
+Each suite is deterministic in its seed and runs fixed counts of rounds.
+Every instance is built with the suite's ``tol``, whose bounds judge every
+residual.
 """
 
 from __future__ import annotations
@@ -13,16 +13,17 @@ import numpy as np
 from . import model as md
 from . import randgen as rg
 from .categories import (
-    StarFunctor,
     curry,
     disjoint_union,
     functors_agree,
+    inclusion_functor,
     tensor_functor,
     tensor_max,
     uncurry,
     validate_category,
 )
-from .errors import NotFiniteWithinBound
+from .coset import DEFAULT_BUDGET
+from .errors import CStarCatError, NotFiniteWithinBound
 from .groupoids import (
     adjunction_extend,
     adjunction_restrict,
@@ -82,15 +83,8 @@ def functor_zoo(rng: np.random.Generator, count: int, tol: Tolerance = DEFAULT_T
         else:  # fold of a two-copy union onto one copy
             cat, _ = rg.random_matcat(rng, n_objects=1, max_dim=3, tol=tol)
             two = disjoint_union([cat, cat], prefixes=["l_", "r_"], tol=cat.tol)
-            obj_map = {}
-            hom_maps = {}
-            for pre in ("l_", "r_"):
-                for x in cat.object_names:
-                    obj_map[pre + x] = x
-                for (x, y), space in cat.homs.items():
-                    hom_maps[(pre + x, pre + y)] = list(space.basis)
-            out.append((kind, StarFunctor(two, cat, obj_map, hom_maps,
-                                          tol=cat.tol)))
+            fold = {pre + x: x for pre in ("l_", "r_") for x in cat.object_names}
+            out.append((kind, inclusion_functor(two, cat, fold)))
     return out
 
 
@@ -98,21 +92,19 @@ def functor_zoo(rng: np.random.Generator, count: int, tol: Tolerance = DEFAULT_T
 # suites
 
 
-def suite_mc(seed: int = 0, n_factor: int = 10, n_lift: int = 10,
-             n_rlp: int = 24, n_two: int = 10, n_retract: int = 6,
-             tol: Tolerance = DEFAULT_TOL):
+def suite_mc(seed: int = 0, tol: Tolerance = DEFAULT_TOL):
     """MC2-MC5 at reduced scale: factorizations, lifts, retracts, 2-of-3 and
     the RLP agreement checks."""
     rng = rg.rng_from_seed(seed)
     entries = []
 
-    for idx in range(n_factor):
+    for idx in range(10):
         cat, _ = rg.random_matcat(rng, n_objects=int(rng.integers(1, 3)),
                                   max_dim=4, tol=tol)
         functor = rg.random_weq(rng, cat, n_extra=1)
         path = md.factor_path(functor)
         cylinder = md.factor_cylinder(functor)
-        weq = md.is_weak_equivalence(path.first, seed=seed + idx)
+        weq = md.is_weak_equivalence(path.first)
         ok = (md.is_cofibration(path.first) and weq.status == "YES"
               and md.is_cofibration(cylinder.first)
               and md.is_trivial_fibration(cylinder.second)
@@ -124,7 +116,7 @@ def suite_mc(seed: int = 0, n_factor: int = 10, n_lift: int = 10,
             f"mc5[{idx}]", "pass" if ok and residual <= tol.composite else "fail",
             residual=residual))
 
-    for idx in range(n_lift):
+    for idx in range(10):
         cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
         functor = rg.random_weq(rng, cat, n_extra=1)
         path = md.factor_path(functor)
@@ -139,30 +131,30 @@ def suite_mc(seed: int = 0, n_factor: int = 10, n_lift: int = 10,
             f"mc4[{idx}]", "pass" if residual <= tol.composite else "fail",
             residual=residual))
 
-    zoo = functor_zoo(rng, n_rlp, tol)
+    zoo = functor_zoo(rng, 24, tol)
     entries.extend(
         CheckEntry(f"rlp[{i}]:{kind}", entry["status"], detail=entry.get("detail", ""))
         for i, ((kind, functor), entry) in enumerate(
             zip(zoo, md.axiom_harness("rlp_equiv", [f for _k, f in zoo]))))
 
     pairs = []
-    for _ in range(n_two):
+    for _ in range(10):
         cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
         f = rg.random_weq(rng, cat, n_extra=1)
         g = rg.random_weq(rng, f.target, n_extra=1, prefix="v")
         pairs.append((f, g))
-    for entry in md.axiom_harness("two_of_three", pairs, seed=seed):
+    for entry in md.axiom_harness("two_of_three", pairs):
         entries.append(CheckEntry(entry["name"], entry["status"],
                                   detail=entry.get("detail", "")))
 
     retracts = []
-    for _ in range(n_retract):
+    for _ in range(6):
         cat, _ = rg.random_matcat(rng, n_objects=1, max_dim=3, tol=tol)
         small = rg.random_weq(rng, cat, n_extra=1)
         big, i, p, j, q = rg.build_retract(small)
         retracts.append({"big": big, "small": small, "i": i, "p": p,
                          "j": j, "q": q})
-    for entry in md.axiom_harness("retract", retracts, seed=seed):
+    for entry in md.axiom_harness("retract", retracts):
         entries.append(CheckEntry(entry["name"], entry["status"],
                                   residual=entry.get("residual"),
                                   detail=entry.get("detail", "")))
@@ -192,7 +184,7 @@ def suite_monoidal(seed: int = 0, tol: Tolerance = DEFAULT_TOL):
     return entries
 
 
-def suite_simplicial(seed: int = 0, budget: int = 10000,
+def suite_simplicial(seed: int = 0, budget: int = DEFAULT_BUDGET,
                      tol: Tolerance = DEFAULT_TOL):
     """Quillen-pair content: horn inclusions, the interval identification,
     the circle obstruction, and tensor/cotensor sanity."""
@@ -230,17 +222,24 @@ def suite_simplicial(seed: int = 0, budget: int = 10000,
     return entries
 
 
-def suite_adjunctions(seed: int = 0, n_round: int = 10, n_exp: int = 6,
-                      tol: Tolerance = DEFAULT_TOL):
-    """Groupoid adjunction round trips and the exponential law."""
+def suite_adjunctions(seed: int = 0, tol: Tolerance = DEFAULT_TOL):
+    """Groupoid adjunction round trips and the exponential law. A round
+    whose instances cannot be built within ``tol`` is a failing entry; its
+    draws are all made before the first check, so later rounds see the same
+    instances either way."""
     rng = rg.rng_from_seed(seed)
     entries = []
-    for idx in range(n_round):
+    for idx in range(10):
         groupoid = rg.random_groupoid(rng, n_objects=2, max_order=4)
         gc = cstar_max(groupoid, tol=tol)
-        rep = rg.random_unitary_rep(rng, groupoid, gc)
-        functor = adjunction_extend(gc, rep)
-        back = adjunction_restrict(gc, functor)
+        try:
+            rep = rg.random_unitary_rep(rng, groupoid, gc)
+            functor = adjunction_extend(gc, rep)
+            back = adjunction_restrict(gc, functor)
+        except CStarCatError as err:
+            entries.append(CheckEntry(f"adjunction[{idx}]", "fail",
+                                      detail=f"{type(err).__name__}: {err}"))
+            continue
         residual = max(
             float(np.linalg.norm(back.arrow_map[g] - rep.arrow_map[g]))
             for g in groupoid.arrows)
@@ -250,13 +249,13 @@ def suite_adjunctions(seed: int = 0, n_round: int = 10, n_exp: int = 6,
             f"adjunction[{idx}]", "pass" if ok and residual <= tol.eps_abs else "fail",
             residual=residual))
 
-    for idx in range(n_exp):
+    for idx in range(6):
         a, _ = rg.random_matcat(rng, n_objects=1, max_dim=2, prefix="a", tol=tol)
         b, _ = rg.random_matcat(rng, n_objects=1, max_dim=2, prefix="b", tol=tol)
         _target, g = rg.conjugate_category(rng, a)
         _target2, h = rg.conjugate_category(rng, b, prefix="d")
         tensor = tensor_max(a, b, check=False)
-        functor = tensor_functor(g, h, source=tensor)
+        functor = tensor_functor(g, h, tensor)
         data = curry(functor, a, b)
         back = uncurry(data, tensor)
         ok = functors_agree(back, functor)

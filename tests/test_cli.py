@@ -499,3 +499,15 @@ def test_tolerance_reaches_the_mc_suite():
     assert report["status"] == "fail" and len(report["checks"]) == 60
     failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
     assert failing and all(name.startswith(("mc4[", "mc5[")) for name in failing)
+
+
+def test_adjunction_rounds_that_cannot_be_built_are_failing_entries():
+    done = run_process("verify-axioms", "--suite", "adjunctions", "--seed", "0",
+                       "--tolerance", "1e-15")
+    assert done.returncode == 1
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert report["status"] == "fail" and len(report["checks"]) == 16
+    unbuilt = [c for c in report["checks"] if "residual" not in c]
+    assert unbuilt and all(c["status"] == "fail" and c["name"].startswith("adjunction[")
+                           and c["detail"].startswith("NotUnitary: ") for c in unbuilt)

@@ -10,6 +10,7 @@ import pytest
 from cstarcat import groupoids as gp
 from cstarcat import randgen as rg
 from cstarcat.categories import (
+    full_matrix_category,
     functors_agree,
     identity_functor,
     nat_space,
@@ -226,6 +227,16 @@ def test_unitary_rep_rejects_non_unitary_images():
     with pytest.raises(InvalidFunctor):
         gp.UnitaryRep(z2, unit, {"z": "pt"},
                       {"g0": np.eye(1), "g1": 1j * np.eye(1)})  # breaks g^2 = e
+
+
+def test_unitary_rep_is_judged_by_its_categorys_tolerance():
+    z2 = gp.cyclic_groupoid(2)
+    arrows = {"g0": np.eye(1), "g1": -(1 + 1e-5) * np.eye(1)}
+    loose = full_matrix_category([1], names=["pt"], tol=Tolerance(1e-3))
+    rep = gp.UnitaryRep(z2, loose, {"z": "pt"}, arrows)
+    assert np.allclose(rep.arrow_map["g1"], arrows["g1"])
+    with pytest.raises(NotUnitary):
+        gp.UnitaryRep(z2, unit_category(), {"z": "pt"}, arrows)
 
 
 def test_naturality_detected_on_generators_suffices():

@@ -22,7 +22,7 @@ from cstarcat.errors import (
     ShapeMismatch,
     UnboundedGenerator,
 )
-from cstarcat.linalg import is_isometry
+from cstarcat.linalg import Tolerance, is_isometry
 
 
 @pytest.fixture
@@ -343,6 +343,18 @@ def test_ism_presentation_round_trip_with_membership():
     with pytest.raises(RelationFailed):
         pr.evaluate(p, cat, {"o0": "m0", "o1": "m1"},
                     {"c": np.array([[2.0], [0.0]], dtype=complex)})
+
+
+def test_evaluate_is_judged_by_the_categorys_tolerance():
+    p = pr.ism_presentation(arrow_category())
+    column = np.array([[1 + 1e-5], [0.0]], dtype=complex)
+    loose = full_matrix_category([1, 2], tol=Tolerance(1e-3))
+    ev = pr.evaluate(p, loose, {"o0": "m0", "o1": "m1"}, {"c": column})
+    lhs, rhs = p.relations[0]
+    assert 1e-5 < np.linalg.norm(ev(lhs) - ev(rhs)) < 1e-4
+    with pytest.raises(RelationFailed):
+        pr.evaluate(p, full_matrix_category([1, 2]), {"o0": "m0", "o1": "m1"},
+                    {"c": column})
 
 
 def test_invalid_category_table():
