@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# Run the same CLI commands from two source trees and fail if any report,
+# artifact or exit code differs by a single byte.
+#
+#   ci/compare_reports.sh PARENT_TREE CHANGE_TREE [SEED ...]
+#
+# For each seed (default 0): the four verify-axioms suites, and the chain
+# generate random_weq -> validate -> factorize --mode path|cylinder ->
+# lift --mode tcof-fib|cof-tfib, where the lift square is built from each
+# tree's own factorizations. Run both trees on the same machine, so that
+# BLAS rounding is the same on both sides.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+  echo "usage: $0 PARENT_TREE CHANGE_TREE [SEED ...]" >&2
+  exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+shift 2
+seeds=("${@:-0}")
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+# cli TREE DIR NAME ARGS...: run the CLI of TREE in DIR, keeping stdout and
+# the exit code under NAME
+cli() {
+  local tree=$1 dir=$2 name=$3
+  shift 3
+  local code=0
+  (cd "$dir" && PYTHONPATH="$tree/src" python3 -m cstarcat.cli "$@" \
+    > "$name.out" 2> /dev/null) || code=$?
+  echo "$code" > "$dir/$name.code"
+}
+
+run_side() {
+  local tree=$1 dir=$2 seed
+  mkdir -p "$dir"
+  for seed in "${seeds[@]}"; do
+    for suite in mc monoidal simplicial adjunctions; do
+      cli "$tree" "$dir" "suite_${suite}_$seed" verify-axioms --suite "$suite" --seed "$seed"
+    done
+    cli "$tree" "$dir" "generate_$seed" generate --kind random_weq --seed "$seed" \
+      --output "weq_$seed.json"
+    cli "$tree" "$dir" "validate_$seed" validate "weq_$seed.json"
+    for mode in path cylinder; do
+      cli "$tree" "$dir" "factorize_${mode}_$seed" factorize "weq_$seed.json" \
+        --mode "$mode" --output "${mode}_$seed.json"
+    done
+    (cd "$dir" && python3 - "path_$seed.json" "cylinder_$seed.json" "square_$seed.json" <<'SQUARE'
+import json, sys
+path, cylinder = (json.load(open(name)) for name in sys.argv[1:3])
+square = {"top": cylinder["first"], "left": path["first"],
+          "right": cylinder["second"], "bottom": path["second"]}
+json.dump(square, open(sys.argv[3], "w"), indent=2)
+SQUARE
+    )
+    for mode in tcof-fib cof-tfib; do
+      cli "$tree" "$dir" "lift_${mode}_$seed" lift "square_$seed.json" --mode "$mode"
+    done
+  done
+}
+
+run_side "$parent" "$work/parent"
+run_side "$change" "$work/change"
+if ! diff -r -q "$work/parent" "$work/change"; then
+  echo "reports, artifacts or exit codes differ from the parent tree" >&2
+  exit 1
+fi
+echo "$(ls "$work/change" | wc -l) files byte-identical for seeds ${seeds[*]}"

@@ -31,6 +31,7 @@ from .errors import (
     SingularOperand,
 )
 from . import linalg
+from .light import LightClosure, functor_certified, worth_certifying
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -170,15 +171,31 @@ def _batch_residuals(flat: np.ndarray, rows: np.ndarray,
 
 def _basis_products(b: np.ndarray, first: np.ndarray) -> np.ndarray:
     """The products b . a_i of one matrix with a stack of matrices, one
-    flattened row per i: the product kernel of both validators, which call
-    it once per element b_j of the second basis so that memory stays that of
-    one row of products."""
+    flattened row per i: the product kernel of both exhaustive loops, which
+    call it once per element b_j of the second basis so that memory stays
+    that of one row of products."""
     return (b @ first).reshape(len(first), -1)
 
 
 def validate_category(cat: MatCStarCategory) -> list[Violation]:
     """Check unitality, adjoint closure and composition closure; an empty
-    report means the data is a concrete C*-category within tolerance."""
+    report means the data is a concrete C*-category within tolerance.
+
+    Composition closure is decided by the linear form of Light's test (see
+    ``cstarcat.light``, "Greedy generating set, certificate, exhaustive
+    fallback"). Let V be the direct sum of the homs. If s . V lies in V for
+    each s of a set S in V, and the words in S applied to the identities
+    span V, then V . V lies in V. ``LightClosure`` grows S greedily and
+    forms only the products s . r of a generator with a reached row. Its
+    certificate propagates a bound e(t) >= sup over HS-unit u of
+    dist(t . u, V) along the closure; when the rows span V and |e|_2 <=
+    eps_abs / 2, no product b_j . a_i of basis elements leaves its hom by
+    more than ``eps_abs * max(1, |b_j . a_i|)``, so the report is empty.
+    Otherwise, and whenever unitality or adjoint closure fails, or the
+    category is too small for the certificate to pay
+    (``worth_certifying``), every product b_j . a_i is formed and the
+    violations are listed as before.
+    """
     tol = cat.tol
     out = []
     for x in cat.object_names:
@@ -193,6 +210,16 @@ def validate_category(cat: MatCStarCategory) -> list[Violation]:
             if res > tol.bound(1.0):
                 out.append(Violation("adjoint", (x, y, i), float(res),
                                      "adjoint of basis element leaves hom(y,x)"))
+    if not out and worth_certifying(cat) and LightClosure(cat).certify() is not None:
+        return out
+    return out + _composition_violations(cat)
+
+
+def _composition_violations(cat: MatCStarCategory) -> list[Violation]:
+    """The exhaustive composition check: every product b_j . a_i of basis
+    elements, judged against ``eps_abs * max(1, |b_j . a_i|)``."""
+    tol = cat.tol
+    out = []
     for (x, y), first in cat.homs.items():
         first_stack = np.stack(first.basis)
         for z in cat.object_names:
@@ -346,7 +373,21 @@ def functor_distance(f: StarFunctor, g: StarFunctor) -> float:
 
 
 def validate_functor(functor: StarFunctor) -> list[Violation]:
-    """Check hom membership, unit, composition and involution laws."""
+    """Check hom membership, unit, composition and involution laws.
+
+    The composition law is decided on the source category's Light closure
+    (see ``validate_category`` and ``cstarcat.light``, "Greedy generating
+    set, certificate, exhaustive fallback"): with the unit law,
+    F(s . a) = F(s) F(a) for the generators s and every a in V gives
+    F(b . a) = F(b) F(a) on all of V. The certificate measures
+    mu(s, r) = |F(P(s . r)) - F(s) F(r)| for every product of the closure,
+    P the projection onto V, and propagates a bound f(t) >= sup over
+    HS-unit u of |F(P(t . u)) - F(t) F(u)| the same way, using the operator
+    norms of F's coordinate maps. When the source's own certificate holds
+    and |f|_2 <= eps_abs / 2, no product of basis elements violates the
+    law. Otherwise, and whenever hom membership or the unit law fails,
+    every product is checked as before.
+    """
     tol = functor.tol
     src, tgt = functor.source, functor.target
     out = []
@@ -358,12 +399,34 @@ def validate_functor(functor: StarFunctor) -> list[Violation]:
             if res > tol.bound(hs_norm(img)):
                 out.append(Violation("hom-membership", (x, y, i), res,
                                      "image leaves the target hom space"))
+    unit_residuals = {}
     for x in src.object_names:
         eye = src.identity(x)
         img = functor.apply(x, x, eye)
         res = float(np.linalg.norm(img - tgt.identity(functor.object_map[x])))
+        unit_residuals[x] = res
         if res > tol.bound(1.0):
             out.append(Violation("unit", (x,), res, "F(1_x) != 1_Fx"))
+    if out or not (worth_certifying(src) and functor_certified(functor, unit_residuals)):
+        out += _functor_composition_violations(functor)
+    for (x, y), images in functor.hom_maps.items():
+        space = src.hom(x, y)
+        for i, a in enumerate(space.basis):
+            lhs = functor.apply(y, x, a.conj().T)
+            rhs = images[i].conj().T
+            res = float(np.linalg.norm(lhs - rhs))
+            if res > tol.bound(hs_norm(rhs)):
+                out.append(Violation("involution", (x, y, i), res, "F(a*) != F(a)*"))
+    return out
+
+
+def _functor_composition_violations(functor: StarFunctor) -> list[Violation]:
+    """The exhaustive composition law: F(P(b_j . a_i)) against
+    F(b_j) F(a_i) for every pair of basis elements, judged against
+    ``eps_abs * max(1, |F(b_j) F(a_i)|)``."""
+    tol = functor.tol
+    src = functor.source
+    out = []
     for (x, y), first in src.homs.items():
         first_stack = np.stack(first.basis)
         fa_stack = np.stack(functor.hom_maps[(x, y)])
@@ -387,14 +450,6 @@ def validate_functor(functor: StarFunctor) -> list[Violation]:
                 for i in np.nonzero(residuals > tol.eps_abs * scales)[0]:
                     out.append(Violation("composition", (x, y, z, j, int(i)),
                                          float(residuals[i]), "F(b.a) != F(b).F(a)"))
-    for (x, y), images in functor.hom_maps.items():
-        space = src.hom(x, y)
-        for i, a in enumerate(space.basis):
-            lhs = functor.apply(y, x, a.conj().T)
-            rhs = images[i].conj().T
-            res = float(np.linalg.norm(lhs - rhs))
-            if res > tol.bound(hs_norm(rhs)):
-                out.append(Violation("involution", (x, y, i), res, "F(a*) != F(a)*"))
     return out
 
 

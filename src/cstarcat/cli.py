@@ -21,6 +21,7 @@ one-sided generator lift found no lift).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -39,7 +40,7 @@ from .categories import (
     validate_functor,
 )
 from .coset import DEFAULT_BUDGET
-from .errors import CStarCatError, InvalidParams, NotFiniteWithinBound
+from .errors import CStarCatError, InvalidParams, MalformedInput, NotFiniteWithinBound
 from .groupoids import FPGroupoid, FiniteGroupoid, cstar_max, fundamental_groupoid, nerve
 from .homotopy import pi
 from .linalg import DEFAULT_TOL, Tolerance, is_unitary, matrix_from_json
@@ -54,6 +55,8 @@ def _load(path: str):
 
 
 def detect_kind(data: dict) -> str:
+    if not isinstance(data, dict):
+        raise MalformedInput(f"expected a JSON object, not {type(data).__name__}")
     if "object_map" in data:
         return "functor"
     if "homs" in data:
@@ -172,9 +175,29 @@ def cmd_factorize(args) -> Report:
 
 
 def _load_functor_ref(ref, base: Path, tol: Tolerance) -> StarFunctor:
+    """A functor given inline or as a path relative to the lift file."""
     if isinstance(ref, str):
         return StarFunctor.from_json(_load(str(base / ref)), tol=tol)
     return StarFunctor.from_json(ref, tol=tol)
+
+
+def _require_keys(data, keys):
+    """A lift file must be an object holding every key of ``keys``;
+    otherwise it raises ``MalformedInput``."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"lift file: expected an object, not {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise MalformedInput(f"lift file: missing key {key!r}")
+
+
+def _lift_object(data, key: str, cat: MatCStarCategory) -> str:
+    """The object name under ``key``, which ``cat`` must declare."""
+    name = data[key]
+    if not isinstance(name, str) or name not in cat.object_names:
+        raise MalformedInput(f"lift file: {key!r} must name an object of "
+                             f"{cat.object_names}, not {name!r}")
+    return name
 
 
 def cmd_lift(args) -> Report:
@@ -183,28 +206,26 @@ def cmd_lift(args) -> Report:
     tol = args.tol
     report = Report(f"lift:{args.mode}")
     if args.mode == "generator":
+        _require_keys(data, ("F", "x", "v"))
         functor = _load_functor_ref(data["F"], base, tol)
+        x = _lift_object(data, "x", functor.source)
         v = matrix_from_json(data["v"])
         if "y" in data:
-            lifted = md.solve_unitary_lift(functor, data["x"], v, data["y"])
+            lifted = md.solve_unitary_lift(functor, x, v, _lift_object(data, "y", functor.target))
         else:
-            lifted = md.lift_unitary_by_search(functor, data["x"], v)
+            lifted = md.lift_unitary_by_search(functor, x, v)
         if lifted is None:
             report.add("unitary_lift", "unknown",
                        detail="no lift found (solver is one-sided)")
         else:
             u, obj = lifted
-            residual = float(np.linalg.norm(
-                functor.apply(data["x"], obj, u) - v))
+            residual = float(np.linalg.norm(functor.apply(x, obj, u) - v))
             report.add("unitary_lift", "pass" if residual <= tol.composite else "fail",
                        residual=residual, witness=obj)
         return report
-    square = md.LiftingSquare(
-        top=_load_functor_ref(data["top"], base, tol),
-        left=_load_functor_ref(data["left"], base, tol),
-        right=_load_functor_ref(data["right"], base, tol),
-        bottom=_load_functor_ref(data["bottom"], base, tol),
-    )
+    legs = ("top", "left", "right", "bottom")
+    _require_keys(data, legs)
+    square = md.LiftingSquare(**{leg: _load_functor_ref(data[leg], base, tol) for leg in legs})
     if args.mode == "tcof-fib":
         lift = md.lift_tcof_fib(square, seed=args.seed)
     else:
@@ -435,9 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.time()
     try:
         args.tol = _tol(args)
@@ -445,7 +471,7 @@ def main(argv=None) -> int:
         if budget is not None and budget < 1:
             raise InvalidParams(f"--coset-budget {budget}: budget must be >= 1")
         report = args.run(args)
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
     except InvalidParams as err:

@@ -43,12 +43,8 @@ from .errors import (
     SquareMismatch,
 )
 from . import linalg
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix
+from .linalg import as_matrix
 from .presentations import UnionFind
-
-
-def empty_category(tol: Tolerance = DEFAULT_TOL) -> MatCStarCategory:
-    return MatCStarCategory([], {}, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +124,6 @@ def rlp_generating(functor: StarFunctor, which: str) -> bool:
     if which == "W":
         return all(rank == sdim for _x, _y, sdim, _tdim, rank in hom_map_ranks(functor))
     raise ValueError(f"unknown generating cofibration {which!r}")
-
-
-def fibrancy_witness(cat: MatCStarCategory) -> bool:
-    """Lifting a unitary through the collapse to the zero category only
-    needs the identity arrow at each object: check it is really there."""
-    return all(cat.hom(x, x).contains(cat.identity(x)) for x in cat.object_names)
-
-
-def cofibrancy_witness(cat: MatCStarCategory) -> bool:
-    """The inclusion of the empty category is injective on objects."""
-    return is_cofibration(inclusion_functor(empty_category(cat.tol), cat))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cstarcat import categories as cat
+from cstarcat import light
 from cstarcat import randgen as rg
 from cstarcat.errors import (
     InvalidCategory,
@@ -219,6 +220,196 @@ def test_functor_composition_violations_follow_pair_order():
         assert composition_where(cat.validate_functor(broken)) == expected
         several += len(expected) >= 2
     assert several >= 3
+
+
+# ---------------------------------------------------------------------------
+# the certified composition check against the exhaustive loop
+
+
+def exhaustive_category_report(c):
+    """Unitality, adjoint and composition violations with every basis
+    product formed: the validator as it was before the certificate, kept as
+    the oracle."""
+    tol, out = c.tol, []
+    for x in c.object_names:
+        eye = c.identity(x)
+        res = c.hom(x, x).residual(eye)
+        if res > tol.bound(np.linalg.norm(eye)):
+            out.append(cat.Violation("unitality", (x,), res, "identity not in hom(x,x)"))
+    for (x, y), space in c.homs.items():
+        adj = c.hom(y, x)._rows
+        flipped = np.stack([b.conj().T.ravel() for b in space.basis])
+        residuals = np.linalg.norm(flipped - (flipped @ adj.conj().T) @ adj, axis=1)
+        for i, res in enumerate(residuals):
+            if res > tol.bound(1.0):
+                out.append(cat.Violation("adjoint", (x, y, i), float(res),
+                                         "adjoint of basis element leaves hom(y,x)"))
+    for (x, y), first in c.homs.items():
+        first_stack = np.stack(first.basis)
+        for z in c.object_names:
+            second = c.homs.get((y, z))
+            if second is None:
+                continue
+            target = c.hom(x, z)._rows
+            for j, b in enumerate(second.basis):
+                flat = (b @ first_stack).reshape(len(first_stack), -1)
+                scales = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
+                residuals = np.linalg.norm(flat - (flat @ target.conj().T) @ target, axis=1)
+                for i in np.nonzero(residuals > tol.eps_abs * scales)[0]:
+                    out.append(cat.Violation("composition", (x, y, z, j, int(i)),
+                                             float(residuals[i]),
+                                             "product of basis elements leaves hom(x,z)"))
+    return out
+
+
+def exhaustive_functor_composition(functor):
+    """The functor's composition violations with every basis product
+    formed, as the validator computed them before the certificate."""
+    src, tol, out = functor.source, functor.tol, []
+    for (x, y), first in src.homs.items():
+        first_stack = np.stack(first.basis)
+        fa_stack = np.stack(functor.hom_maps[(x, y)])
+        for z in src.object_names:
+            second = src.homs.get((y, z))
+            if second is None:
+                continue
+            target = src.hom(x, z)
+            for j, (b, fb) in enumerate(zip(second.basis, functor.hom_maps[(y, z)])):
+                rhs = (fb @ fa_stack).reshape(len(fa_stack), -1)
+                diffs = rhs
+                if target.dim:
+                    f_target = np.stack(functor.hom_maps[(x, z)]).reshape(target.dim, -1)
+                    coords = (b @ first_stack).reshape(len(first_stack), -1) @ \
+                        target._rows.conj().T
+                    diffs = coords @ f_target - rhs
+                residuals = np.linalg.norm(diffs, axis=1)
+                scales = np.maximum(np.linalg.norm(rhs, axis=1), 1.0)
+                for i in np.nonzero(residuals > tol.eps_abs * scales)[0]:
+                    out.append(cat.Violation("composition", (x, y, z, j, int(i)),
+                                             float(residuals[i]), "F(b.a) != F(b).F(a)"))
+    return out
+
+
+def nudged_category(c, rng, scale):
+    """``c`` with one stored basis element moved by ``scale`` in HS norm and
+    its hom re-orthonormalized."""
+    pair = list(c.homs)[int(rng.integers(len(c.homs)))]
+    space = c.homs[pair]
+    basis = list(space.basis)
+    k = int(rng.integers(len(basis)))
+    noise = rng.standard_normal(space.shape) + 1j * rng.standard_normal(space.shape)
+    basis[k] = basis[k] + scale * noise / np.linalg.norm(noise)
+    homs = dict(c.homs)
+    homs[pair] = subspace_span(basis, ambient_shape=space.shape, tol=c.tol)
+    return cat.MatCStarCategory([(o.name, o.dim) for o in c.objects], homs, tol=c.tol)
+
+
+def nudged_functor(f, rng, scale):
+    """``f`` with one basis image moved by ``scale`` in HS norm."""
+    images = {pair: list(mats) for pair, mats in f.hom_maps.items()}
+    pair = list(images)[int(rng.integers(len(images)))]
+    k = int(rng.integers(len(images[pair])))
+    noise = rng.standard_normal(images[pair][k].shape) + \
+        1j * rng.standard_normal(images[pair][k].shape)
+    images[pair][k] = images[pair][k] + scale * noise / np.linalg.norm(noise)
+    return cat.StarFunctor(f.source, f.target, f.object_map, images, tol=f.tol)
+
+
+def counting_basis_products(monkeypatch):
+    calls = []
+    kernel = cat._basis_products
+
+    def counted(b, first):
+        calls.append(len(first))
+        return kernel(b, first)
+
+    monkeypatch.setattr(cat, "_basis_products", counted)
+    return calls
+
+
+#: perturbation scales straddling the default eps_abs = 1e-9
+NUDGES = (0.0, 1e-11, 3e-10, 1e-9, 3e-9, 1e-6)
+
+
+def test_certified_category_verdicts_match_the_exhaustive_loop(monkeypatch):
+    monkeypatch.setattr(light, "CERTIFY_WORK", -1)        # certify at every size
+    calls = counting_basis_products(monkeypatch)
+    certified = fell_back = 0
+    for seed in range(12):
+        rng = rg.rng_from_seed(seed)
+        c, _ = rg.random_matcat(rng, n_objects=int(rng.integers(2, 4)), max_dim=5)
+        for scale in NUDGES:
+            subject = nudged_category(c, rng, scale) if scale else c
+            calls.clear()
+            report = cat.validate_category(subject)
+            assert report == exhaustive_category_report(subject)
+            certified += not calls
+            fell_back += bool(calls)
+            # every unperturbed category is certified without a basis product
+            assert calls == [] or scale
+    assert certified >= 24 and fell_back >= 24
+
+
+def test_certified_functor_verdicts_match_the_exhaustive_loop(monkeypatch):
+    from cstarcat.suites import functor_zoo
+
+    monkeypatch.setattr(light, "CERTIFY_WORK", -1)
+    calls = counting_basis_products(monkeypatch)
+    rng = rg.rng_from_seed(21)
+    for _kind, f in functor_zoo(rng, 12):
+        for scale in NUDGES:
+            subject = nudged_functor(f, rng, scale) if scale else f
+            calls.clear()
+            report = cat.validate_functor(subject)
+            expected = exhaustive_functor_composition(subject)
+            assert [v for v in report if v.kind == "composition"] == expected
+            # every unperturbed functor is certified without a basis product
+            assert calls == [] or scale
+
+
+def test_failed_certificate_returns_the_exhaustive_list(monkeypatch):
+    monkeypatch.setattr(light, "CERTIFY_WORK", -1)
+    # a broken composition: the certificate fails and every product is formed
+    broken = product_chain([unit_matrix(2, 1, 0, 0)])
+    assert light.LightClosure(broken).certify() is None
+    assert cat.validate_category(broken) == exhaustive_category_report(broken)
+    # forced: a refused certificate gives the exhaustive list, in its order
+    rng = rg.rng_from_seed(4)
+    c, _ = rg.random_matcat(rng, n_objects=3, max_dim=5)
+    subject = nudged_category(c, rng, 1e-6)
+    monkeypatch.setattr(light.LightClosure, "certify", lambda self: None)
+    report = cat.validate_category(subject)
+    assert len(composition_where(report)) >= 2
+    assert report == exhaustive_category_report(subject)
+    assert cat.validate_category(c) == []
+
+
+def cyclic_groupoid_category(n):
+    from cstarcat import groupoids as gpd
+
+    groupoid = gpd.connected_groupoid(["a", "b"], gpd.cyclic_group_table(n), check=False)
+    return gpd.cstar_max(groupoid).category
+
+
+def test_z60_groupoid_category_is_certified_without_basis_products(monkeypatch):
+    calls = counting_basis_products(monkeypatch)
+    c = cyclic_groupoid_category(60)
+    assert cat.validate_category(c) == []
+    assert calls == []
+    assert [c.hom(x, y).dim for x, y in c.pairs()] == [60] * 4
+
+
+def test_size_rule_sides(monkeypatch):
+    calls = counting_basis_products(monkeypatch)
+    # Z/8 on two objects: exactly CERTIFY_WORK multiply-adds, so exhaustive
+    small = cyclic_groupoid_category(8)
+    assert not light.worth_certifying(small)
+    assert cat.validate_category(small) == [] and len(calls) == 8 * 8
+    calls.clear()
+    large = cyclic_groupoid_category(10)
+    assert light.worth_certifying(large)
+    assert cat.validate_category(large) == [] and calls == []
+    assert cat.validate_functor(cat.identity_functor(large)) == [] and calls == []
 
 
 # ---------------------------------------------------------------------------

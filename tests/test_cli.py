@@ -260,6 +260,62 @@ def test_malformed_category_and_functor_files_exit_2(tmp_path, case, message):
     assert message in done.stderr
 
 
+def malformed_lift(case, tmp_path):
+    """A lift file with one defect: for the square modes a missing leg or a
+    file that is not an object; for the generator mode a missing key, a
+    non-string name or a name the functor does not declare."""
+    from cstarcat.categories import full_matrix_category, identity_functor
+    from cstarcat.linalg import matrix_to_json
+
+    ident = identity_functor(full_matrix_category([2])).to_json()
+    swap = matrix_to_json(np.array([[0, 1], [1, 0]], dtype=complex))
+    if case == "square_without_right":
+        return "tcof-fib", {"top": ident, "left": ident, "bottom": ident}
+    if case == "square_is_a_list":
+        return "cof-tfib", [ident, ident, ident, ident]
+    generator = {"F": ident, "x": "m0", "v": swap, "y": "m0"}
+    if case == "generator_without_F":
+        del generator["F"]
+    elif case == "x_is_a_number":
+        generator["x"] = 5
+    elif case == "x_undeclared":
+        # v has three rows, so no target object even has its dimension
+        del generator["y"]
+        generator["x"] = "nope"
+        generator["v"] = matrix_to_json(np.eye(3, 2, dtype=complex))
+    else:
+        generator["y"] = "nope"
+    return "generator", generator
+
+
+@pytest.mark.parametrize("case, message", [
+    ("square_without_right", "missing key 'right'"),
+    ("square_is_a_list", "expected an object"),
+    ("generator_without_F", "missing key 'F'"),
+    ("x_is_a_number", "'x' must name an object"),
+    ("x_undeclared", "'x' must name an object"),
+    ("y_undeclared", "'y' must name an object"),
+])
+def test_malformed_lift_files_exit_2(tmp_path, case, message):
+    mode, data = malformed_lift(case, tmp_path)
+    done = run_process("lift", write(tmp_path / "lift.json", data), "--mode", mode)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert message in done.stderr
+
+
+@pytest.mark.parametrize("content", [b"5\n", b"\xff\xfe", None])
+def test_unreadable_inputs_exit_2(tmp_path, content):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    done = run_process("validate", str(path))
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
 def test_validate_sset_file_with_huge_dim_cap(tmp_path):
     # an empty simplicial set that declares dimensions up to 10**7: one dict
     # per declared dimension would need about 1.5 GB, over the 1 GiB limit
@@ -400,6 +456,7 @@ def test_lift_generator_judges_the_residual_by_the_tolerance(tmp_path, capsys):
 
 def test_tensor_and_pi_chain(tmp_path, z2_file, capsys):
     cat_file = str(tmp_path / "cat.json")
+    in_process, fresh = str(tmp_path / "in_process.json"), str(tmp_path / "fresh.json")
     assert run("groupoid-cstar", z2_file, "--output", cat_file) == 0
     assert run("tensor", cat_file, cat_file,
                "--output", str(tmp_path / "tensor.json")) == 0
@@ -479,6 +536,28 @@ def test_generate_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     groupoid = FiniteGroupoid.from_json(json.load(open(a)))
     assert len(groupoid.objects) == 3
+
+
+def test_consecutive_in_process_runs_match_fresh_processes(tmp_path, capsys):
+    # main builds its parser once per process; reusing it must not carry
+    # one call's flags into the next
+    cat_file = str(tmp_path / "cat.json")
+    in_process, fresh = str(tmp_path / "in_process.json"), str(tmp_path / "fresh.json")
+    assert run("generate", "--kind", "random_matcat", "--dims", "2,3", "--seed", "4",
+               "--output", cat_file) == 0
+    calls = [("validate", cat_file, "--tolerance", "1e-3"),
+             ("validate", cat_file),
+             ("validate", cat_file, "--output", in_process),
+             ("validate", cat_file, "--tolerance", "1e-15"),
+             ("generate", "--kind", "random_matcat", "--seed", "4"),
+             ("validate", cat_file)]
+    capsys.readouterr()
+    for argv in calls:
+        code = run(*argv)
+        out = capsys.readouterr().out
+        done = run_process(*[fresh if a == in_process else a for a in argv])
+        assert code == done.returncode and out == done.stdout
+    assert Path(in_process).read_bytes() == Path(fresh).read_bytes()
 
 
 @pytest.mark.parametrize("suite", ["mc", "monoidal", "simplicial", "adjunctions"])

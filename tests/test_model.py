@@ -171,12 +171,6 @@ def test_rlp_agreement_with_trivial_fibration():
     assert all(entry["status"] == "pass" for entry in report)
 
 
-def test_fibrancy_and_cofibrancy_witnesses():
-    cat = full_matrix_category([2, 3])
-    assert md.fibrancy_witness(cat)
-    assert md.cofibrancy_witness(cat)
-
-
 # ---------------------------------------------------------------------------
 # unitary lifts
 
