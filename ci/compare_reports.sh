@@ -4,11 +4,16 @@
 #
 #   ci/compare_reports.sh PARENT_TREE CHANGE_TREE [SEED ...]
 #
-# For each seed (default 0): the four verify-axioms suites, and the chain
-# generate random_weq -> validate -> factorize --mode path|cylinder ->
-# lift --mode tcof-fib|cof-tfib, where the lift square is built from each
-# tree's own factorizations. Run both trees on the same machine, so that
-# BLAS rounding is the same on both sides.
+# For each seed (default 0): the four verify-axioms suites and four chains,
+# which between them run all ten commands:
+#   generate random_weq -> validate -> factorize --mode path|cylinder ->
+#     lift --mode tcof-fib|cof-tfib, the lift square built from each tree's
+#     own factorizations;
+#   generate random_groupoid -> validate -> groupoid-cstar;
+#   nerve --dim-cap 3 of that groupoid -> validate -> fundamental-groupoid -> pi;
+#   generate random_matcat -> tensor with itself.
+# Run both trees on the same machine, so that BLAS rounding is the same on
+# both sides.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -58,6 +63,24 @@ SQUARE
     for mode in tcof-fib cof-tfib; do
       cli "$tree" "$dir" "lift_${mode}_$seed" lift "square_$seed.json" --mode "$mode"
     done
+
+    cli "$tree" "$dir" "generate_groupoid_$seed" generate --kind random_groupoid \
+      --seed "$seed" --output "groupoid_$seed.json"
+    cli "$tree" "$dir" "validate_groupoid_$seed" validate "groupoid_$seed.json"
+    cli "$tree" "$dir" "groupoid_cstar_$seed" groupoid-cstar "groupoid_$seed.json" \
+      --output "cstar_$seed.json"
+
+    cli "$tree" "$dir" "nerve_$seed" nerve "groupoid_$seed.json" --dim-cap 3 \
+      --output "nerve_$seed.json"
+    cli "$tree" "$dir" "validate_nerve_$seed" validate "nerve_$seed.json"
+    cli "$tree" "$dir" "fundamental_groupoid_$seed" fundamental-groupoid \
+      "nerve_$seed.json" --output "fp_$seed.json"
+    cli "$tree" "$dir" "pi_$seed" pi "nerve_$seed.json" --output "pi_$seed.json"
+
+    cli "$tree" "$dir" "generate_matcat_$seed" generate --kind random_matcat \
+      --seed "$seed" --output "matcat_$seed.json"
+    cli "$tree" "$dir" "tensor_$seed" tensor "matcat_$seed.json" "matcat_$seed.json" \
+      --output "tensor_$seed.json"
   done
 }
 

@@ -9,9 +9,9 @@ linearity.
 
 Includes polar unitarization, an exact test for unitary isomorphism,
 spaces of bounded natural transformations (solved as one linear system),
-maximal tensor products via Kronecker blocks, products and equalizers, and
-the exponential-law transposition between functors out of a tensor product
-and functor-valued data.
+maximal tensor products via Kronecker blocks, and the exponential-law
+transposition between functors out of a tensor product and functor-valued
+data.
 """
 
 from __future__ import annotations
@@ -569,29 +569,6 @@ class NatTransform:
         return all(linalg.is_unitary(m, self.f.tol) for m in self.components.values())
 
 
-def nat_compose(beta: NatTransform, alpha: NatTransform) -> NatTransform:
-    """Pointwise composite beta . alpha : F -> H for alpha: F -> G, beta: G -> H."""
-    if beta.f is not alpha.g and beta.f.object_map != alpha.g.object_map:
-        raise ShapeMismatch("transformations are not composable")
-    comps = {x: beta.components[x] @ alpha.components[x]
-             for x in alpha.f.source.object_names}
-    return NatTransform(alpha.f, beta.g, comps)
-
-
-def nat_involute(alpha: NatTransform) -> NatTransform:
-    comps = {x: alpha.components[x].conj().T
-             for x in alpha.f.source.object_names}
-    return NatTransform(alpha.g, alpha.f, comps)
-
-
-def nat_scale_add(z, alpha: NatTransform, beta: NatTransform) -> NatTransform:
-    if alpha.f.object_map != beta.f.object_map or alpha.g.object_map != beta.g.object_map:
-        raise ShapeMismatch("transformations are not parallel")
-    comps = {x: complex(z) * alpha.components[x] + beta.components[x]
-             for x in alpha.f.source.object_names}
-    return NatTransform(alpha.f, alpha.g, comps)
-
-
 class BoundedNatSpace:
     """The solution space of the naturality system between two parallel
     functors."""
@@ -604,19 +581,6 @@ class BoundedNatSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def element(self, coeffs) -> NatTransform:
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (self.dim,):
-            raise ShapeMismatch(f"expected {self.dim} coefficients")
-        comps = {}
-        for x in self.f.source.object_names:
-            acc = None
-            for c, alpha in zip(coeffs, self.basis):
-                term = c * alpha.components[x]
-                acc = term if acc is None else acc + term
-            comps[x] = acc
-        return NatTransform(self.f, self.g, comps)
 
 
 def nat_space(f: StarFunctor, g: StarFunctor) -> BoundedNatSpace:
@@ -667,13 +631,7 @@ def nat_space(f: StarFunctor, g: StarFunctor) -> BoundedNatSpace:
 
 
 # ---------------------------------------------------------------------------
-# tensor products, unions, limits
-
-
-def unit_category() -> MatCStarCategory:
-    """The tensor unit: one object of dimension 1 with scalar endomorphisms."""
-    eye = np.eye(1, dtype=np.complex128)
-    return MatCStarCategory([("pt", 1)], {("pt", "pt"): Subspace(1, 1, [eye])})
+# tensor products and unions
 
 
 def full_matrix_category(dims, names=None, tol: Tolerance = DEFAULT_TOL) -> MatCStarCategory:
@@ -760,67 +718,6 @@ def inclusion_functor(part: MatCStarCategory, whole: MatCStarCategory,
         object_map = {x: x for x in part.object_names}
     hom_maps = {pair: list(space.basis) for pair, space in part.homs.items()}
     return StarFunctor(part, whole, object_map, hom_maps, tol=part.tol)
-
-
-def product_category(a: MatCStarCategory, b: MatCStarCategory) -> MatCStarCategory:
-    """Product: objects are pairs carrying direct sums, homs are pairs of
-    arrows embedded block-diagonally."""
-    objects = [(pair_name(x.name, y.name), x.dim + y.dim)
-               for x in a.objects for y in b.objects]
-    homs = {}
-    for x1 in a.objects:
-        for y1 in b.objects:
-            for x2 in a.objects:
-                for y2 in b.objects:
-                    basis = []
-                    rows = x2.dim + y2.dim
-                    cols = x1.dim + y1.dim
-                    for m in a.hom(x1.name, x2.name).basis:
-                        big = np.zeros((rows, cols), dtype=np.complex128)
-                        big[:x2.dim, :x1.dim] = m
-                        basis.append(big)
-                    for m in b.hom(y1.name, y2.name).basis:
-                        big = np.zeros((rows, cols), dtype=np.complex128)
-                        big[x2.dim:, x1.dim:] = m
-                        basis.append(big)
-                    if basis:
-                        key = (pair_name(x1.name, y1.name), pair_name(x2.name, y2.name))
-                        homs[key] = Subspace(rows, cols, basis, tol=a.tol, _trusted=True)
-    return MatCStarCategory(objects, homs, tol=a.tol)
-
-
-def same_shape_categories(a: MatCStarCategory, b: MatCStarCategory) -> bool:
-    if [(o.name, o.dim) for o in a.objects] != [(o.name, o.dim) for o in b.objects]:
-        return False
-    return all(a.hom(x, y).dim == b.hom(x, y).dim for x, y in a.pairs())
-
-
-def equalizer(f: StarFunctor, g: StarFunctor) -> MatCStarCategory:
-    """Equalizer of two parallel functors: the objects where they agree and
-    the kernel subspaces {a | F(a) = G(a)}.
-
-    Objects with F(x) != G(x) are dropped so the result stays unital.
-    """
-    if f.source is not g.source and not same_shape_categories(f.source, g.source):
-        raise NotParallel("functors do not share a source")
-    if f.target is not g.target and not same_shape_categories(f.target, g.target):
-        raise NotParallel("functors do not share a target")
-    src = f.source
-    kept = [x for x in src.object_names if f.object_map[x] == g.object_map[x]]
-    objects = [(x, src.obj(x).dim) for x in kept]
-    homs = {}
-    for (x, y), space in src.homs.items():
-        if x not in kept or y not in kept:
-            continue
-        diffs = np.stack([
-            (f.hom_maps[(x, y)][i] - g.hom_maps[(x, y)][i]).ravel()
-            for i in range(space.dim)
-        ], axis=1)
-        basis = [space.from_coords(row) for row in kernel_rows(diffs, src.tol)]
-        if basis:
-            homs[(x, y)] = Subspace(space.ambient_rows, space.ambient_cols,
-                                    basis, tol=src.tol, _trusted=True)
-    return MatCStarCategory(objects, homs, tol=src.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -41,16 +41,8 @@ class InvalidQuiver(CStarCatError):
     """Quiver references undeclared objects or repeats arrow names."""
 
 
-class NameClash(CStarCatError):
-    """Object or arrow names collide and no rename policy was given."""
-
-
 class NotParallel(CStarCatError):
     """Two functors (or relation sides) do not share source and target."""
-
-
-class UnboundedGenerator(CStarCatError):
-    """A norm bound was requested for a generator that has none."""
 
 
 class RelationFailed(CStarCatError):

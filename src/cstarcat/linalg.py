@@ -189,13 +189,6 @@ def is_unitary(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     return left <= tol.bound(1.0) and right <= tol.bound(1.0)
 
 
-def is_isometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff a*a = 1 within tolerance (aa* unconstrained)."""
-    a = as_matrix(m)
-    eye = np.eye(a.shape[1])
-    return float(np.linalg.norm(a.conj().T @ a - eye)) <= tol.bound(1.0)
-
-
 class Subspace:
     """A linear subspace of the ``rows x cols`` complex matrices, held as an
     orthonormal basis under the Hilbert-Schmidt inner product.
@@ -233,7 +226,8 @@ class Subspace:
     def coords(self, m) -> np.ndarray:
         """HS coordinates of ``m`` with respect to the stored basis."""
         a = as_matrix(m, self.ambient_rows, self.ambient_cols)
-        return self._rows.conj() @ a.ravel()
+        # conj(R) a = conj(R conj(a)): conjugates one vector, not the basis
+        return (self._rows @ a.ravel().conj()).conj()
 
     def from_coords(self, coeffs) -> np.ndarray:
         c = np.asarray(coeffs, dtype=np.complex128)

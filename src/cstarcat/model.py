@@ -9,9 +9,9 @@ solver, since the universally quantified lifting condition is not finitely
 checkable.
 
 The two factorizations follow the classical path/cylinder shapes: the path
-midway category has objects (x, u, y) with u a unitary from the image of x,
-and homs borrowed from the source; the cylinder midway has the disjoint
-union of both object sets with homs pulled back along the functor.
+midway category has one object (x, 1_Fx, Fx) per source object, with homs
+borrowed from the source; the cylinder midway has the disjoint union of both
+object sets with homs pulled back along the functor.
 
 All nonconstructive choices (preimages, quasi-inverse object choices, lift
 witnesses) are made deterministic: declaration order and seeded sampling.
@@ -19,7 +19,7 @@ witnesses) are made deterministic: declaration order and seeded sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -339,49 +339,35 @@ class FactorizationResult:
     first: StarFunctor
     midway: MatCStarCategory
     second: StarFunctor
-    triples: list = field(default_factory=list)  # path midway: (x, u, y, name)
 
     def composite_residual(self, original: StarFunctor) -> float:
         return functor_distance(compose_functors(self.second, self.first), original)
 
 
-def factor_path(functor: StarFunctor, extra_triples=()) -> FactorizationResult:
+def factor_path(functor: StarFunctor) -> FactorizationResult:
     """F = P . I with I a trivial cofibration and P a fibration.
 
-    The midway has one object per triple (x, u, y), u a unitary Fx -> y,
-    named "(x,y#tag)" and carrying the homs of A: the canonical triples
-    (x, 1_Fx, Fx) with tag 0, then any extra triples supplied, tagged from 1.
-    I is fully faithful with identity hom maps, and P sends (x, u, y) to y
-    and a to u' F(a) u*.
+    The midway has one object per object x of A, the triple (x, 1_Fx, Fx),
+    named "(x,Fx#0)" and carrying the homs of A. I is fully faithful with
+    identity hom maps, and P sends (x, 1_Fx, Fx) to Fx and a to F(a).
     """
     src, tgt = functor.source, functor.target
-    triples = []
-    for x in src.object_names:
-        fx = functor.object_map[x]
-        triples.append((x, tgt.identity(fx), fx, f"({x},{fx}#0)"))
-    for tag, (x, u, y) in enumerate(extra_triples, start=1):
-        u = as_matrix(u, tgt.obj(y).dim, tgt.obj(functor.object_map[x]).dim)
-        if not linalg.is_unitary(u, functor.tol):
-            raise SquareMismatch(f"triple over {x!r} needs a unitary")
-        triples.append((x, u, y, f"({x},{y}#{tag})"))
-
+    names = {x: f"({x},{functor.object_map[x]}#0)" for x in src.object_names}
     homs, p_hom_maps = {}, {}
-    for x1, u1, _y1, name1 in triples:
-        for x2, u2, _y2, name2 in triples:
+    for x1, name1 in names.items():
+        for x2, name2 in names.items():
             space = src.homs.get((x1, x2))
             if space is None:
                 continue
             homs[(name1, name2)] = space
-            p_hom_maps[(name1, name2)] = [u2 @ functor.apply(x1, x2, b) @ u1.conj().T
-                                          for b in space.basis]
-    objects = [(name, src.obj(x).dim) for x, _u, _y, name in triples]
+            p_hom_maps[(name1, name2)] = [functor.apply(x1, x2, b) for b in space.basis]
+    objects = [(names[x], src.obj(x).dim) for x in src.object_names]
     midway = MatCStarCategory(objects, homs, tol=functor.tol)
 
-    i_obj = {x: name for x, _u, _y, name in triples[:len(src.object_names)]}
-    i_functor = inclusion_functor(src, midway, i_obj)
-    p_obj = {name: y for _x, _u, y, name in triples}
+    i_functor = inclusion_functor(src, midway, names)
+    p_obj = {names[x]: functor.object_map[x] for x in src.object_names}
     p_functor = StarFunctor(midway, tgt, p_obj, p_hom_maps, tol=src.tol)
-    return FactorizationResult(i_functor, midway, p_functor, triples)
+    return FactorizationResult(i_functor, midway, p_functor)
 
 
 def factor_cylinder(functor: StarFunctor) -> FactorizationResult:
@@ -421,22 +407,6 @@ def factor_cylinder(functor: StarFunctor) -> FactorizationResult:
 
     q_functor = inclusion_functor(midway, tgt, {n: in_b(n) for n in names})
     return FactorizationResult(j_functor, midway, q_functor)
-
-
-def path_lift_oracle(result: FactorizationResult):
-    """The explicit fibration structure of the path factorization: lifting a
-    unitary v: P(x, u, y) -> y' lands in the triple (x, v u, y') with witness
-    1_x. The new triple is returned as data, not added to the midway, so the
-    returned callable is suitable only for existence and residual checks."""
-    source = result.first.source
-
-    def oracle(name: str, v, codomain: str):
-        for x, u, _y, triple_name in result.triples:
-            if triple_name == name:
-                return source.identity(x), (x, as_matrix(v) @ u, codomain)
-        return None
-
-    return oracle
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 The algebraic layer: quivers, the free *-category on a quiver with its normal
 form (adjoints pushed onto generators, units elided, like terms merged),
-presentation-level coproducts and coequalizers, triangle-inequality norm
-certificates, and evaluation of presentations in concrete matrix categories.
+and evaluation of presentations in concrete matrix categories.
 
 Universal objects are never materialized here; a presentation is only ever
 *evaluated* against a supplied representation, or probed through the lifting
@@ -23,11 +22,9 @@ from .errors import (
     InvalidParams,
     InvalidQuiver,
     MalformedInput,
-    NameClash,
     NotParallel,
     RelationFailed,
     ShapeMismatch,
-    UnboundedGenerator,
 )
 from .linalg import DEFAULT_TOL, as_matrix, op_norm
 
@@ -177,9 +174,6 @@ class FreeStarElement:
             self.tgt, self.src,
             {w.star(): z.conjugate() for w, z in self.terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, FreeStarElement):
             return NotImplemented
@@ -259,9 +253,6 @@ class PresentedStarCategory:
             raise InvalidQuiver(f"unknown object {obj!r}")
         return FreeStarElement(obj, obj, {StarWord(obj, obj): 1.0 + 0j})
 
-    def zero(self, src: str, tgt: str) -> FreeStarElement:
-        return FreeStarElement(src, tgt, {})
-
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -298,130 +289,8 @@ class PresentedStarCategory:
                 f"{len(self.relations)} relations)")
 
 
-def free_star_category(quiver: Quiver) -> PresentedStarCategory:
-    """The free *-category on a quiver: no relations, no bounds."""
-    return PresentedStarCategory(quiver, (), {})
-
-
 # ---------------------------------------------------------------------------
-# colimits at the presentation level
-
-
-def coproduct(parts, prefixes=None) -> PresentedStarCategory:
-    """Disjoint union of presentations. Cross homs are zero by construction
-    (there are no generators between distinct parts and no relations mixing
-    them). Colliding names require an explicit ``prefixes`` rename policy.
-    """
-    parts = list(parts)
-    if prefixes is None:
-        prefixes = [""] * len(parts)
-        seen_objects: set[str] = set()
-        seen_arrows: set[str] = set()
-        for p in parts:
-            objs = set(p.quiver.objects)
-            arrs = set(p.quiver.arrow_by_name)
-            if objs & seen_objects or arrs & seen_arrows:
-                raise NameClash("parts share names; pass rename prefixes")
-            seen_objects |= objs
-            seen_arrows |= arrs
-    elif len(prefixes) != len(parts):
-        raise ValueError("one prefix per part required")
-
-    objects, arrows = [], []
-    relations, bounds = [], {}
-    for p, pre in zip(parts, prefixes):
-        ren_obj = {x: pre + x for x in p.quiver.objects}
-        ren_arr = {a: pre + a for a in p.quiver.arrow_by_name}
-        objects.extend(ren_obj[x] for x in p.quiver.objects)
-        arrows.extend(Arrow(ren_arr[a.name], ren_obj[a.src], ren_obj[a.tgt])
-                      for a in p.quiver.arrows)
-        for lhs, rhs in p.relations:
-            relations.append((_rename_element(lhs, ren_obj, ren_arr),
-                              _rename_element(rhs, ren_obj, ren_arr)))
-        for name, b in p.norm_bounds.items():
-            bounds[ren_arr[name]] = b
-    quiver = Quiver(objects, arrows)
-    return PresentedStarCategory(quiver, relations, bounds)
-
-
-def _rename_element(e: FreeStarElement, ren_obj, ren_arr) -> FreeStarElement:
-    terms = {}
-    for w, z in e.terms.items():
-        factors = tuple((ren_arr[g], adj) for g, adj in w.factors)
-        nw = StarWord(ren_obj[w.src], ren_obj[w.tgt], factors)
-        terms[nw] = terms.get(nw, 0j) + z
-    return FreeStarElement(ren_obj[e.src], ren_obj[e.tgt], terms)
-
-
-@dataclass
-class PresFunctor:
-    """Presentation-level *-functor data: a quiver morphism respecting the
-    source presentation's structure on the nose."""
-
-    source: PresentedStarCategory
-    target: PresentedStarCategory
-    object_map: dict
-    arrow_map: dict
-
-    def __post_init__(self):
-        sq, tq = self.source.quiver, self.target.quiver
-        for x in sq.objects:
-            if self.object_map.get(x) not in tq.objects:
-                raise InvalidFunctor(f"object {x!r} unmapped or mapped outside target")
-        for a in sq.arrows:
-            img = self.arrow_map.get(a.name)
-            arrow = tq.arrow_by_name.get(img)
-            if arrow is None:
-                raise InvalidFunctor(f"arrow {a.name!r} unmapped or mapped outside target")
-            if (arrow.src, arrow.tgt) != (self.object_map[a.src], self.object_map[a.tgt]):
-                raise InvalidFunctor(f"arrow {a.name!r} image has wrong endpoints")
-
-    def apply(self, e: FreeStarElement) -> FreeStarElement:
-        return _rename_element(e, self.object_map, self.arrow_map)
-
-
-def coequalizer(f1: PresFunctor, f2: PresFunctor) -> PresentedStarCategory:
-    """Quotient of the common target by f1(x) ~ f2(x) on objects and
-    f1(a) ~ f2(a) on generators, relations transported along the quotient.
-
-    Class representatives are the lexicographically smallest member, so the
-    output is deterministic.
-    """
-    if f1.source is not f2.source and f1.source.quiver is not f2.source.quiver:
-        if set(f1.source.quiver.objects) != set(f2.source.quiver.objects) or \
-           set(f1.source.quiver.arrow_by_name) != set(f2.source.quiver.arrow_by_name):
-            raise NotParallel("functors do not share a source")
-    if f1.target is not f2.target:
-        if set(f1.target.quiver.objects) != set(f2.target.quiver.objects) or \
-           set(f1.target.quiver.arrow_by_name) != set(f2.target.quiver.arrow_by_name):
-            raise NotParallel("functors do not share a target")
-    target = f1.target
-
-    obj_uf = UnionFind(target.quiver.objects)
-    arr_uf = UnionFind(list(target.quiver.arrow_by_name))
-    for x in f1.source.quiver.objects:
-        obj_uf.union(f1.object_map[x], f2.object_map[x])
-    for a in f1.source.quiver.arrow_by_name:
-        arr_uf.union(f1.arrow_map[a], f2.arrow_map[a])
-
-    ren_obj = {x: obj_uf.find(x) for x in target.quiver.objects}
-    ren_arr = {a: arr_uf.find(a) for a in target.quiver.arrow_by_name}
-
-    objects = sorted(set(ren_obj.values()))
-    arrows = []
-    for rep in sorted(set(ren_arr.values())):
-        a = target.quiver.arrow_by_name[rep]
-        arrows.append(Arrow(rep, ren_obj[a.src], ren_obj[a.tgt]))
-    quiver = Quiver(objects, arrows)
-
-    relations = [(_rename_element(l, ren_obj, ren_arr),
-                  _rename_element(r, ren_obj, ren_arr))
-                 for l, r in target.relations]
-    bounds: dict[str, float] = {}
-    for name, b in target.norm_bounds.items():
-        rep = ren_arr[name]
-        bounds[rep] = min(bounds.get(rep, b), b)
-    return PresentedStarCategory(quiver, relations, bounds)
+# union-find
 
 
 class UnionFind:
@@ -454,22 +323,7 @@ class UnionFind:
 
 
 # ---------------------------------------------------------------------------
-# norm certificates and evaluation
-
-
-def norm_bound(e: FreeStarElement, gens: dict) -> float:
-    """Triangle-inequality certificate: sum over terms of |z| times the
-    product of the factor bounds (adjoints share their generator's bound,
-    units count 1). Any evaluation in a C*-category obeys this bound."""
-    total = 0.0
-    for word, z in e.terms.items():
-        prod = 1.0
-        for g, _adj in word.factors:
-            if g not in gens:
-                raise UnboundedGenerator(f"no bound for generator {g!r}")
-            prod *= float(gens[g])
-        total += abs(z) * prod
-    return total
+# evaluation
 
 
 class Evaluation:

@@ -127,11 +127,6 @@ def random_matcat(rng: np.random.Generator, n_objects: int = 2,
     return model.category(), model
 
 
-def random_hom_element(rng: np.random.Generator, space: Subspace) -> np.ndarray:
-    coeffs = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    return space.from_coords(coeffs)
-
-
 def _conjugate(rng: np.random.Generator, cat: MatCStarCategory,
                beta: dict) -> tuple[MatCStarCategory, dict]:
     """Conjugate by one unitary per object: draw u_n for each new object n

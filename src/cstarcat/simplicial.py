@@ -15,7 +15,6 @@ Standard simplices, horns and boundaries are generated from vertex subsets of
 from __future__ import annotations
 
 import itertools
-import math
 from typing import NamedTuple
 
 from .errors import InvalidParams, InvalidSimplicialSet, MalformedInput
@@ -129,14 +128,6 @@ class FiniteSimplicialSet:
 
     def count_nondegenerate(self, dim: int) -> int:
         return len(self.simplices.get(dim, {}))
-
-    def count_simplices(self, dim: int) -> int:
-        """Total number of ``dim``-simplices, degenerate ones included: each
-        nondegenerate k-simplex carries C(dim, k) degeneracy operators."""
-        total = 0
-        for k in range(0, min(dim, self.dim_cap) + 1):
-            total += self.count_nondegenerate(k) * math.comb(dim, k)
-        return total
 
     def identity_violations(self) -> list[str]:
         """Exhaustive check of d_i d_j = d_{j-1} d_i (i < j) on every stored

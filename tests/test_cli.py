@@ -1,5 +1,7 @@
 """End-to-end CLI tests: exit codes, artifact chaining, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cstarcat
 from cstarcat import model as md
@@ -590,3 +594,96 @@ def test_adjunction_rounds_that_cannot_be_built_are_failing_entries():
     unbuilt = [c for c in report["checks"] if "residual" not in c]
     assert unbuilt and all(c["status"] == "fail" and c["name"].startswith("adjunction[")
                            and c["detail"].startswith("NotUnitary: ") for c in unbuilt)
+
+
+# ---------------------------------------------------------------------------
+# mutated input files
+
+
+def valid_input_files():
+    """One valid file of each kind that ``validate`` reads, and a lift square,
+    each with the command that reads it."""
+    from cstarcat.categories import full_matrix_category, identity_functor
+    from cstarcat.groupoids import fundamental_groupoid
+
+    cat = full_matrix_category([1, 2])
+    ident = identity_functor(cat).to_json()
+    quiver = Quiver(["x", "y"], [("a", "x", "y")])
+    free = PresentedStarCategory(quiver)
+    a = free.gen("a")
+    pres = PresentedStarCategory(quiver, [(a.star() * a, free.unit("x"))], {"a": 1.0})
+    edge = standard("delta", 1)
+    square = {"top": ident, "left": ident, "right": ident, "bottom": ident}
+    validate = ("validate",)
+    return {
+        "category": (validate, cat.to_json()),
+        "functor": (validate, ident),
+        "groupoid": (validate, cyclic_groupoid(2).to_json()),
+        "fp-groupoid": (validate, fundamental_groupoid(edge).to_json()),
+        "presentation": (validate, pres.to_json()),
+        "sset": (validate, edge.to_json()),
+        "lift-square": (("lift", "--mode", "tcof-fib"), square),
+    }
+
+
+def json_paths(value, path=()):
+    """The path of every value in a JSON document, the document included."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_paths(item, path + (i,))
+
+
+DELETE = "<delete>"
+MUTATIONS = [None, 0, -1, 2, 0.5, "x", [], ["x"], {}, {"x": 1}, DELETE]
+
+
+def mutate(data, path, new):
+    """A copy of ``data`` with the value at ``path`` replaced by ``new``, or
+    deleted from its object or list."""
+    if not path:
+        return new
+    data = json.loads(json.dumps(data))
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    if new == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return data
+
+
+FILES = valid_input_files()
+
+
+@pytest.mark.parametrize("kind", list(FILES))
+def test_mutated_input_files_exit_cleanly(kind, tmp_path_factory):
+    # any one value nulled, retyped or deleted: the documented exit code and
+    # one stderr line, never an exception out of main
+    command, data = FILES[kind]
+    paths = list(json_paths(data))
+    target = str(tmp_path_factory.mktemp("mutated") / f"{kind}.json")
+
+    def run_on(document):
+        write(Path(target), document)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(*command, target)
+        return code, err.getvalue()
+
+    assert run_on(data)[0] == 0
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(paths), st.sampled_from(MUTATIONS))
+    def check(path, new):
+        if new == DELETE and not path:
+            return
+        code, err = run_on(mutate(data, path, new))
+        assert code in (0, 1, 2, 3)
+        assert err.count("\n") == 1, err
+
+    check()

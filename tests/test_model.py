@@ -15,7 +15,6 @@ from cstarcat.categories import (
     functors_agree,
     identity_functor,
     inclusion_functor,
-    unit_category,
     validate_category,
     validate_functor,
 )
@@ -35,14 +34,14 @@ def interval_category():
 def end_inclusion():
     """The unit inclusion picking one end of the interval category (the
     generating trivial cofibration)."""
-    unit = unit_category()
+    unit = full_matrix_category([1], ["pt"])
     interval = interval_category().category
     return StarFunctor(unit, interval, {"pt": "i0"},
                        {("pt", "pt"): [np.eye(2, dtype=complex)]})
 
 
 def scalar_into_m2():
-    unit = unit_category()
+    unit = full_matrix_category([1], ["pt"])
     full = full_matrix_category([2])
     return StarFunctor(unit, full, {"pt": "m0"},
                        {("pt", "pt"): [np.eye(2, dtype=complex)]})
@@ -62,7 +61,7 @@ def collapse_with_kernel():
 
 
 def test_is_cofibration():
-    unit = unit_category()
+    unit = full_matrix_category([1], ["pt"])
     assert md.is_cofibration(identity_functor(unit))
     assert md.is_cofibration(end_inclusion())
     two = disjoint_union([unit, unit], prefixes=["l_", "r_"])
@@ -73,7 +72,7 @@ def test_is_cofibration():
 
 
 def test_weak_equivalence_verdicts():
-    unit = unit_category()
+    unit = full_matrix_category([1], ["pt"])
     assert md.is_weak_equivalence(identity_functor(unit)).status == "YES"
     inc = end_inclusion()
     verdict = md.is_weak_equivalence(inc, seed=3)
@@ -101,7 +100,7 @@ def test_weak_equivalence_no_when_multiplicities_differ():
 
 
 def test_trivial_fibration_predicate():
-    unit = unit_category()
+    unit = full_matrix_category([1], ["pt"])
     assert md.is_trivial_fibration(identity_functor(unit))
     assert not md.is_trivial_fibration(end_inclusion())
     # the fold of two unit copies is object-surjective but NOT fully
@@ -121,7 +120,7 @@ def test_trivial_fibration_predicate():
 
 
 def test_rlp_generating_characterizations():
-    ident = identity_functor(unit_category())
+    ident = identity_functor(full_matrix_category([1], ["pt"]))
     assert all(md.rlp_generating(ident, w) for w in "UVW")
     scalar = scalar_into_m2()
     assert md.rlp_generating(scalar, "U")
@@ -165,7 +164,7 @@ def test_rank_predicates_agree_with_matrix_rank_over_the_zoo():
 
 
 def test_rlp_agreement_with_trivial_fibration():
-    functors = [identity_functor(unit_category()), end_inclusion(),
+    functors = [identity_functor(full_matrix_category([1], ["pt"])), end_inclusion(),
                 scalar_into_m2(), collapse_with_kernel()]
     report = md.axiom_harness("rlp_equiv", functors)
     assert all(entry["status"] == "pass" for entry in report)
@@ -188,7 +187,7 @@ def test_lift_through_identity_returns_the_unitary():
 def test_lift_through_groupoid_collapse():
     interval = gp.interval_groupoid()
     gc = gp.cstar_max(interval)
-    unit = unit_category()
+    unit = full_matrix_category([1], ["pt"])
     rep = gp.UnitaryRep(interval, unit, {x: "pt" for x in interval.objects},
                         {g: np.eye(1) for g in interval.arrows})
     collapse = gp.adjunction_extend(gc, rep)
@@ -261,7 +260,7 @@ def test_quasi_inverse_naturality_on_random_instances():
 
 
 def test_square_must_commute():
-    unit = unit_category()
+    unit = full_matrix_category([1], ["pt"])
     interval = interval_category().category
     inc0 = end_inclusion()
     inc1 = StarFunctor(unit, interval, {"pt": "i1"},
@@ -307,7 +306,7 @@ def test_mixed_square_from_factorizations():
 
 
 def test_lift_preconditions_enforced():
-    unit = unit_category()
+    unit = full_matrix_category([1], ["pt"])
     two = disjoint_union([unit, unit], prefixes=["l_", "r_"])
     eye = np.eye(1, dtype=complex)
     fold = StarFunctor(two, unit, {"l_pt": "pt", "r_pt": "pt"},
@@ -332,56 +331,31 @@ def test_factor_path_shapes_and_formula():
     rng = rg.rng_from_seed(41)
     cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3)
     functor = rg.random_weq(rng, cat, n_extra=1)
-    x = cat.object_names[0]
-    fx = functor.object_map[x]
-    u = rg.random_unitary(rng, functor.target.obj(fx).dim)
-    # an extra triple (x, u, y) with u a random unitary in hom(Fx, y)... use
-    # a unitary already in the conjugated hom space
-    space = functor.target.hom(fx, fx)
-    from cstarcat.linalg import find_invertible
-    from cstarcat.categories import unitarize
-    w = unitarize(functor.target, find_invertible(space, seed=2), fx, fx)
-    path = md.factor_path(functor, extra_triples=[(x, w, fx)])
+    path = md.factor_path(functor)
     assert validate_category(path.midway) == []
     assert path.composite_residual(functor) <= 1e-9
     assert md.is_cofibration(path.first)
     assert md.is_weak_equivalence(path.first, seed=1).status == "YES"
-    # P(a) = u' F(a) u* on the midway triples
-    assert len(path.triples) == len(cat.objects) + 1
-    for x1, u1, _y1, name1 in path.triples:
-        for x2, u2, _y2, name2 in path.triples:
+    # one midway object (x, 1_Fx, Fx) per source object, and P(a) = F(a)
+    names = {x: f"({x},{functor.object_map[x]}#0)" for x in cat.object_names}
+    assert path.first.object_map == names
+    assert path.midway.object_names == list(names.values())
+    for x1 in cat.object_names:
+        for x2 in cat.object_names:
             space = cat.hom(x1, x2)
             if space.dim == 0:
                 continue
-            a = rg.random_hom_element(rng, space)
-            image = path.second.apply(name1, name2, a)
-            expected = u2 @ functor.apply(x1, x2, a) @ u1.conj().T
-            assert np.linalg.norm(image - expected) <= 1e-8
+            a = space.from_coords(rng.standard_normal(space.dim)
+                                  + 1j * rng.standard_normal(space.dim))
+            image = path.second.apply(names[x1], names[x2], a)
+            assert np.linalg.norm(image - functor.apply(x1, x2, a)) <= 1e-8
 
 
 def test_factor_path_of_unit_identity():
-    unit = unit_category()
+    unit = full_matrix_category([1], ["pt"])
     path = md.factor_path(identity_functor(unit))
     assert len(path.midway.objects) == 1
     assert path.composite_residual(identity_functor(unit)) == 0.0
-
-
-def test_path_oracle_answers_lift_queries():
-    rng = rg.rng_from_seed(43)
-    cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3)
-    functor = rg.random_weq(rng, cat, n_extra=0)
-    path = md.factor_path(functor)
-    oracle = md.path_lift_oracle(path)
-    name = path.first.object_map[cat.object_names[0]]
-    fx = functor.object_map[cat.object_names[0]]
-    space = functor.target.hom(fx, fx)
-    from cstarcat.linalg import find_invertible
-    from cstarcat.categories import unitarize
-    v = unitarize(functor.target, find_invertible(space, seed=9), fx, fx)
-    answer = oracle(name, v, fx)
-    assert answer is not None
-    witness, new_key = answer
-    assert np.allclose(witness, np.eye(cat.obj(cat.object_names[0]).dim))
 
 
 def test_factor_cylinder_counts():
@@ -435,7 +409,7 @@ def test_pushout_product_identity_is_bijection():
 
 
 def test_pushout_product_detects_collapse():
-    unit = unit_category()
+    unit = full_matrix_category([1], ["pt"])
     two = disjoint_union([unit, unit], prefixes=["l_", "r_"])
     eye = np.eye(1, dtype=complex)
     fold = StarFunctor(two, unit, {"l_pt": "pt", "r_pt": "pt"},
