@@ -9,8 +9,7 @@ definition that only a test reaches is dead code with a test attached.
     python3 ci/unreached.py [REPO_ROOT]
 
 Exit 0 when every definition is reached, 1 otherwise, listing each
-unreached definition as ``file:line name``. A listed exception that is
-reached again, or no longer defined, also fails, so the list stays current.
+unreached definition as ``file:line name``.
 """
 
 from __future__ import annotations
@@ -18,13 +17,6 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-
-# name -> why it stays although nothing reaches it yet
-EXCEPTIONS = {
-    "map_simplex_check": "ROADMAP item 5 rewrites it as a chain of unitary "
-                         "arrows in the functor category C*(B, C)",
-}
-
 
 def definitions(node: ast.AST, prefix: str = ""):
     """Yield (line, qualified name, name) for every function, class and
@@ -64,20 +56,14 @@ def main(argv: list[str]) -> int:
     for path in sources:
         for line, qualname, name in definitions(trees[path]):
             defined.add(name)
-            if name not in used and name not in EXCEPTIONS:
+            if name not in used:
                 problems.append(f"{path.relative_to(root)}:{line} {qualname} has no "
                                 "caller in src/cstarcat or perfbench")
-    for name in EXCEPTIONS:
-        if name not in defined:
-            problems.append(f"exception {name} is no longer defined; drop it")
-        elif name in used:
-            problems.append(f"exception {name} is reached now; drop it")
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         return 1
-    print(f"{len(defined)} defined names reached; excepted: "
-          + "; ".join(f"{name} ({why})" for name, why in EXCEPTIONS.items()))
+    print(f"{len(defined)} defined names reached")
     return 0
 
 

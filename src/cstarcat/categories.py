@@ -9,9 +9,15 @@ linearity.
 
 Includes polar unitarization, an exact test for unitary isomorphism,
 spaces of bounded natural transformations (solved as one linear system),
-maximal tensor products via Kronecker blocks, and the exponential-law
-transposition between functors out of a tensor product and functor-valued
-data.
+maximal tensor products via Kronecker blocks, and the exponential law.
+
+A natural transformation F -> G is a block-diagonal matrix from the carrier
+of F, the direct sum of the F(x), to that of G. So the full subcategory of
+the Ghez-Lima-Roberts C*-category C*(B, C) on finitely many functors is
+itself a ``MatCStarCategory`` (``FunctorCategory``): its arrows compose,
+adjoin and take the sup norm as matrices, and ``validate_category`` checks
+it. ``curry`` transposes F: A (x) B -> C into a *-functor A -> C*(B, C) that
+``validate_functor`` checks.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .errors import (
     MalformedInput,
     NotInvertible,
     NotParallel,
-    ShapeMismatch,
     SingularOperand,
 )
 from . import linalg
@@ -43,7 +48,6 @@ from .linalg import (
     kernel_rows,
     matrix_from_json,
     matrix_to_json,
-    op_norm,
     smallest_singular_value,
     split_pair_key,
     subspace_span,
@@ -136,7 +140,8 @@ class MatCStarCategory:
         if not all(isinstance(name, str) and type(dim) is int for name, dim in objects):
             raise MalformedInput("category file: object names must be strings "
                                  "and dims integers")
-        dims = dict(objects)
+        objects = [MatObject(name, dim) for name, dim in objects]
+        dims = {o.name: o.dim for o in objects}
         homs = {}
         for key, mats in hom_data:
             x, y = split_pair_key(key)
@@ -523,73 +528,29 @@ def iso_exists(cat: MatCStarCategory, x: str, y: str, seed: int = 0) -> IsoVerdi
 # natural transformations
 
 
-class NatTransform:
-    """A family of component arrows between two parallel functors."""
-
-    def __init__(self, f: StarFunctor, g: StarFunctor, components: dict):
-        if f.source is not g.source or f.target is not g.target:
-            if f.source.object_names != g.source.object_names:
-                raise NotParallel("functors are not parallel")
-        self.f = f
-        self.g = g
-        self.components = {}
-        for x in f.source.object_names:
-            m = components.get(x)
-            if m is None:
-                raise ShapeMismatch(f"missing component at {x!r}")
-            rows = f.target.obj(g.object_map[x]).dim
-            cols = f.target.obj(f.object_map[x]).dim
-            self.components[x] = as_matrix(m, rows, cols)
-
-    def sup_norm(self) -> float:
-        return max(op_norm(m) for m in self.components.values())
-
-    def naturality_residual(self) -> float:
-        """Largest violation of alpha_y F(a) = G(a) alpha_x over hom bases,
-        together with the distance of the components from the target homs."""
-        worst = 0.0
-        tgt = self.f.target
-        for x in self.f.source.object_names:
-            space = tgt.hom(self.f.object_map[x], self.g.object_map[x])
-            worst = max(worst, space.residual(self.components[x]))
-        for (x, y), space in self.f.source.homs.items():
-            for i in range(space.dim):
-                fa = self.f.hom_maps[(x, y)][i]
-                ga = self.g.hom_maps[(x, y)][i]
-                res = float(np.linalg.norm(
-                    self.components[y] @ fa - ga @ self.components[x]))
-                worst = max(worst, res)
-        return worst
-
-    def is_natural(self) -> bool:
-        scale = max((op_norm(m) for m in self.components.values()), default=0.0)
-        return self.naturality_residual() <= self.f.tol.bound(scale)
-
-    def is_unitary(self) -> bool:
-        return all(linalg.is_unitary(m, self.f.tol) for m in self.components.values())
+def carrier_blocks(f: StarFunctor) -> dict[str, slice]:
+    """The slice of each F(x) in the carrier of ``f``, the direct sum of the
+    F(x) over the source objects in order."""
+    out, start = {}, 0
+    for x in f.source.object_names:
+        dim = f.target.obj(f.object_map[x]).dim
+        out[x] = slice(start, start + dim)
+        start += dim
+    return out
 
 
-class BoundedNatSpace:
-    """The solution space of the naturality system between two parallel
-    functors."""
-
-    def __init__(self, f: StarFunctor, g: StarFunctor, basis: list[NatTransform]):
-        self.f = f
-        self.g = g
-        self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def nat_space(f: StarFunctor, g: StarFunctor) -> BoundedNatSpace:
+def nat_space(f: StarFunctor, g: StarFunctor) -> Subspace:
     """Solve the finite linear system for all natural transformations F -> G
-    whose components live in the target hom spaces.
+    whose components live in the target hom spaces, each returned as the
+    block-diagonal matrix from the carrier of F to the carrier of G (see
+    ``carrier_blocks``).
 
     With row-major vec, alpha_y F(a) contributes (I (x) F(a)^T) and
     G(a) alpha_x contributes (G(a) (x) I); hom membership contributes
     (I - P) vec(alpha_x) = 0 for the orthogonal projector P of hom(Fx, Gx).
+    The kernel rows are orthonormal and the blocks do not overlap, so the
+    basis is HS-orthonormal, and the operator norm of an element is the
+    sup norm of its components.
     """
     if f.source.object_names != g.source.object_names:
         raise NotParallel("functors are not parallel")
@@ -601,8 +562,10 @@ def nat_space(f: StarFunctor, g: StarFunctor) -> BoundedNatSpace:
         shapes[x] = (rows, cols)
         offsets[x] = total
         total += rows * cols
+    carrier_shape = (sum(r for r, _c in shapes.values()),
+                     sum(c for _r, c in shapes.values()))
     if total == 0:
-        return BoundedNatSpace(f, g, [])
+        return Subspace(*carrier_shape, [], tol=f.tol)
 
     n_rows = total + sum(space.dim * shapes[y][0] * shapes[x][1]
                          for (x, y), space in src.homs.items())
@@ -622,12 +585,40 @@ def nat_space(f: StarFunctor, g: StarFunctor) -> BoundedNatSpace:
             block[:, offsets[x]:offsets[x] + rx * cx] -= np.kron(ga, np.eye(cx))
             start += ry * cx
 
+    f_blocks, g_blocks = carrier_blocks(f), carrier_blocks(g)
     basis = []
     for row in kernel_rows(system, f.tol):
-        comps = {x: row[offsets[x]:offsets[x] + shapes[x][0] * shapes[x][1]]
-                 .reshape(shapes[x]) for x in src.object_names}
-        basis.append(NatTransform(f, g, comps))
-    return BoundedNatSpace(f, g, basis)
+        alpha = np.zeros(carrier_shape, dtype=np.complex128)
+        for x in src.object_names:
+            alpha[g_blocks[x], f_blocks[x]] = \
+                row[offsets[x]:offsets[x] + shapes[x][0] * shapes[x][1]].reshape(shapes[x])
+        basis.append(alpha)
+    return Subspace(*carrier_shape, basis, tol=f.tol, _trusted=True)
+
+
+class FunctorCategory(MatCStarCategory):
+    """The full subcategory of the Ghez-Lima-Roberts C*-category C*(B, C) on
+    finitely many parallel *-functors B -> C, given as a name -> functor
+    dict. Object F carries the carrier of F, and hom(F, G) is
+    ``nat_space(F, G)``: composition, adjoints and the sup norm of natural
+    transformations are those of block-diagonal matrices."""
+
+    def __init__(self, functors: dict):
+        self.functors = dict(functors)
+        ends = {(tuple(f.source.object_names), tuple(f.target.object_names))
+                for f in self.functors.values()}
+        if len(ends) > 1:
+            raise NotParallel("functors are not parallel")
+        objects = [(name, sum(s.stop - s.start for s in carrier_blocks(f).values()))
+                   for name, f in self.functors.items()]
+        homs = {(x, y): nat_space(f, g) for x, f in self.functors.items()
+                for y, g in self.functors.items()}
+        super().__init__(objects, homs, tol=next(iter(self.functors.values())).tol)
+
+    def component(self, alpha, f: str, g: str, y: str) -> np.ndarray:
+        """The component alpha_y: F(y) -> G(y) of an arrow alpha: F -> G."""
+        return alpha[carrier_blocks(self.functors[g])[y],
+                     carrier_blocks(self.functors[f])[y]]
 
 
 # ---------------------------------------------------------------------------
@@ -724,26 +715,14 @@ def inclusion_functor(part: MatCStarCategory, whole: MatCStarCategory,
 # the exponential law
 
 
-@dataclass
-class CurriedFunctor:
-    """Functor data A -> C*(B, C): a *-functor B -> C per object of A and a
-    natural transformation per source hom basis element."""
+def curry(f: StarFunctor, a: MatCStarCategory, b: MatCStarCategory) -> StarFunctor:
+    """Transpose F: A (x) B -> C into the *-functor A -> C*(B, C) onto
+    ``FunctorCategory({x: F(1_x (x) -)})``, with x |-> x.
 
-    outer: MatCStarCategory            # A
-    inner: MatCStarCategory            # B
-    target: MatCStarCategory           # C
-    obj_functors: dict                 # x in A -> StarFunctor(B, C)
-    hom_transforms: dict               # (x, x') -> [NatTransform], basis images
-
-
-def curry(f: StarFunctor, a: MatCStarCategory, b: MatCStarCategory) -> CurriedFunctor:
-    """Transpose F: A (x) B -> C into functor-valued data on A.
-
-    Objects go to F(1_x (x) -), and each hom basis element a to the bounded
-    transformation with components F(a (x) 1_y).
+    Each hom basis element a goes to the transformation with components
+    F(a (x) 1_y).
     """
-    tensor = f.source
-    obj_functors = {}
+    functors = {}
     for x in a.objects:
         object_map = {y.name: f.object_map[pair_name(x.name, y.name)] for y in b.objects}
         hom_maps = {}
@@ -752,39 +731,43 @@ def curry(f: StarFunctor, a: MatCStarCategory, b: MatCStarCategory) -> CurriedFu
             pair = (pair_name(x.name, y), pair_name(x.name, y2))
             hom_maps[(y, y2)] = [f.apply(pair[0], pair[1], np.kron(eye, m))
                                  for m in space.basis]
-        obj_functors[x.name] = StarFunctor(b, f.target, object_map, hom_maps, tol=f.tol)
-    hom_transforms = {}
+        functors[x.name] = StarFunctor(b, f.target, object_map, hom_maps, tol=f.tol)
+    target = FunctorCategory(functors)
+    hom_maps = {}
     for (x, x2), space in a.homs.items():
-        transforms = []
+        rows, cols = carrier_blocks(functors[x2]), carrier_blocks(functors[x])
+        images = []
         for m in space.basis:
-            comps = {}
+            alpha = np.zeros((target.obj(x2).dim, target.obj(x).dim), dtype=np.complex128)
             for y in b.objects:
                 eye = np.eye(y.dim, dtype=np.complex128)
                 pair = (pair_name(x, y.name), pair_name(x2, y.name))
-                comps[y.name] = f.apply(pair[0], pair[1], np.kron(m, eye))
-            transforms.append(NatTransform(obj_functors[x], obj_functors[x2], comps))
-        hom_transforms[(x, x2)] = transforms
-    return CurriedFunctor(a, b, f.target, obj_functors, hom_transforms)
+                alpha[rows[y.name], cols[y.name]] = f.apply(pair[0], pair[1], np.kron(m, eye))
+            images.append(alpha)
+        hom_maps[(x, x2)] = images
+    return StarFunctor(a, target, {x: x for x in a.object_names}, hom_maps, tol=f.tol)
 
 
-def uncurry(data: CurriedFunctor, tensor: MatCStarCategory) -> StarFunctor:
-    """Rebuild the *-functor A (x) B -> C out of ``tensor`` = A (x) B from
-    curried data, sending a (x) b to G(a)_{y'} . G(x)(b)."""
-    a, b = data.outer, data.inner
+def uncurry(curried: StarFunctor, tensor: MatCStarCategory) -> StarFunctor:
+    """Rebuild the *-functor A (x) B -> C out of ``tensor`` = A (x) B from a
+    curried functor A -> C*(B, C), sending a (x) b to G(a)_{y'} . G(x)(b)."""
+    a, cats = curried.source, curried.target
+    functors = {x: cats.functors[curried.object_map[x]] for x in a.object_names}
+    any_functor = next(iter(cats.functors.values()))
+    b = any_functor.source
     object_map = {}
     for x in a.object_names:
-        fx = data.obj_functors[x]
         for y in b.object_names:
-            object_map[pair_name(x, y)] = fx.object_map[y]
+            object_map[pair_name(x, y)] = functors[x].object_map[y]
     hom_maps = {}
-    for (x1, x2), sa in a.homs.items():
+    for x1, x2 in a.homs:
+        f1, f2 = curried.object_map[x1], curried.object_map[x2]
         for (y1, y2), sb in b.homs.items():
             key = (pair_name(x1, y1), pair_name(x2, y2))
             images = []
-            for i in range(sa.dim):
-                alpha = data.hom_transforms[(x1, x2)][i]
-                for j in range(sb.dim):
-                    inner = data.obj_functors[x1].apply(y1, y2, sb.basis[j])
-                    images.append(alpha.components[y2] @ inner)
+            for alpha in curried.hom_maps[(x1, x2)]:
+                component = cats.component(alpha, f1, f2, y2)
+                for m in sb.basis:
+                    images.append(component @ functors[x1].apply(y1, y2, m))
             hom_maps[key] = images
-    return StarFunctor(tensor, data.target, object_map, hom_maps, tol=a.tol)
+    return StarFunctor(tensor, any_functor.target, object_map, hom_maps, tol=a.tol)

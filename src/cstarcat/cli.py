@@ -15,7 +15,8 @@ its composite bound (see ``linalg.Tolerance``).
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or parse
 error, 3 unknown-only (a coset enumeration ran out of budget, or the
-one-sided generator lift found no lift).
+one-sided generator lift found no lift), 4 internal error (any other
+exception, such as running out of memory, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -480,6 +481,9 @@ def main(argv=None) -> int:
     except CStarCatError as err:
         print(f"check failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
     return _emit(report, args, started)
 
 

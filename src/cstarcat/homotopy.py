@@ -2,23 +2,18 @@
 
 pi sends a simplicial set to the C*-category of its normalized fundamental
 groupoid; tensors and cotensors with a simplicial set reduce to the maximal
-tensor product and to spaces of bounded natural transformations against
-probe functors. Mapping spaces are never materialized: only membership of a
-candidate chain of unitary transformations in a given simplex dimension is
-decided.
+tensor product and to the functor category C*(pi K, A) on probe functors.
+A level-n simplex of the mapping space between A and B is a chain of n
+unitary arrows of a ``FunctorCategory`` on n+1 functors A -> B, so
+``validate_functor``, ``Subspace.contains`` and ``linalg.is_unitary`` decide
+membership; the mapping space itself is never materialized.
 """
 
 from __future__ import annotations
 
-from .categories import (
-    MatCStarCategory,
-    StarFunctor,
-    nat_space,
-    tensor_max,
-    validate_functor,
-)
+from .categories import FunctorCategory, MatCStarCategory, StarFunctor, tensor_max
 from .coset import DEFAULT_BUDGET
-from .errors import NotFiniteWithinBound, ShapeMismatch
+from .errors import NotFiniteWithinBound
 from .groupoids import (
     GroupoidCStar,
     UnitaryRep,
@@ -86,45 +81,9 @@ def constant_probe(gc: GroupoidCStar, cat: MatCStarCategory, at: str) -> StarFun
 
 
 def cotensor(cat: MatCStarCategory, sset: FiniteSimplicialSet,
-             bound: int = DEFAULT_BUDGET) -> dict:
-    """Hom data of A^K = C*(pi K, A): for every ordered pair of probe
-    functors pi(K) -> A, the space of bounded natural transformations.
-
-    The probes are the constant functors at the objects of A, in order (for
-    K = Delta[0] these are exactly the objects of A, and the returned
-    spaces are the homs of A)."""
+             bound: int = DEFAULT_BUDGET) -> FunctorCategory:
+    """A^K = C*(pi K, A) on the probe functors: the constant functors at the
+    objects of A, named after them (for K = Delta[0] its homs are exactly
+    those of A)."""
     gc = pi(sset, bound, tol=cat.tol)
-    probes = [constant_probe(gc, cat, x) for x in cat.object_names]
-    out = {}
-    for i, f in enumerate(probes):
-        for j, g in enumerate(probes):
-            out[(i, j)] = nat_space(f, g)
-    return out
-
-
-def map_simplex_check(a: MatCStarCategory, b: MatCStarCategory, level: int,
-                      functors, transforms) -> bool:
-    """Membership of a candidate chain in the level-n simplices of the
-    mapping space: n+1 validated parallel functors A -> B joined by n
-    natural transformations that are unitary at every component, each
-    judged by its own tolerance."""
-    functors = list(functors)
-    transforms = list(transforms)
-    if len(functors) != level + 1 or len(transforms) != level:
-        raise ShapeMismatch(
-            f"level {level} needs {level + 1} functors and {level} transforms")
-    for f in functors:
-        if f.source is not a and f.source.object_names != a.object_names:
-            raise ShapeMismatch("functor chain does not start at the given source")
-        if f.target is not b and f.target.object_names != b.object_names:
-            raise ShapeMismatch("functor chain does not land in the given target")
-        if validate_functor(f):
-            return False
-    for i, alpha in enumerate(transforms):
-        if alpha.f is not functors[i] or alpha.g is not functors[i + 1]:
-            if alpha.f.object_map != functors[i].object_map or \
-                    alpha.g.object_map != functors[i + 1].object_map:
-                raise ShapeMismatch(f"transform {i} does not join functors {i},{i+1}")
-        if not alpha.is_natural() or not alpha.is_unitary():
-            return False
-    return True
+    return FunctorCategory({x: constant_probe(gc, cat, x) for x in cat.object_names})

@@ -25,7 +25,6 @@ import numpy as np
 
 from .categories import (
     MatCStarCategory,
-    NatTransform,
     StarFunctor,
     compose_functors,
     functor_distance,
@@ -176,7 +175,7 @@ def quasi_inverse(functor: StarFunctor, seed: int = 0):
     v: FG -> id. When F is injective on objects the witnesses are chosen so
     that GF is the identity on objects and v is the identity on the image.
 
-    Returns (G, u, v)."""
+    Returns (G, u, v), with u and v as dicts of components by object."""
     verdict = is_weak_equivalence(functor, seed=seed)
     if verdict.status != "YES":
         raise NotAWeakEquivalence(f"verdict {verdict.status}: {verdict.reason}")
@@ -201,15 +200,11 @@ def quasi_inverse(functor: StarFunctor, seed: int = 0):
         hom_maps[(y, y2)] = images
     g = StarFunctor(tgt, src, g_objects, hom_maps, tol=functor.tol)
 
-    u_comps = {}
+    u = {}
     for x in src.object_names:
         fx = functor.object_map[x]
-        u_comps[x] = f_inverse(g_objects[fx], x, v_units[fx])
-    gf = compose_functors(g, functor)
-    fg = compose_functors(functor, g)
-    u = NatTransform(gf, identity_functor(src), u_comps)
-    v = NatTransform(fg, identity_functor(tgt), dict(v_units))
-    return g, u, v
+        u[x] = f_inverse(g_objects[fx], x, v_units[fx])
+    return g, u, v_units
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +260,7 @@ def lift_tcof_fib(square: LiftingSquare, seed: int = 0) -> StarFunctor:
             w_units[x] = u_top.target.identity(obj_map[x])
             continue
         y_x = u_top.object_map[f_prime.object_map[x]]
-        v_x = v.components[x]     # unitary FF'x -> x in B
+        v_x = v[x]  # unitary FF'x -> x in B
         vv = v_bottom.apply(f.object_map[f_prime.object_map[x]], x, v_x)
         lifted = solve_unitary_lift(g, y_x, vv, v_bottom.object_map[x])
         if lifted is None:

@@ -21,6 +21,7 @@ from .categories import (
     tensor_max,
     uncurry,
     validate_category,
+    validate_functor,
 )
 from .coset import DEFAULT_BUDGET
 from .errors import CStarCatError, NotFiniteWithinBound
@@ -214,10 +215,8 @@ def suite_simplicial(seed: int = 0, budget: int = DEFAULT_BUDGET,
     ok = sorted(o.dim for o in tensored.objects) == \
         sorted(o.dim for o in cat.objects)
     entries.append(CheckEntry("tensor_unit_dims", "pass" if ok else "fail"))
-    spaces = cotensor(cat, standard("delta", 0, dim_cap=2), bound=budget)
-    names = cat.object_names
-    ok = all(spaces[(i, j)].dim == cat.hom(x, y).dim
-             for i, x in enumerate(names) for j, y in enumerate(names))
+    cotensored = cotensor(cat, standard("delta", 0, dim_cap=2), bound=budget)
+    ok = all(cotensored.hom(x, y).dim == cat.hom(x, y).dim for x, y in cat.pairs())
     entries.append(CheckEntry("cotensor_point_homs", "pass" if ok else "fail"))
     return entries
 
@@ -256,14 +255,15 @@ def suite_adjunctions(seed: int = 0, tol: Tolerance = DEFAULT_TOL):
         _target2, h = rg.conjugate_category(rng, b, prefix="d")
         tensor = tensor_max(a, b, check=False)
         functor = tensor_functor(g, h, tensor)
-        data = curry(functor, a, b)
-        back = uncurry(data, tensor)
-        ok = functors_agree(back, functor)
+        curried = curry(functor, a, b)
+        back = uncurry(curried, tensor)
+        ok = (functors_agree(back, functor)
+              and not validate_category(curried.target)
+              and not validate_functor(curried))
         worst = 0.0
         for (x, x2), space in a.homs.items():
-            for i in range(space.dim):
-                alpha = data.hom_transforms[(x, x2)][i]
-                worst = max(worst, alpha.sup_norm() - op_norm(space.basis[i]))
+            for alpha, m in zip(curried.hom_maps[(x, x2)], space.basis):
+                worst = max(worst, op_norm(alpha) - op_norm(m))
         entries.append(CheckEntry(
             f"exponential[{idx}]",
             "pass" if ok and worst <= tol.eps_abs else "fail",

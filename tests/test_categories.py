@@ -1,5 +1,5 @@
 """Tests for concrete matrix C*-categories, functors, natural transformation
-spaces, tensor products and the exponential law.
+spaces, functor categories, tensor products and the exponential law.
 
 Derived expectations come from in-file oracles: a Gaussian-elimination rank
 count, a hand commutant solve, and hand polar decompositions.
@@ -16,6 +16,7 @@ from cstarcat import randgen as rg
 from cstarcat.errors import (
     InvalidCategory,
     NotInvertible,
+    NotParallel,
     SingularOperand,
 )
 from cstarcat.linalg import Subspace, is_unitary, op_norm, subspace_span
@@ -56,6 +57,30 @@ def commutant_dimension_oracle(n):
             block = np.kron(np.eye(n), e.T) - np.kron(e, np.eye(n))
             rows.extend(block.tolist())
     return n * n - rank_by_elimination(rows)
+
+
+def naturality_residual(alpha, f, g):
+    """max |alpha_y F(a) - G(a) alpha_x| over the source hom bases, plus the
+    norm of alpha off its diagonal blocks, with the carrier offsets of F and
+    G counted here from the object dimensions."""
+    def blocks(h):
+        out, start = {}, 0
+        for x in h.source.object_names:
+            dim = h.target.obj(h.object_map[x]).dim
+            out[x] = slice(start, start + dim)
+            start += dim
+        return out
+
+    fb, gb = blocks(f), blocks(g)
+    comps = {x: alpha[gb[x], fb[x]] for x in f.source.object_names}
+    off = alpha.copy()
+    for x in f.source.object_names:
+        off[gb[x], fb[x]] = 0
+    worst = float(np.linalg.norm(off))
+    for (x, y), space in f.source.homs.items():
+        for fa, ga in zip(f.hom_maps[(x, y)], g.hom_maps[(x, y)]):
+            worst = max(worst, float(np.linalg.norm(comps[y] @ fa - ga @ comps[x])))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +605,15 @@ def test_nat_space_members_are_natural(rng):
     full = cat.full_matrix_category([2, 2])
     ident = cat.identity_functor(full)
     space = cat.nat_space(ident, ident)
-    assert space.dim == 1
+    assert space.dim == 1 and space.shape == (4, 4)
     alpha = space.basis[0]
-    assert alpha.is_natural()
-    assert alpha.naturality_residual() <= 1e-9
+    assert naturality_residual(alpha, ident, ident) <= 1e-9
+    # the one transformation is a multiple of the identity of the carrier
+    assert np.allclose(alpha, alpha[0, 0] * np.eye(4))
+    # a block-diagonal matrix that is not natural is not in the space
+    swap = np.kron(np.eye(2), np.array([[0, 1], [1, 0]], dtype=complex))
+    assert naturality_residual(swap, ident, ident) > 0.5
+    assert not space.contains(swap)
 
 
 def test_nat_space_full_8x8_fits_in_memory():
@@ -662,10 +692,11 @@ def test_curry_uncurry_round_trip_on_identity():
     b = diag_algebra_category()
     tensor = cat.tensor_max(a, b)
     ident = cat.identity_functor(tensor)
-    data = cat.curry(ident, a, b)
-    for functor in data.obj_functors.values():
+    curried = cat.curry(ident, a, b)
+    for functor in curried.target.functors.values():
         assert cat.validate_functor(functor) == []
-    back = cat.uncurry(data, tensor)
+    assert cat.validate_functor(curried) == []
+    back = cat.uncurry(curried, tensor)
     assert cat.functors_agree(back, ident)
 
 
@@ -673,8 +704,9 @@ def test_curry_of_tensor_unit_is_constant_embedding():
     a = cat.full_matrix_category([2], names=["a0"])
     unit = cat.full_matrix_category([1], ["pt"])
     tensor = cat.tensor_max(a, unit)
-    data = cat.curry(cat.identity_functor(tensor), a, unit)
-    constant = data.obj_functors["a0"]
+    curried = cat.curry(cat.identity_functor(tensor), a, unit)
+    assert curried.object_map == {"a0": "a0"}
+    constant = curried.target.functors["a0"]
     assert constant.object_map == {"pt": cat.pair_name("a0", "pt")}
     img = constant.apply("pt", "pt", np.eye(1, dtype=complex))
     assert np.allclose(img, np.eye(2))
@@ -682,22 +714,63 @@ def test_curry_of_tensor_unit_is_constant_embedding():
 
 def test_curried_transformations_obey_sup_norm_bound(rng):
     a = cat.full_matrix_category([2], names=["a0"])
-    b = cat.full_matrix_category([2], names=["b0"])
+    b = cat.full_matrix_category([2, 1], names=["b0", "b1"])
     tensor = cat.tensor_max(a, b)
     ident = cat.identity_functor(tensor)
-    data = cat.curry(ident, a, b)
+    curried = cat.curry(ident, a, b)
+    functors = curried.target
     space = a.hom("a0", "a0")
     for _ in range(20):
         m = space.from_coords(rng.standard_normal(space.dim)
                               + 1j * rng.standard_normal(space.dim))
-        transforms = data.hom_transforms[("a0", "a0")]
-        combined = {
-            y: sum(c * t.components[y]
-                   for c, t in zip(space.coords(m), transforms))
-            for y in b.object_names
-        }
-        sup = max(op_norm(v) for v in combined.values())
+        alpha = curried.apply("a0", "a0", m)
+        comps = [functors.component(alpha, "a0", "a0", y) for y in b.object_names]
+        # the component at y is m (x) 1_y, and the operator norm of the
+        # block-diagonal arrow is the sup norm of its components
+        for y, comp in zip(b.objects, comps):
+            assert np.allclose(comp, np.kron(m, np.eye(y.dim)))
+        sup = max(op_norm(c) for c in comps)
+        assert abs(op_norm(alpha) - sup) <= 1e-9
         assert sup <= op_norm(m) + 1e-9
+
+
+def random_curried_instances(seed, count):
+    """Seeded A, B with 1-2 objects, F = g (x) h for conjugations g and h,
+    and the curried F, as (a, h, curried)."""
+    rng = rg.rng_from_seed(seed)
+    for _ in range(count):
+        a, _ = rg.random_matcat(rng, n_objects=int(rng.integers(1, 3)), max_dim=3,
+                                prefix="a")
+        b, _ = rg.random_matcat(rng, n_objects=int(rng.integers(1, 3)), max_dim=3,
+                                prefix="b")
+        _target, g = rg.conjugate_category(rng, a)
+        _target2, h = rg.conjugate_category(rng, b, prefix="d")
+        functor = cat.tensor_functor(g, h, cat.tensor_max(a, b, check=False))
+        yield a, h, cat.curry(functor, a, b)
+
+
+def test_functor_category_and_curried_functor_validate():
+    for a, _h, curried in random_curried_instances(41, 8):
+        assert isinstance(curried.target, cat.FunctorCategory)
+        assert curried.target.object_names == a.object_names
+        assert cat.validate_category(curried.target) == []
+        assert cat.validate_functor(curried) == []
+
+
+def test_curried_hom_dimensions_multiply():
+    # nat(g(x) (x) h, g(x') (x) h) = hom(gx, gx') (x) nat(h, h), and a
+    # conjugation g keeps hom dimensions
+    for a, h, curried in random_curried_instances(43, 8):
+        nat_hh = cat.nat_space(h, h).dim
+        for x, x2 in a.pairs():
+            assert curried.target.hom(x, x2).dim == a.hom(x, x2).dim * nat_hh
+
+
+def test_functor_category_rejects_functors_that_are_not_parallel():
+    one = cat.identity_functor(cat.full_matrix_category([2], names=["p"]))
+    other = cat.identity_functor(cat.full_matrix_category([2], names=["q"]))
+    with pytest.raises(NotParallel):
+        cat.FunctorCategory({"one": one, "other": other})
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstarcat
+from cstarcat import cli
 from cstarcat import model as md
 from cstarcat import randgen as rg
 from cstarcat.cli import main
@@ -318,6 +319,48 @@ def test_unreadable_inputs_exit_2(tmp_path, content):
     done = run_process("validate", str(path))
     assert done.returncode == 2
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_category_file_with_zero_dim_is_an_invalid_category(tmp_path):
+    # the hom's 1x1 matrix does not fit a 0-dimensional object; the dim is
+    # rejected before any hom is read
+    data = {"objects": [{"name": "m0", "dim": 0}], "homs": {"m0|m0": [[[[1.0, 0.0]]]]}}
+    done = run_process("validate", write(tmp_path / "zero.json", data))
+    assert done.returncode == 1
+    assert done.stderr == "check failed: InvalidCategory: object 'm0' must have dim >= 1\n"
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 149. GiB"),
+                                   RuntimeError("a bug in a command")])
+def test_unexpected_exception_exits_4(monkeypatch, z2_file, capsys, error):
+    def failing_load(path):
+        raise error
+
+    monkeypatch.setattr(cli, "_load", failing_load)
+    assert run("validate", z2_file) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
+
+
+def test_category_too_large_for_memory_exits_4(tmp_path):
+    # the identity of a 100,000-dimensional object needs 160 GB, over the
+    # 1 GiB limit: numpy's MemoryError becomes exit 4 and one stderr line
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = write(tmp_path / "large.json",
+                 {"objects": [{"name": "x", "dim": 100000}], "homs": {}})
+    env = dict(os.environ, PYTHONPATH=str(Path(cstarcat.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "cstarcat.cli", "validate", path],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit_memory, timeout=120)
+    assert done.returncode == 4
+    assert done.stderr.startswith("internal error: ") and done.stderr.count("\n") == 1
+    assert "MemoryError" in done.stderr
 
 
 def test_validate_sset_file_with_huge_dim_cap(tmp_path):

@@ -216,13 +216,29 @@ def test_lift_rejects_non_unitary_and_shape_mismatch():
 # quasi-inverse
 
 
+def naturality_residual(comps, f, g):
+    """max |alpha_y F(a) - G(a) alpha_x| over the source hom bases."""
+    return max((float(np.linalg.norm(comps[y] @ fa - ga @ comps[x]))
+                for (x, y) in f.source.homs
+                for fa, ga in zip(f.hom_maps[(x, y)], g.hom_maps[(x, y)])),
+               default=0.0)
+
+
+def witness_residuals(functor, g, u, v):
+    """Naturality residuals of u: GF -> id and v: FG -> id."""
+    return (naturality_residual(u, compose_functors(g, functor),
+                                identity_functor(functor.source)),
+            naturality_residual(v, compose_functors(functor, g),
+                                identity_functor(functor.target)))
+
+
 def test_quasi_inverse_of_identity():
     cat = full_matrix_category([2])
     ident = identity_functor(cat)
     g, u, v = md.quasi_inverse(ident)
     assert functors_agree(g, ident)
-    assert np.allclose(u.components["m0"], np.eye(2))
-    assert np.allclose(v.components["m0"], np.eye(2))
+    assert np.allclose(u["m0"], np.eye(2))
+    assert np.allclose(v["m0"], np.eye(2))
 
 
 def test_quasi_inverse_of_end_inclusion():
@@ -230,12 +246,12 @@ def test_quasi_inverse_of_end_inclusion():
     g, u, v = md.quasi_inverse(inc, seed=5)
     # G collapses both ends to the point
     assert g.object_map == {"i0": "pt", "i1": "pt"}
-    assert np.allclose(v.components["i0"], np.eye(2))  # identity on the image
-    far = v.components["i1"]
+    assert np.allclose(v["i0"], np.eye(2))  # identity on the image
+    far = v["i1"]
     assert is_unitary(far)
     assert inc.target.hom("i0", "i1").contains(far)
-    assert u.is_natural() and v.is_natural()
-    assert u.is_unitary() and v.is_unitary()
+    assert max(witness_residuals(inc, g, u, v)) <= 1e-9
+    assert all(is_unitary(m) for m in [*u.values(), *v.values()])
 
 
 def test_quasi_inverse_requires_weak_equivalence():
@@ -250,9 +266,13 @@ def test_quasi_inverse_naturality_on_random_instances():
         weq = rg.random_weq(rng, cat, n_extra=1)
         g, u, v = md.quasi_inverse(weq, seed=trial)
         assert validate_functor(g) == []
-        assert u.naturality_residual() <= 1e-9
-        assert v.naturality_residual() <= 1e-9
-        assert u.is_unitary() and v.is_unitary()
+        assert max(witness_residuals(weq, g, u, v)) <= 1e-9
+        for x in cat.object_names:
+            gfx = g.object_map[weq.object_map[x]]
+            assert cat.hom(gfx, x).contains(u[x]) and is_unitary(u[x])
+        for y in weq.target.object_names:
+            fgy = weq.object_map[g.object_map[y]]
+            assert weq.target.hom(fgy, y).contains(v[y]) and is_unitary(v[y])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from cstarcat import groupoids as gp
 from cstarcat import homotopy as ho
 from cstarcat.categories import (
-    NatTransform,
+    FunctorCategory,
     full_matrix_category,
     identity_functor,
     pair_name,
@@ -18,6 +18,7 @@ from cstarcat.categories import (
     validate_functor,
 )
 from cstarcat.errors import InvalidParams, InvalidSimplicialSet, NotFiniteWithinBound
+from cstarcat.linalg import is_unitary
 from cstarcat.simplicial import (
     FiniteSimplicialSet,
     SimplexRef,
@@ -226,34 +227,53 @@ def test_tensor_with_edge_matches_interval_kronecker_counts():
 
 def test_cotensor_with_point_recovers_homs():
     cat = full_matrix_category([2, 3])
-    spaces = ho.cotensor(cat, standard("delta", 0, dim_cap=2))
-    names = cat.object_names
-    for i, x in enumerate(names):
-        for j, y in enumerate(names):
-            assert spaces[(i, j)].dim == cat.hom(x, y).dim
+    cotensored = ho.cotensor(cat, standard("delta", 0, dim_cap=2))
+    assert cotensored.object_names == cat.object_names
+    assert [o.dim for o in cotensored.objects] == [2, 3]
+    for x, y in cat.pairs():
+        assert cotensored.hom(x, y).dim == cat.hom(x, y).dim
 
 
 def test_cotensor_with_edge_against_constant_probes():
     cat = full_matrix_category([2])
-    spaces = ho.cotensor(cat, standard("delta", 1, dim_cap=2))
+    cotensored = ho.cotensor(cat, standard("delta", 1, dim_cap=2))
     # constant probes at the single object of a full matrix algebra: the
     # transformation space is cut down by naturality over the interval
-    assert spaces[(0, 0)].dim >= 1
-    assert all(alpha.is_natural() for alpha in spaces[(0, 0)].basis)
+    assert validate_category(cotensored) == []
+    probe = cotensored.functors["m0"]
+    space = cotensored.hom("m0", "m0")
+    assert space.dim >= 1
+    for alpha in space.basis:
+        for (x, y), images in probe.hom_maps.items():
+            for fa in images:
+                lhs = cotensored.component(alpha, "m0", "m0", y) @ fa
+                rhs = fa @ cotensored.component(alpha, "m0", "m0", x)
+                assert np.linalg.norm(lhs - rhs) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
-# mapping-space membership
+# mapping-space membership: a level-n simplex is a chain of n unitary arrows
+# of a functor category on n+1 validated functors
+
+
+def is_simplex(functors, arrows):
+    """Whether ``arrows`` is a chain of unitary arrows of the functor
+    category on ``functors`` (validated *-functors), arrow i going from
+    functor i to functor i+1."""
+    names = [f"F{i}" for i in range(len(functors))]
+    category = FunctorCategory(dict(zip(names, functors)))
+    return (all(validate_functor(f) == [] for f in functors)
+            and validate_category(category) == []
+            and all(category.hom(names[i], names[i + 1]).contains(arrow)
+                    and is_unitary(arrow) for i, arrow in enumerate(arrows)))
 
 
 def test_map_simplex_levels():
     unit = full_matrix_category([1], ["pt"])
     ident = identity_functor(unit)
-    assert ho.map_simplex_check(unit, unit, 0, [ident], [])
-    one = NatTransform(ident, ident, {"pt": np.eye(1)})
-    assert ho.map_simplex_check(unit, unit, 1, [ident, ident], [one])
-    scaled = NatTransform(ident, ident, {"pt": 2 * np.eye(1)})
-    assert not ho.map_simplex_check(unit, unit, 1, [ident, ident], [scaled])
+    assert is_simplex([ident], [])
+    assert is_simplex([ident, ident], [np.eye(1)])
+    assert not is_simplex([ident, ident], [2 * np.eye(1)])
 
 
 def test_map_simplices_compose():
@@ -270,13 +290,12 @@ def test_map_simplices_compose():
     ident = identity_functor(diag)
     u = np.diag([1.0, -1.0]).astype(complex)
     w = np.diag([1j, 1.0]).astype(complex)
-    alpha = NatTransform(ident, ident, {"d": u})
-    beta = NatTransform(ident, ident, {"d": w})
-    assert ho.map_simplex_check(diag, diag, 1, [ident, ident], [alpha])
-    assert ho.map_simplex_check(diag, diag, 1, [ident, ident], [beta])
-    composite = NatTransform(ident, ident, {"d": w @ u})
-    assert ho.map_simplex_check(diag, diag, 1, [ident, ident], [composite])
-    assert ho.map_simplex_check(diag, diag, 2, [ident, ident, ident], [alpha, beta])
+    assert is_simplex([ident, ident], [u])
+    assert is_simplex([ident, ident], [w])
+    assert is_simplex([ident, ident], [w @ u])
+    assert is_simplex([ident, ident, ident], [u, w])
+    # the swap is unitary but not natural
     off = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert not ho.map_simplex_check(diag, diag, 1, [ident, ident],
-                                    [NatTransform(ident, ident, {"d": off})])
+    assert is_unitary(off)
+    assert not is_simplex([ident, ident], [off])
+    assert not is_simplex([ident, ident, ident], [u, off])
