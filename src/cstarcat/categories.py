@@ -50,6 +50,7 @@ from .linalg import (
     matrix_to_json,
     smallest_singular_value,
     split_pair_key,
+    stack_matrices,
     subspace_span,
 )
 
@@ -210,7 +211,7 @@ def validate_category(cat: MatCStarCategory) -> list[Violation]:
             out.append(Violation("unitality", (x,), res, "identity not in hom(x,x)"))
     for (x, y), space in cat.homs.items():
         adj = cat.hom(y, x)._rows
-        flipped = np.stack([b.conj().T.ravel() for b in space.basis])
+        flipped = space.basis.conj().transpose(0, 2, 1).reshape(space.dim, -1)
         for i, res in enumerate(_batch_residuals(flipped, adj, adj.conj().T)):
             if res > tol.bound(1.0):
                 out.append(Violation("adjoint", (x, y, i), float(res),
@@ -226,7 +227,6 @@ def _composition_violations(cat: MatCStarCategory) -> list[Violation]:
     tol = cat.tol
     out = []
     for (x, y), first in cat.homs.items():
-        first_stack = np.stack(first.basis)
         for z in cat.object_names:
             second = cat.homs.get((y, z))
             if second is None:
@@ -234,7 +234,7 @@ def _composition_violations(cat: MatCStarCategory) -> list[Violation]:
             target = cat.hom(x, z)._rows
             target_h = target.conj().T
             for j, b in enumerate(second.basis):
-                flat = _basis_products(b, first_stack)
+                flat = _basis_products(b, first.basis)
                 scales = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
                 residuals = _batch_residuals(flat, target, target_h)
                 for i in np.nonzero(residuals > tol.eps_abs * scales)[0]:
@@ -263,7 +263,7 @@ class StarFunctor:
             if fx is None:
                 raise InvalidFunctor(f"object {x!r} has no image")
             target.obj(fx)
-        self.hom_maps: dict[tuple[str, str], list[np.ndarray]] = {}
+        self.hom_maps: dict[tuple[str, str], np.ndarray] = {}
         for (x, y) in source.pairs():
             space = source.homs.get((x, y))
             if space is None:
@@ -276,7 +276,7 @@ class StarFunctor:
                                      f"a basis of size {space.dim}")
             rows = target.obj(self.object_map[y]).dim
             cols = target.obj(self.object_map[x]).dim
-            self.hom_maps[(x, y)] = [as_matrix(m, rows, cols) for m in images]
+            self.hom_maps[(x, y)] = stack_matrices(images, rows, cols)
 
     def apply(self, x: str, y: str, m) -> np.ndarray:
         """Image of an element of hom(x, y), by linearity from the basis."""
@@ -433,8 +433,6 @@ def _functor_composition_violations(functor: StarFunctor) -> list[Violation]:
     src = functor.source
     out = []
     for (x, y), first in src.homs.items():
-        first_stack = np.stack(first.basis)
-        fa_stack = np.stack(functor.hom_maps[(x, y)])
         for z in src.object_names:
             second = src.homs.get((y, z))
             if second is None:
@@ -442,13 +440,13 @@ def _functor_composition_violations(functor: StarFunctor) -> list[Violation]:
             target = src.hom(x, z)
             if target.dim:
                 target_h = target._rows.conj().T
-                f_target = np.stack(functor.hom_maps[(x, z)]).reshape(target.dim, -1)
+                f_target = functor.hom_maps[(x, z)].reshape(target.dim, -1)
             for j, (b, fb) in enumerate(zip(second.basis, functor.hom_maps[(y, z)])):
-                rhs = _basis_products(fb, fa_stack)
+                rhs = _basis_products(fb, functor.hom_maps[(x, y)])
                 diffs = rhs
                 if target.dim:
                     # image of each product, by linearity in target coordinates
-                    coords = _basis_products(b, first_stack) @ target_h
+                    coords = _basis_products(b, first.basis) @ target_h
                     diffs = coords @ f_target - rhs
                 residuals = np.linalg.norm(diffs, axis=1)
                 scales = np.maximum(np.linalg.norm(rhs, axis=1), 1.0)
@@ -489,7 +487,8 @@ def unitarize(cat: MatCStarCategory, a, x: str, y: str) -> np.ndarray:
         raise NotInvertible("invertible arrows need equal dimensions")
     if smallest_singular_value(a) <= cat.tol.eps_abs:
         raise SingularOperand("arrow is singular within tolerance")
-    return a @ herm_funcalc(a.conj().T @ a, "inv_sqrt", tol=cat.tol)
+    gram = a.conj().T @ a  # Hermitian up to rounding, which herm_funcalc would judge
+    return a @ herm_funcalc((gram + gram.conj().T) / 2.0, "inv_sqrt", tol=cat.tol)
 
 
 @dataclass
@@ -707,7 +706,7 @@ def inclusion_functor(part: MatCStarCategory, whole: MatCStarCategory,
     ``object_map`` (by default the identity on names)."""
     if object_map is None:
         object_map = {x: x for x in part.object_names}
-    hom_maps = {pair: list(space.basis) for pair, space in part.homs.items()}
+    hom_maps = {pair: space.basis for pair, space in part.homs.items()}
     return StarFunctor(part, whole, object_map, hom_maps, tol=part.tol)
 
 

@@ -138,9 +138,9 @@ class LightClosure:
             return index
 
         def multiply(gens, rows):
-            (_x, y), _k = self.generators[gens[0]]
+            (x, y), _k = self.generators[gens[0]]
             w = self.rows[rows[0]].pair[0]
-            left = np.stack([self.generator_matrix(g) for g in gens])
+            left = cat.homs[(x, y)].basis[[self.generators[g][1] for g in gens]]
             # formed from the coordinates on each use: kept, they would be a second copy of V
             space = cat.homs[self.rows[rows[0]].pair]
             right = (np.stack([self.rows[j].coords for j in rows]) @ space._rows)
@@ -199,12 +199,8 @@ class LightClosure:
                 for rows in by_source.values():
                     multiply([g], rows)
                 drain()
-        self.generator_norms = np.array([op_norm(self.generator_matrix(g))
-                                         for g in range(len(self.generators))])
-
-    def generator_matrix(self, g: int) -> np.ndarray:
-        pair, k = self.generators[g]
-        return self.cat.homs[pair].basis[k]
+        self.generator_norms = np.array([op_norm(cat.homs[pair].basis[k])
+                                         for pair, k in self.generators])
 
     def complete(self) -> bool:
         """Whether the reached rows span V: every identity is reached and
@@ -281,7 +277,7 @@ def functor_certified(functor: StarFunctor, unit_residuals: dict) -> bool:
     if closure_bounds is None:
         return False
     src, tgt = functor.source, functor.target
-    images = {pair: np.stack(functor.hom_maps[pair]).reshape(space.dim, -1)
+    images = {pair: functor.hom_maps[pair].reshape(space.dim, -1)
               for pair, space in src.homs.items()}
     # each map's operator norm, from the small Gram matrix of its images
     f_norm = max((float(np.sqrt(max(np.linalg.eigvalsh(m @ m.conj().T)[-1], 0.0)))
@@ -292,8 +288,7 @@ def functor_certified(functor: StarFunctor, unit_residuals: dict) -> bool:
         w = closure.rows[group.rows[0]].pair[0]
         fw = tgt.obj(functor.object_map[w]).dim
         fx = tgt.obj(functor.object_map[x]).dim
-        f_gens = np.stack([functor.hom_maps[pair][k]
-                           for pair, k in (closure.generators[g] for g in group.gens)])
+        f_gens = functor.hom_maps[(x, y)][[closure.generators[g][1] for g in group.gens]]
         f_rows = np.stack([closure.rows[j].coords for j in group.rows]) @ images[(w, x)]
         rhs = np.matmul(f_gens[:, None], f_rows.reshape(-1, fx, fw)[None])
         lhs = group.coords @ images[(w, y)] if (w, y) in images else 0.0

@@ -2,10 +2,10 @@
 functional calculus, Hilbert-Schmidt subspaces of matrix spaces, and seeded
 search for invertible elements.
 
-All values are immutable after construction and all routines are pure given
-explicit seeds. Matrices are numpy ``complex128`` arrays throughout; equality
-is tolerance-based, with residuals compared against
-``eps_abs * max(1, operand norms)``.
+All values are immutable after construction (stacked matrices are read-only)
+and all routines are pure given explicit seeds. Matrices are numpy
+``complex128`` arrays throughout; equality is tolerance-based, with residuals
+compared against ``eps_abs * max(1, operand norms)``.
 """
 
 from __future__ import annotations
@@ -70,6 +70,16 @@ def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if rows is not None and a.shape != (rows, cols):
         raise ShapeMismatch(f"expected shape {(rows, cols)}, got {a.shape}")
     return a
+
+
+def stack_matrices(mats, rows: int, cols: int) -> np.ndarray:
+    """One read-only ``(n, rows, cols)`` complex128 array of ``n`` matrices,
+    each checked by ``as_matrix``: the one storage of a hom basis and of a
+    functor's images of it."""
+    mats = [as_matrix(m, rows, cols) for m in mats]
+    stacked = np.stack(mats) if mats else np.zeros((0, rows, cols), dtype=np.complex128)
+    stacked.flags.writeable = False
+    return stacked
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -193,8 +203,9 @@ class Subspace:
     """A linear subspace of the ``rows x cols`` complex matrices, held as an
     orthonormal basis under the Hilbert-Schmidt inner product.
 
-    The basis is stored both as matrices and as a stacked array of flattened
-    rows, which makes projections one matmul.
+    ``basis`` is one read-only ``(dim, rows, cols)`` array; ``_rows`` is its
+    ``(dim, rows * cols)`` view of flattened rows, which makes projections
+    one matmul.
     """
 
     def __init__(self, ambient_rows: int, ambient_cols: int, basis=(),
@@ -202,18 +213,12 @@ class Subspace:
         self.ambient_rows = int(ambient_rows)
         self.ambient_cols = int(ambient_cols)
         self.tol = tol
-        mats = [as_matrix(b, self.ambient_rows, self.ambient_cols) for b in basis]
-        if mats:
-            stacked = np.stack([b.ravel() for b in mats])
-        else:
-            stacked = np.zeros((0, self.ambient_rows * self.ambient_cols),
-                               dtype=np.complex128)
-        if mats and not _trusted:
-            gram = stacked @ stacked.conj().T
-            if float(np.linalg.norm(gram - np.eye(len(mats)))) > tol.bound(1.0):
+        self.basis = stack_matrices(basis, self.ambient_rows, self.ambient_cols)
+        self._rows = self.basis.reshape(self.dim, self.ambient_rows * self.ambient_cols)
+        if self.dim and not _trusted:
+            gram = self._rows @ self._rows.conj().T
+            if float(np.linalg.norm(gram - np.eye(self.dim))) > tol.bound(1.0):
                 raise InvalidMatrix("basis is not HS-orthonormal; use subspace_span")
-        self.basis = mats
-        self._rows = stacked
 
     @property
     def dim(self) -> int:
@@ -270,12 +275,11 @@ def subspace_span(mats, ambient_shape: tuple[int, int] | None = None,
     shape = first.shape
     if ambient_shape is not None and tuple(ambient_shape) != shape:
         raise ShapeMismatch(f"ambient {ambient_shape} != matrix shape {shape}")
-    arrays = [as_matrix(m, shape[0], shape[1]) for m in mats]
-    stacked = np.stack([a.ravel() for a in arrays])
+    stacked = stack_matrices(mats, *shape).reshape(len(mats), -1)
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     rank = numerical_rank(svals, tol)
-    basis = [vh[i].reshape(shape) for i in range(rank)]
-    return Subspace(shape[0], shape[1], basis, tol=tol, _trusted=True)
+    return Subspace(shape[0], shape[1], vh[:rank].reshape(rank, *shape), tol=tol,
+                    _trusted=True)
 
 
 INVERTIBLE_SAMPLES = 64

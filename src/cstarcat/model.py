@@ -193,11 +193,8 @@ def quasi_inverse(functor: StarFunctor, seed: int = 0):
     hom_maps = {}
     for (y, y2), space in tgt.homs.items():
         gx, gx2 = g_objects[y], g_objects[y2]
-        images = []
-        for b in space.basis:
-            conj = v_units[y2].conj().T @ b @ v_units[y]
-            images.append(f_inverse(gx, gx2, conj))
-        hom_maps[(y, y2)] = images
+        hom_maps[(y, y2)] = [f_inverse(gx, gx2, v_units[y2].conj().T @ b @ v_units[y])
+                             for b in space.basis]
     g = StarFunctor(tgt, src, g_objects, hom_maps, tol=functor.tol)
 
     u = {}
@@ -269,12 +266,10 @@ def lift_tcof_fib(square: LiftingSquare, seed: int = 0) -> StarFunctor:
 
     hom_maps = {}
     for (x, x2), space in f.target.homs.items():
-        images = []
-        for b in space.basis:
-            fb = f_prime.apply(x, x2, b)
-            ub = u_top.apply(f_prime.object_map[x], f_prime.object_map[x2], fb)
-            images.append(w_units[x2] @ ub @ w_units[x].conj().T)
-        hom_maps[(x, x2)] = images
+        fx, fx2 = f_prime.object_map[x], f_prime.object_map[x2]
+        hom_maps[(x, x2)] = [
+            w_units[x2] @ u_top.apply(fx, fx2, f_prime.apply(x, x2, b)) @ w_units[x].conj().T
+            for b in space.basis]
     return StarFunctor(f.target, u_top.target, obj_map, hom_maps, tol=f.tol)
 
 
@@ -481,17 +476,6 @@ def axiom_harness(kind: str, instances) -> list[dict]:
             entries.append({"name": f"retract[{idx}]", "status": status,
                             "residual": residual,
                             "detail": f"retract={small_v.status}"})
-    elif kind == "factor_roundtrip":
-        for idx, functor in enumerate(instances):
-            path = factor_path(functor)
-            cylinder = factor_cylinder(functor)
-            residual = max(path.composite_residual(functor),
-                           cylinder.composite_residual(functor))
-            entries.append({
-                "name": f"factor_roundtrip[{idx}]",
-                "status": "pass" if residual <= functor.tol.composite else "fail",
-                "residual": residual,
-            })
     elif kind == "rlp_equiv":
         for idx, functor in enumerate(instances):
             direct = is_trivial_fibration(functor)

@@ -151,7 +151,7 @@ def _conjugation_functor(cat: MatCStarCategory, target: MatCStarCategory,
                          copy_of: dict) -> StarFunctor:
     """The functor x -> copy_of[x] into a conjugated copy: each basis
     element goes to its conjugate, the same index of the target basis."""
-    hom_maps = {(x, y): list(target.homs[(copy_of[x], copy_of[y])].basis)
+    hom_maps = {(x, y): target.homs[(copy_of[x], copy_of[y])].basis
                 for (x, y) in cat.homs}
     return StarFunctor(cat, target, copy_of, hom_maps, tol=cat.tol)
 
@@ -210,11 +210,8 @@ def sector_projection_functor(model: SectorModel, keep: int = 0) -> StarFunctor:
         mx = model.multiplicities[x][keep] * d
         my = model.multiplicities[y][keep] * d
         ux, uy = model.unitaries[x], model.unitaries[y]
-        images = []
-        for b in space.basis:
-            plain = uy.conj().T @ b @ ux
-            images.append(plain[offy:offy + my, offx:offx + mx])
-        hom_maps[(x, y)] = images
+        hom_maps[(x, y)] = [(uy.conj().T @ b @ ux)[offy:offy + my, offx:offx + mx]
+                            for b in space.basis]
     return StarFunctor(source, target,
                        {n: f"p:{n}" for n in model.names}, hom_maps,
                        tol=source.tol)
@@ -235,11 +232,11 @@ def build_retract(small: StarFunctor):
     big_source = disjoint_union([a_small, a_small], prefixes=["", "pad:"], tol=small.tol)
     big_target = disjoint_union([b_small, a_small], prefixes=["", "pad:"], tol=small.tol)
     object_map = dict(small.object_map)
-    hom_maps = {pair: list(images) for pair, images in small.hom_maps.items()}
+    hom_maps = dict(small.hom_maps)
     for x in a_small.object_names:
         object_map[f"pad:{x}"] = f"pad:{x}"
     for (x, y), space in a_small.homs.items():
-        hom_maps[(f"pad:{x}", f"pad:{y}")] = list(space.basis)
+        hom_maps[(f"pad:{x}", f"pad:{y}")] = space.basis
     big = StarFunctor(big_source, big_target, object_map, hom_maps,
                       tol=small.tol)
     i = inclusion_functor(a_small, big_source)
@@ -254,7 +251,7 @@ def build_retract(small: StarFunctor):
         if x.startswith("pad:"):
             q_maps[(x, y)] = [small.apply(x[4:], y[4:], b) for b in space.basis]
         else:
-            q_maps[(x, y)] = list(space.basis)
+            q_maps[(x, y)] = space.basis
     q = StarFunctor(big_target, b_small, q_obj, q_maps, tol=small.tol)
     return big, i, p, j, q
 

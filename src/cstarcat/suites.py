@@ -89,6 +89,19 @@ def functor_zoo(rng: np.random.Generator, count: int, tol: Tolerance = DEFAULT_T
     return out
 
 
+def _unbuilt(name: str, err: CStarCatError) -> CheckEntry:
+    """The failing entry of a round whose instances cannot be built."""
+    return CheckEntry(name, "fail", detail=f"{type(err).__name__}: {err}")
+
+
+def _checked(name: str, check) -> CheckEntry:
+    """The entry of a pass/fail ``check()``, or ``_unbuilt`` if it raises."""
+    try:
+        return CheckEntry(name, "pass" if check() else "fail")
+    except CStarCatError as err:
+        return _unbuilt(name, err)
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -120,12 +133,16 @@ def suite_mc(seed: int = 0, tol: Tolerance = DEFAULT_TOL):
     for idx in range(10):
         cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
         functor = rg.random_weq(rng, cat, n_extra=1)
-        path = md.factor_path(functor)
-        cylinder = md.factor_cylinder(functor)
-        square = md.LiftingSquare(top=cylinder.first, left=path.first,
-                                  right=cylinder.second, bottom=path.second)
-        lift1 = md.lift_tcof_fib(square, seed=seed + idx)
-        lift2 = md.lift_cof_tfib(square)
+        try:
+            path = md.factor_path(functor)
+            cylinder = md.factor_cylinder(functor)
+            square = md.LiftingSquare(top=cylinder.first, left=path.first,
+                                      right=cylinder.second, bottom=path.second)
+            lift1 = md.lift_tcof_fib(square, seed=seed + idx)
+            lift2 = md.lift_cof_tfib(square)
+        except CStarCatError as err:
+            entries.append(_unbuilt(f"mc4[{idx}]", err))
+            continue
         residual = max(*square.triangle_residuals(lift1),
                        *square.triangle_residuals(lift2))
         entries.append(CheckEntry(
@@ -188,15 +205,15 @@ def suite_monoidal(seed: int = 0, tol: Tolerance = DEFAULT_TOL):
 def suite_simplicial(seed: int = 0, budget: int = DEFAULT_BUDGET,
                      tol: Tolerance = DEFAULT_TOL):
     """Quillen-pair content: horn inclusions, the interval identification,
-    the circle obstruction, and tensor/cotensor sanity."""
+    the circle obstruction, and tensor/cotensor sanity. A check that cannot
+    be built within ``tol`` is a failing entry."""
     entries = []
     for n in (2, 3):
         for k in range(n + 1):
-            _functor, gfunctor = pi_map(horn_inclusion(n, k, dim_cap=3),
-                                        bound=budget, tol=tol)
-            entries.append(CheckEntry(
+            entries.append(_checked(
                 f"pi_horn_iso[{n},{k}]",
-                "pass" if gfunctor.is_isomorphism() else "fail"))
+                lambda: pi_map(horn_inclusion(n, k, dim_cap=3), bound=budget,
+                               tol=tol)[1].is_isomorphism()))
     edge = normalize_fp(fundamental_groupoid(standard("delta", 1, dim_cap=2)),
                         budget)
     ok = edge.finite and edge.groupoid.is_isomorphic_to(interval_groupoid())
@@ -210,14 +227,17 @@ def suite_simplicial(seed: int = 0, budget: int = DEFAULT_BUDGET,
 
     rng = rg.rng_from_seed(seed)
     cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
-    tensored = tensor_with_sset(cat, standard("delta", 0, dim_cap=2),
-                                bound=budget)
-    ok = sorted(o.dim for o in tensored.objects) == \
-        sorted(o.dim for o in cat.objects)
-    entries.append(CheckEntry("tensor_unit_dims", "pass" if ok else "fail"))
-    cotensored = cotensor(cat, standard("delta", 0, dim_cap=2), bound=budget)
-    ok = all(cotensored.hom(x, y).dim == cat.hom(x, y).dim for x, y in cat.pairs())
-    entries.append(CheckEntry("cotensor_point_homs", "pass" if ok else "fail"))
+
+    def tensor_unit_dims():
+        tensored = tensor_with_sset(cat, standard("delta", 0, dim_cap=2), bound=budget)
+        return sorted(o.dim for o in tensored.objects) == sorted(o.dim for o in cat.objects)
+
+    def cotensor_point_homs():
+        cotensored = cotensor(cat, standard("delta", 0, dim_cap=2), bound=budget)
+        return all(cotensored.hom(x, y).dim == cat.hom(x, y).dim for x, y in cat.pairs())
+
+    entries.append(_checked("tensor_unit_dims", tensor_unit_dims))
+    entries.append(_checked("cotensor_point_homs", cotensor_point_homs))
     return entries
 
 
@@ -236,8 +256,7 @@ def suite_adjunctions(seed: int = 0, tol: Tolerance = DEFAULT_TOL):
             functor = adjunction_extend(gc, rep)
             back = adjunction_restrict(gc, functor)
         except CStarCatError as err:
-            entries.append(CheckEntry(f"adjunction[{idx}]", "fail",
-                                      detail=f"{type(err).__name__}: {err}"))
+            entries.append(_unbuilt(f"adjunction[{idx}]", err))
             continue
         residual = max(
             float(np.linalg.norm(back.arrow_map[g] - rep.arrow_map[g]))

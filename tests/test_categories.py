@@ -19,7 +19,7 @@ from cstarcat.errors import (
     NotParallel,
     SingularOperand,
 )
-from cstarcat.linalg import Subspace, is_unitary, op_norm, subspace_span
+from cstarcat.linalg import Subspace, Tolerance, herm_funcalc, is_unitary, op_norm, subspace_span
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -444,6 +444,19 @@ def test_identity_functor_validates():
     assert cat.validate_functor(cat.identity_functor(full)) == []
 
 
+def test_functor_holds_each_hom_map_as_one_read_only_array():
+    full = cat.full_matrix_category([2, 3])
+    ident = cat.identity_functor(full)
+    images = {pair: list(mats) for pair, mats in ident.hom_maps.items()}
+    for functor in (ident, cat.StarFunctor(full, full, ident.object_map, images)):
+        for (x, y), maps in functor.hom_maps.items():
+            space = full.hom(x, y)
+            assert isinstance(maps, np.ndarray) and maps.dtype == np.complex128
+            assert maps.shape == (space.dim, *space.shape)
+            assert not maps.flags.writeable
+            assert np.array_equal(maps, space.basis)
+
+
 def test_unit_law_violation():
     unit = cat.full_matrix_category([1], ["pt"])
     zero = np.zeros((1, 1), dtype=complex)
@@ -510,6 +523,19 @@ def test_unitarize_stays_in_hom_and_is_idempotent(rng):
     assert is_unitary(w)
     assert hom.contains(w)
     assert np.allclose(cat.unitarize(conj, w, "c", "c"), w, atol=1e-9)
+
+
+def test_unitarize_accepts_its_own_gram_matrix_at_a_tiny_tolerance():
+    # a*a is Hermitian by construction, but a BLAS product can leave its two
+    # triangles ulps apart, more than eps_abs = 1e-17 allows
+    tol = Tolerance(1e-17)
+    full = cat.full_matrix_category([6], tol=tol)
+    for seed in range(5):
+        gen = np.random.default_rng(seed)
+        a = gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6))
+        w = cat.unitarize(full, a, "m0", "m0")
+        assert is_unitary(w, Tolerance(1e-12))
+        assert np.allclose(w @ herm_funcalc(a.conj().T @ a, "sqrt"), a)
 
 
 def test_iso_exists_trivial_cases():

@@ -639,6 +639,23 @@ def test_adjunction_rounds_that_cannot_be_built_are_failing_entries():
                            and c["detail"].startswith("NotUnitary: ") for c in unbuilt)
 
 
+@pytest.mark.parametrize("suite, count, names", [
+    ("mc", 60, ("mc4[",)),
+    ("simplicial", 11, ("pi_horn_iso[", "tensor_unit_dims", "cotensor_point_homs")),
+])
+def test_suite_checks_that_cannot_be_built_are_failing_entries(suite, count, names):
+    done = run_process("verify-axioms", "--suite", suite, "--seed", "0",
+                       "--tolerance", "1e-16")
+    assert done.returncode == 1
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert report["status"] == "fail" and len(report["checks"]) == count
+    # an unbuilt round's detail is "<Type>: <message>"
+    unbuilt = [c for c in report["checks"] if ": " in c.get("detail", "")]
+    assert all(c["status"] == "fail" and "residual" not in c for c in unbuilt)
+    assert {n for n in names for c in unbuilt if c["name"].startswith(n)} == set(names)
+
+
 # ---------------------------------------------------------------------------
 # mutated input files
 

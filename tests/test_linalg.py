@@ -20,6 +20,7 @@ from cstarcat.errors import (
     MissingShape,
     NotHermitian,
     NotSquare,
+    ShapeMismatch,
     SingularOperand,
 )
 from cstarcat.linalg import (
@@ -327,3 +328,21 @@ def test_unitary_and_isometry_predicates():
 def test_subspace_rejects_sloppy_basis():
     with pytest.raises(InvalidMatrix):
         Subspace(2, 2, [np.eye(2), np.eye(2)])
+
+
+def test_subspace_holds_its_basis_once_and_read_only():
+    s = subspace_span([np.eye(2), np.diag([1.0, -1.0])])
+    assert s.basis.shape == (2, 2, 2) and s.basis.dtype == np.complex128
+    assert s._rows.shape == (2, 4) and np.shares_memory(s.basis, s._rows)
+    assert not s.basis.flags.writeable and not s._rows.flags.writeable
+    with pytest.raises(ValueError):
+        s.basis[0] = 0
+    empty = Subspace(2, 3)
+    assert empty.basis.shape == (0, 2, 3) and empty._rows.shape == (0, 6)
+
+
+def test_subspace_checks_each_element_before_stacking():
+    with pytest.raises(InvalidMatrix):
+        Subspace(2, 2, [np.eye(2), np.ones(2)])
+    with pytest.raises(ShapeMismatch):
+        Subspace(2, 2, [np.eye(2), np.eye(3)])
