@@ -79,10 +79,9 @@ def _emit(report: Report, args, started: float) -> int:
     raw artifact to --output, so outputs can be fed back into other
     commands; their report then goes to stdout."""
     artifact = getattr(args, "artifact", False)
-    text = report.dumps()
+    text, payload = report.dumps()
     out = getattr(args, "output", None)
-    if out and artifact and report.payload is not None:
-        payload = json.dumps(report.payload, indent=2, sort_keys=False) + "\n"
+    if out and artifact and payload is not None:
         Path(out).write_text(payload, encoding="utf-8")
         sys.stdout.write(text)
     elif out:
@@ -396,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **SHARED_FLAGS[flag])
         p.add_argument("--output", type=str, default=None,
                        help="write the artifact, or else the report, to this file")
-        p.set_defaults(run=run, artifact=artifact)
+        # main looks the command up by name when it runs, so a cmd_* rebound
+        # in this module after the cached parser was built is the one called
+        p.set_defaults(run=run.__name__, artifact=artifact)
         return p
 
     p = command("validate", cmd_validate, ["--tolerance"],
@@ -471,7 +472,7 @@ def main(argv=None) -> int:
         budget = getattr(args, "coset_budget", None)
         if budget is not None and budget < 1:
             raise InvalidParams(f"--coset-budget {budget}: budget must be >= 1")
-        report = args.run(args)
+        report = globals()[args.run](args)
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

@@ -84,7 +84,8 @@ def stack_matrices(mats, rows: int, cols: int) -> np.ndarray:
 
 def matrix_to_json(m: np.ndarray) -> list:
     """Row-major nested lists of [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:

@@ -54,6 +54,22 @@ def run_process(*argv):
                           capture_output=True, text=True, env=env)
 
 
+def test_main_runs_the_command_bound_in_the_module(monkeypatch, z2_file):
+    """The parser is built once per process; a cmd_* rebound in ``cli``
+    afterwards (as a tracer does) is still the one that runs."""
+    assert run("validate", z2_file) == 0
+    calls = []
+    original = cli.cmd_validate
+
+    def spy(args):
+        calls.append(args.file)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_validate", spy)
+    assert run("validate", z2_file) == 0
+    assert calls == [z2_file]
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract
 

@@ -303,6 +303,29 @@ def test_matrix_json_round_trip():
     assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
 
 
+def matrix_to_json_by_entry(m):
+    """The entry-by-entry layout that ``matrix_to_json`` must reproduce."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[1.5, -2.0], [0.0, 3.25]]),
+    np.array([[1, -2, 3], [4, 5, 2**40]]),
+    np.array([[1 + 2j, -0.5j], [3, 1e-300 - 1e300j]]),
+    np.arange(12, dtype=float).reshape(3, 4) * (1 - 1j),
+    np.array([[-0.0, 0.0], [complex(-0.0, -0.0), complex(0.0, -0.0)]]),
+    np.array([[-0.0]]),
+    np.zeros((2, 0)),
+    np.arange(6, dtype=np.float32).reshape(2, 3) / 7,
+    (np.arange(9).reshape(3, 3) + 1j).T,
+    np.eye(3, dtype=complex)[np.newaxis][0],
+])
+def test_matrix_to_json_matches_entrywise_layout(m):
+    got, want = matrix_to_json(m), matrix_to_json_by_entry(m)
+    # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not
+    assert repr(got) == repr(want)
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(eps_abs=0.0)
