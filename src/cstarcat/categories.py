@@ -123,7 +123,7 @@ class MatCStarCategory:
         for x, y in self.pairs():
             space = self.homs.get((x, y))
             if space is not None:
-                homs[f"{x}|{y}"] = [matrix_to_json(b) for b in space.basis]
+                homs[f"{x}|{y}"] = matrix_to_json(space.basis)
         return {
             "objects": [{"name": o.name, "dim": o.dim} for o in self.objects],
             "homs": homs,
@@ -306,7 +306,7 @@ class StarFunctor:
         hom_maps = {}
         for x, y in self.source.pairs():
             if (x, y) in self.hom_maps:
-                hom_maps[f"{x}|{y}"] = [matrix_to_json(m) for m in self.hom_maps[(x, y)]]
+                hom_maps[f"{x}|{y}"] = matrix_to_json(self.hom_maps[(x, y)])
         return {
             "source": self.source.to_json(),
             "target": self.target.to_json(),
@@ -463,13 +463,19 @@ def hom_map_ranks(functor: StarFunctor):
     faithful where rank = source dim, and fully faithful where both hold at
     every pair."""
     for x, y in functor.source.pairs():
-        sdim = functor.source.hom(x, y).dim
-        tdim = functor.target.hom(functor.object_map[x], functor.object_map[y]).dim
-        rank = 0
-        if sdim and tdim:
-            svals = np.linalg.svd(functor.coord_matrix(x, y), compute_uv=False)
-            rank = linalg.numerical_rank(svals, functor.tol)
-        yield x, y, sdim, tdim, rank
+        yield (x, y, *hom_map_rank(functor, x, y))
+
+
+def hom_map_rank(functor: StarFunctor, x: str, y: str) -> tuple[int, int, int]:
+    """(source dim, target dim, numerical rank) of the hom map
+    hom(x, y) -> hom(Fx, Fy)."""
+    sdim = functor.source.hom(x, y).dim
+    tdim = functor.target.hom(functor.object_map[x], functor.object_map[y]).dim
+    rank = 0
+    if sdim and tdim:
+        svals = np.linalg.svd(functor.coord_matrix(x, y), compute_uv=False)
+        rank = linalg.numerical_rank(svals, functor.tol)
+    return sdim, tdim, rank
 
 
 # ---------------------------------------------------------------------------
@@ -501,21 +507,28 @@ class IsoVerdict:
         return self.status == "YES"
 
 
-def iso_exists(cat: MatCStarCategory, x: str, y: str, seed: int = 0) -> IsoVerdict:
-    """Decide whether x and y are unitarily isomorphic.
+def isomorphic(cat: MatCStarCategory, x: str, y: str) -> bool:
+    """Whether x and y are unitarily isomorphic, decided exactly.
 
     dim hom(x, y) is the inner product of the sector multiplicity vectors of
     x and y, so by Cauchy-Schwarz the two vectors agree, which is unitary
     isomorphism, exactly when hom(x, y), hom(y, x), hom(x, x) and hom(y, y)
-    all have the same dimension. A YES carries a witness unitary: a seeded
-    invertible element of hom(x, y), unitarized.
+    all have the same dimension.
     """
     if x == y:
+        return True
+    dims = {cat.hom(x, y).dim, cat.hom(y, x).dim, cat.hom(x, x).dim, cat.hom(y, y).dim}
+    return cat.obj(x).dim == cat.obj(y).dim and len(dims) == 1
+
+
+def iso_exists(cat: MatCStarCategory, x: str, y: str, seed: int = 0) -> IsoVerdict:
+    """``isomorphic`` with a witness: a YES carries a unitary in hom(x, y),
+    a seeded invertible element unitarized (the identity when x == y)."""
+    if x == y:
         return IsoVerdict("YES", cat.identity(x), "identity")
-    space = cat.hom(x, y)
-    dims = {space.dim, cat.hom(y, x).dim, cat.hom(x, x).dim, cat.hom(y, y).dim}
-    if cat.obj(x).dim != cat.obj(y).dim or len(dims) != 1:
+    if not isomorphic(cat, x, y):
         return IsoVerdict("NO", None, "hom dimensions differ")
+    space = cat.hom(x, y)
     inv = find_invertible(space, seed=seed, tol=cat.tol)
     if inv is None:
         raise InvalidCategory(f"hom({x}, {y}) has matching dimensions but no "

@@ -11,7 +11,9 @@ Each command takes ``--output`` and only the shared flags it reads:
 ``--coset-budget`` (pi, verify-axioms) and ``--dim-cap`` (nerve). The
 tolerance reaches every comparison of its command: instances are built
 with it, and each residual verdict is judged against its ``eps_abs`` or
-its composite bound (see ``linalg.Tolerance``).
+its composite bound (see ``linalg.Tolerance``). factorize accepts
+``--seed`` only because ``perfbench/workloads.py`` passes it: its verdicts
+sample nothing, so the flag changes no byte of its output.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or parse
 error, 3 unknown-only (a coset enumeration ran out of budget, or the
@@ -146,7 +148,7 @@ def cmd_factorize(args) -> Report:
     report = Report(f"factorize:{args.mode}")
     if args.mode == "path":
         result = md.factor_path(functor)
-        weq = md.is_weak_equivalence(result.first, seed=args.seed)
+        weq = md.is_weak_equivalence(result.first)
         report.add("first_is_cofibration",
                    "pass" if md.is_cofibration(result.first) else "fail")
         report.add("first_is_weak_equivalence",

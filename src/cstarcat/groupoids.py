@@ -496,9 +496,10 @@ def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
     c1, c2 = cstar_max(g1, tol=tol), cstar_max(g2, tol=tol)
     tensor = tensor_max(c1.category, c2.category, check=False)
 
+    factors = {pair_name(a1, a2): (a1, a2) for a1 in g1.arrows for a2 in g2.arrows}
+
     def image(a):
-        # product arrow names are pair_name(a1, a2)
-        a1, a2 = _split_pair(a)
+        a1, a2 = factors[a]
         return np.kron(c1.embed[a1], c2.embed[a2])
 
     object_map = {x: x for x in gc.category.object_names}
@@ -511,22 +512,6 @@ def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
                          for _x, _y, sdim, tdim, rank in hom_map_ranks(functor))
     residual = max((v.residual for v in validate_functor(functor)), default=0.0)
     return functor, ComparisonVerdict(objects_ok, fully_faithful, residual, tol.composite)
-
-
-def _split_pair(name: str) -> tuple[str, str]:
-    """Invert pair_name for names built from pair_name-free components."""
-    if not (name.startswith("(") and name.endswith(")")):
-        raise ValueError(f"not a pair name: {name!r}")
-    body = name[1:-1]
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return body[:i], body[i + 1:]
-    raise ValueError(f"not a pair name: {name!r}")
 
 
 # ---------------------------------------------------------------------------

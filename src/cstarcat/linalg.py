@@ -83,7 +83,8 @@ def stack_matrices(mats, rows: int, cols: int) -> np.ndarray:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    """Row-major nested lists of [re, im] pairs."""
+    """Row-major nested lists of [re, im] pairs; a ``(n, rows, cols)``
+    stack gives the list of its ``n`` matrices' lists."""
     m = np.asarray(m, dtype=np.complex128)
     return np.stack((m.real, m.imag), -1).tolist()
 

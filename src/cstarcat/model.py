@@ -2,11 +2,27 @@
 
 Cofibrations are functors injective on objects; weak equivalences are
 decided as fully faithful (rank checks) plus unitarily essentially
-surjective (hom dimensions, see ``iso_exists``); trivial fibrations are
+surjective (hom dimensions, see ``isomorphic``); trivial fibrations are
 fully faithful and surjective on objects.
-Fibration-hood is exposed only operationally, through the unitary-lift
-solver, since the universally quantified lifting condition is not finitely
-checkable.
+
+Fibrations are defined by unitary lifting: every unitary v: Fx -> y lifts
+to a unitary u: x -> x' with F(u) = v. Between categories with finitely
+many objects this is decided exactly: F is a fibration if and only if
+(i) every End(x) -> End(Fx) is onto, and (ii) for every x and every
+y isomorphic to Fx some x' isomorphic to x has Fx' = y.
+Sufficiency: lift one unitary u0: x -> x' by (ii) and write F(u0)* v as
+exp(ih) with h self-adjoint in End(Fx); a self-adjoint preimage h' of h
+under (i) gives the lift u = u0 exp(ih'). Necessity of (ii) is the lifting
+itself. Necessity of (i): the lifts of the unitaries of End(Fx) over Fx
+itself lie in the finitely many hom(x, x') with Fx' = Fx, so U(End Fx) is
+a finite union of closed cosets of the compact group F(U(End x)). By
+Baire one coset has interior, so that group is open in the connected
+group U(End Fx), hence all of it, and the unitaries span End(Fx). With
+infinitely many objects the condition is not finitely checkable.
+
+Every class predicate is a function of the object map, the hom-map ranks
+and the hom dimensions; unitary witnesses are built only where a
+construction reads them.
 
 The two factorizations follow the classical path/cylinder shapes: the path
 midway category has one object (x, 1_Fx, Fx) per source object, with homs
@@ -29,10 +45,12 @@ from .categories import (
     compose_functors,
     functor_distance,
     functors_agree,
+    hom_map_rank,
     hom_map_ranks,
     identity_functor,
     inclusion_functor,
     iso_exists,
+    isomorphic,
     unitarize,
 )
 from .errors import (
@@ -67,7 +85,6 @@ def is_fully_faithful(functor: StarFunctor):
 @dataclass
 class WeqVerdict:
     status: str                  # "YES" | "NO"
-    witnesses: dict | None = None  # y -> (x, unitary Fx -> y)
     failure: tuple | None = None
     reason: str = ""
 
@@ -75,54 +92,44 @@ class WeqVerdict:
         return self.status == "YES"
 
 
-def is_weak_equivalence(functor: StarFunctor, seed: int = 0) -> WeqVerdict:
+def is_weak_equivalence(functor: StarFunctor) -> WeqVerdict:
     """Fully faithful plus unitarily essentially surjective, both exact.
 
-    Full faithfulness is decided by rank checks. Essential surjectivity asks
-    ``iso_exists``, per target object, for a unitary isomorphism from the
-    first image object that admits one; the seed only picks the witnesses.
+    Full faithfulness is decided by rank checks, essential surjectivity by
+    ``isomorphic`` between each target object and the image objects.
     """
     ff, witness = is_fully_faithful(functor)
     if not ff:
         return WeqVerdict("NO", failure=witness, reason="hom map not bijective")
+    images = [functor.object_map[x] for x in functor.source.object_names]
     target = functor.target
-    image = {}
-    for x in functor.source.object_names:
-        image.setdefault(functor.object_map[x], x)
-    witnesses = {}
-    for j, y in enumerate(target.object_names):
-        if y in image:
-            witnesses[y] = (image[y], target.identity(y))
-            continue
-        for i, x in enumerate(functor.source.object_names):
-            verdict = iso_exists(target, functor.object_map[x], y,
-                                 seed=seed * 7919 + 31 * j + i)
-            if verdict:
-                witnesses[y] = (x, verdict.witness)
-                break
-        else:
+    for y in target.object_names:
+        if not any(isomorphic(target, fx, y) for fx in images):
             return WeqVerdict("NO", failure=(y,),
                               reason="no candidate object can be isomorphic")
-    return WeqVerdict("YES", witnesses=witnesses)
+    return WeqVerdict("YES")
+
+
+def is_fibration(functor: StarFunctor) -> bool:
+    """Unitary lifting, decided by the lemma of the module docstring: every
+    End(x) -> End(Fx) is onto, and every y isomorphic to Fx is the image of
+    an object isomorphic to x."""
+    src, tgt = functor.source, functor.target
+    for x in src.object_names:
+        _sdim, tdim, rank = hom_map_rank(functor, x, x)
+        if rank != tdim:
+            return False
+        over = {functor.object_map[x2] for x2 in src.object_names if isomorphic(src, x, x2)}
+        fx = functor.object_map[x]
+        if any(y not in over and isomorphic(tgt, fx, y) for y in tgt.object_names):
+            return False
+    return True
 
 
 def is_trivial_fibration(functor: StarFunctor) -> bool:
     """Fully faithful and surjective on objects; fully deterministic."""
     surjective = set(functor.object_map.values()) == set(functor.target.object_names)
     return surjective and is_fully_faithful(functor)[0]
-
-
-def rlp_generating(functor: StarFunctor, which: str) -> bool:
-    """Right lifting property against the three generating cofibrations,
-    through their proven characterizations: U (object surjectivity), V
-    (fullness), W (faithfulness)."""
-    if which == "U":
-        return set(functor.object_map.values()) == set(functor.target.object_names)
-    if which == "V":
-        return all(rank == tdim for _x, _y, _sdim, tdim, rank in hom_map_ranks(functor))
-    if which == "W":
-        return all(rank == sdim for _x, _y, sdim, _tdim, rank in hom_map_ranks(functor))
-    raise ValueError(f"unknown generating cofibration {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +139,11 @@ def rlp_generating(functor: StarFunctor, which: str) -> bool:
 def solve_unitary_lift(functor: StarFunctor, x: str, v, y: str):
     """Lift a unitary v: Fx -> y through the functor.
 
-    Searches the preimages x' of y in declaration order, solves F(a) = v
-    linearly on hom(x, x'), and polar-corrects an invertible solution; the
-    functor then carries the correction to v (v*v)^(-1/2) = v, so F(u) = v.
-    Every comparison is judged by the functor's tolerance. Returns (u, x')
-    or None.
+    Searches the preimages x' of y isomorphic to x in declaration order,
+    solves F(a) = v linearly on hom(x, x'), and polar-corrects an
+    invertible solution; the functor then carries the correction to
+    v (v*v)^(-1/2) = v, so F(u) = v. Every comparison is judged by the
+    functor's tolerance. Returns (u, x') or None.
     """
     tol = functor.tol
     src, tgt = functor.source, functor.target
@@ -148,7 +155,7 @@ def solve_unitary_lift(functor: StarFunctor, x: str, v, y: str):
     if not linalg.is_unitary(v, tol):
         return None
     for x2 in src.object_names:
-        if functor.object_map[x2] != y:
+        if functor.object_map[x2] != y or not isomorphic(src, x, x2):
             continue
         space = src.hom(x, x2)
         if space.dim == 0:
@@ -173,15 +180,27 @@ def solve_unitary_lift(functor: StarFunctor, x: str, v, y: str):
 def quasi_inverse(functor: StarFunctor, seed: int = 0):
     """A quasi-inverse G with unitary natural isomorphisms u: GF -> id and
     v: FG -> id. When F is injective on objects the witnesses are chosen so
-    that GF is the identity on objects and v is the identity on the image.
+    that GF is the identity on objects and v is the identity on the image;
+    off the image, the seed picks v through ``iso_exists``.
 
     Returns (G, u, v), with u and v as dicts of components by object."""
-    verdict = is_weak_equivalence(functor, seed=seed)
+    verdict = is_weak_equivalence(functor)
     if verdict.status != "YES":
         raise NotAWeakEquivalence(f"verdict {verdict.status}: {verdict.reason}")
     src, tgt = functor.source, functor.target
-    g_objects = {y: verdict.witnesses[y][0] for y in tgt.object_names}
-    v_units = {y: verdict.witnesses[y][1] for y in tgt.object_names}
+    image = {}
+    for x in src.object_names:
+        image.setdefault(functor.object_map[x], x)
+    g_objects, v_units = {}, {}
+    for j, y in enumerate(tgt.object_names):
+        if y in image:
+            g_objects[y], v_units[y] = image[y], tgt.identity(y)
+            continue
+        for i, x in enumerate(src.object_names):
+            iso = iso_exists(tgt, functor.object_map[x], y, seed=seed * 7919 + 31 * j + i)
+            if iso:
+                g_objects[y], v_units[y] = x, iso.witness
+                break
 
     def f_inverse(x: str, x2: str, m):
         space = src.hom(x, x2)
@@ -478,8 +497,9 @@ def axiom_harness(kind: str, instances) -> list[dict]:
                             "detail": f"retract={small_v.status}"})
     elif kind == "rlp_equiv":
         for idx, functor in enumerate(instances):
+            # RLP against the generating cofibrations: fibrations that are weak equivalences
             direct = is_trivial_fibration(functor)
-            via_rlp = all(rlp_generating(functor, w) for w in ("U", "V", "W"))
+            via_rlp = is_fibration(functor) and bool(is_weak_equivalence(functor))
             entries.append({
                 "name": f"rlp_equiv[{idx}]",
                 "status": "pass" if direct == via_rlp else "fail",

@@ -585,6 +585,7 @@ def test_iso_exists_matches_sector_multiplicities():
                 verdict = cat.iso_exists(c, x, y, seed=trial)
                 same = model.multiplicities[x] == model.multiplicities[y]
                 assert verdict.status == ("YES" if same else "NO"), (trial, x, y)
+                assert cat.isomorphic(c, x, y) == same, (trial, x, y)
                 if same:
                     yes += x != y
                     assert is_unitary(verdict.witness)

@@ -517,6 +517,23 @@ def test_lift_generator_judges_the_residual_by_the_tolerance(tmp_path, capsys):
     assert run("lift", near, "--mode", "generator") == 3
 
 
+def test_lift_generator_skips_preimages_of_another_carrier(tmp_path, capsys):
+    from cstarcat.categories import iso_exists
+    from cstarcat.linalg import matrix_to_json
+    from cstarcat.suites import functor_zoo
+
+    # the seed-0 zoo projection sends o0 (carrier 2) and o1 (carrier 4) to
+    # isomorphic objects; o1 is the only preimage of p:o1 but is not
+    # isomorphic to o0, so no unitary o0 -> o1 exists to lift v
+    kind, functor = functor_zoo(rg.rng_from_seed(0), 11)[10]
+    assert kind == "projection"
+    v = iso_exists(functor.target, functor.object_map["o0"], "p:o1").witness
+    data = {"F": functor.to_json(), "x": "o0", "v": matrix_to_json(v), "y": "p:o1"}
+    assert run("lift", write(tmp_path / "gen.json", data), "--mode", "generator") == 3
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "unitary_lift" and check["status"] == "unknown"
+
+
 def test_tensor_and_pi_chain(tmp_path, z2_file, capsys):
     cat_file = str(tmp_path / "cat.json")
     in_process, fresh = str(tmp_path / "in_process.json"), str(tmp_path / "fresh.json")

@@ -13,6 +13,7 @@ from cstarcat.categories import (
     disjoint_union,
     full_matrix_category,
     functors_agree,
+    hom_map_ranks,
     identity_functor,
     inclusion_functor,
     validate_category,
@@ -74,13 +75,7 @@ def test_is_cofibration():
 def test_weak_equivalence_verdicts():
     unit = full_matrix_category([1], ["pt"])
     assert md.is_weak_equivalence(identity_functor(unit)).status == "YES"
-    inc = end_inclusion()
-    verdict = md.is_weak_equivalence(inc, seed=3)
-    assert verdict.status == "YES"
-    # the witness at the far end is a unitary in hom(i0, i1)
-    x, witness = verdict.witnesses["i1"]
-    assert x == "pt" and is_unitary(witness)
-    assert inc.target.hom("i0", "i1").contains(witness)
+    assert md.is_weak_equivalence(end_inclusion()).status == "YES"
     bad = scalar_into_m2()
     v2 = md.is_weak_equivalence(bad)
     assert v2.status == "NO" and v2.failure == ("pt", "pt")
@@ -119,16 +114,65 @@ def test_trivial_fibration_predicate():
     assert md.is_trivial_fibration(conj)
 
 
-def test_rlp_generating_characterizations():
+def full_and_faithful(functor):
+    """(full, faithful) read off ``hom_map_ranks``."""
+    ranks = list(hom_map_ranks(functor))
+    return (all(rank == tdim for _x, _y, _sdim, tdim, rank in ranks),
+            all(rank == sdim for _x, _y, sdim, _tdim, rank in ranks))
+
+
+def test_hom_map_ranks_characterizations():
     ident = identity_functor(full_matrix_category([1], ["pt"]))
-    assert all(md.rlp_generating(ident, w) for w in "UVW")
-    scalar = scalar_into_m2()
-    assert md.rlp_generating(scalar, "U")
-    assert not md.rlp_generating(scalar, "V")
-    assert md.rlp_generating(scalar, "W")
+    assert full_and_faithful(ident) == (True, True)
+    assert full_and_faithful(scalar_into_m2()) == (False, True)
     collapse = collapse_with_kernel()
     assert validate_functor(collapse) == []
-    assert not md.rlp_generating(collapse, "W")
+    assert not full_and_faithful(collapse)[1]
+
+
+def test_fibration_predicate_on_hand_built_functors():
+    unit = full_matrix_category([1], ["pt"])
+    rng = rg.rng_from_seed(3)
+    cat, model = rg.random_matcat(rng, n_objects=2, max_dim=3)
+    _target, conj = rg.conjugate_category(rng, cat)
+    for functor in (identity_functor(unit), identity_functor(cat), conj,
+                    collapse_with_kernel()):
+        assert md.is_fibration(functor)
+    # a fattening that is not full on End fails (i)
+    while all(cat.hom(x, x).dim == cat.obj(x).dim ** 2 for x in cat.object_names):
+        cat, model = rg.random_matcat(rng, n_objects=2, max_dim=3)
+    fattening = rg.fattening_functor(cat, model)
+    assert not full_and_faithful(fattening)[0] and not md.is_fibration(fattening)
+    # C -> M_2 is faithful and object-surjective but not onto on End
+    assert not md.is_fibration(scalar_into_m2())
+    # the extra object of a random weak equivalence is isomorphic to an
+    # image object but has no preimage: (i) holds, (ii) fails
+    weq = rg.random_weq(rng, cat, n_extra=1)
+    assert full_and_faithful(weq) == (True, True)
+    assert md.is_weak_equivalence(weq) and not md.is_fibration(weq)
+    assert not md.is_fibration(end_inclusion())
+
+
+def test_trivial_fibrations_are_the_fibrant_weak_equivalences_over_the_zoo():
+    fibrations = 0
+    for seed in range(40):
+        for kind, functor in functor_zoo(rg.rng_from_seed(seed), 24):
+            fibration = md.is_fibration(functor)
+            fibrations += fibration
+            assert md.is_trivial_fibration(functor) == \
+                (fibration and bool(md.is_weak_equivalence(functor))), (seed, kind)
+    assert 0 < fibrations < 960
+
+
+def test_rlp_harness_fails_when_the_fibration_predicate_is_wrong(monkeypatch):
+    # a weak equivalence with an extra object is not a trivial fibration;
+    # calling every functor a fibration makes the harness disagree
+    weq = rg.random_weq(rg.rng_from_seed(5), full_matrix_category([2]), n_extra=1)
+    [entry] = md.axiom_harness("rlp_equiv", [weq])
+    assert entry["status"] == "pass" and entry["detail"] == "direct=False,rlp=False"
+    monkeypatch.setattr(md, "is_fibration", lambda functor: True)
+    [entry] = md.axiom_harness("rlp_equiv", [weq])
+    assert entry["status"] == "fail" and entry["detail"] == "direct=False,rlp=True"
 
 
 def rank_oracle(functor):
@@ -156,8 +200,7 @@ def test_rank_predicates_agree_with_matrix_rank_over_the_zoo():
     verdicts = set()
     for kind, functor in zoo:
         full, faithful = rank_oracle(functor)
-        assert md.rlp_generating(functor, "V") == full, kind
-        assert md.rlp_generating(functor, "W") == faithful, kind
+        assert full_and_faithful(functor) == (full, faithful), kind
         assert md.is_fully_faithful(functor)[0] == (full and faithful), kind
         verdicts.add((full, faithful))
     assert len(verdicts) == 4
@@ -355,7 +398,7 @@ def test_factor_path_shapes_and_formula():
     assert validate_category(path.midway) == []
     assert path.composite_residual(functor) <= 1e-9
     assert md.is_cofibration(path.first)
-    assert md.is_weak_equivalence(path.first, seed=1).status == "YES"
+    assert md.is_weak_equivalence(path.first).status == "YES"
     # one midway object (x, 1_Fx, Fx) per source object, and P(a) = F(a)
     names = {x: f"({x},{functor.object_map[x]}#0)" for x in cat.object_names}
     assert path.first.object_map == names
