@@ -528,8 +528,7 @@ def iso_exists(cat: MatCStarCategory, x: str, y: str, seed: int = 0) -> IsoVerdi
         return IsoVerdict("YES", cat.identity(x), "identity")
     if not isomorphic(cat, x, y):
         return IsoVerdict("NO", None, "hom dimensions differ")
-    space = cat.hom(x, y)
-    inv = find_invertible(space, seed=seed, tol=cat.tol)
+    inv = find_invertible(cat.hom(x, y), seed=seed, tol=cat.tol)
     if inv is None:
         raise InvalidCategory(f"hom({x}, {y}) has matching dimensions but no "
                               "invertible element: not a C*-category")

@@ -522,7 +522,7 @@ def test_lift_generator_skips_preimages_of_another_carrier(tmp_path, capsys):
     from cstarcat.linalg import matrix_to_json
     from cstarcat.suites import functor_zoo
 
-    # the seed-0 zoo projection sends o0 (carrier 2) and o1 (carrier 4) to
+    # the second seed-0 zoo projection sends o0 (carrier 2) and o1 (carrier 4) to
     # isomorphic objects; o1 is the only preimage of p:o1 but is not
     # isomorphic to o0, so no unitary o0 -> o1 exists to lift v
     kind, functor = functor_zoo(rg.rng_from_seed(0), 11)[10]
