@@ -302,6 +302,16 @@ class StarFunctor:
             mat[:, j] = tspace.coords(img)
         return mat
 
+    def preimage(self, x: str, y: str, mats) -> list[np.ndarray]:
+        """The least-norm least-squares preimage in hom(x, y) of each matrix
+        of hom(Fx, Fy): an exact preimage of a matrix in the image, and
+        orthogonal to the kernel of the hom map."""
+        space = self.source.hom(x, y)
+        hom = self.target.hom(self.object_map[x], self.object_map[y])
+        coord = self.coord_matrix(x, y)
+        return [space.from_coords(np.linalg.lstsq(coord, hom.coords(m), rcond=None)[0])
+                for m in mats]
+
     def to_json(self) -> dict:
         hom_maps = {}
         for x, y in self.source.pairs():

@@ -11,14 +11,15 @@ Each command takes ``--output`` and only the shared flags it reads:
 ``--coset-budget`` (pi, verify-axioms) and ``--dim-cap`` (nerve). The
 tolerance reaches every comparison of its command: instances are built
 with it, and each residual verdict is judged against its ``eps_abs`` or
-its composite bound (see ``linalg.Tolerance``). factorize accepts
-``--seed`` only because ``perfbench/workloads.py`` passes it: its verdicts
-sample nothing, so the flag changes no byte of its output.
+its composite bound (see ``linalg.Tolerance``). factorize and lift accept
+``--seed`` only because ``perfbench/workloads.py`` passes it: their
+verdicts and witnesses sample nothing the seed reaches, so the flag changes
+no byte of their output.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or parse
-error, 3 unknown-only (a coset enumeration ran out of budget, or the
-one-sided generator lift found no lift), 4 internal error (any other
-exception, such as running out of memory, reported on one stderr line).
+error, 3 unknown-only (a coset enumeration ran out of budget), 4 internal
+error (any other exception, such as running out of memory, reported on one
+stderr line).
 """
 
 from __future__ import annotations
@@ -212,13 +213,10 @@ def cmd_lift(args) -> Report:
         functor = _load_functor_ref(data["F"], base, tol)
         x = _lift_object(data, "x", functor.source)
         v = matrix_from_json(data["v"])
-        if "y" in data:
-            lifted = md.solve_unitary_lift(functor, x, v, _lift_object(data, "y", functor.target))
-        else:
-            lifted = md.lift_unitary_by_search(functor, x, v)
+        y = _lift_object(data, "y", functor.target) if "y" in data else None
+        lifted = md.solve_unitary_lift(functor, x, v, y)
         if lifted is None:
-            report.add("unitary_lift", "unknown",
-                       detail="no lift found (solver is one-sided)")
+            report.add("unitary_lift", "fail", detail="no unitary lift exists")
         else:
             u, obj = lifted
             residual = float(np.linalg.norm(functor.apply(x, obj, u) - v))
@@ -229,7 +227,7 @@ def cmd_lift(args) -> Report:
     _require_keys(data, legs)
     square = md.LiftingSquare(**{leg: _load_functor_ref(data[leg], base, tol) for leg in legs})
     if args.mode == "tcof-fib":
-        lift = md.lift_tcof_fib(square, seed=args.seed)
+        lift = md.lift_tcof_fib(square)
     else:
         lift = md.lift_cof_tfib(square)
     res1, res2 = square.triangle_residuals(lift)

@@ -105,7 +105,8 @@ class NotAWeakEquivalence(CStarCatError):
 
 
 class LiftObstruction(CStarCatError):
-    """The unitary-lift oracle failed at some object."""
+    """No unitary lift exists at some object, so the right leg of the
+    lifting square is not a fibration there."""
 
     def __init__(self, message, obj=None):
         super().__init__(message)

@@ -6,13 +6,22 @@ surjective (hom dimensions, see ``isomorphic``); trivial fibrations are
 fully faithful and surjective on objects.
 
 Fibrations are defined by unitary lifting: every unitary v: Fx -> y lifts
-to a unitary u: x -> x' with F(u) = v. Between categories with finitely
-many objects this is decided exactly: F is a fibration if and only if
-(i) every End(x) -> End(Fx) is onto, and (ii) for every x and every
-y isomorphic to Fx some x' isomorphic to x has Fx' = y.
-Sufficiency: lift one unitary u0: x -> x' by (ii) and write F(u0)* v as
-exp(ih) with h self-adjoint in End(Fx); a self-adjoint preimage h' of h
-under (i) gives the lift u = u0 exp(ih'). Necessity of (ii) is the lifting
+to a unitary u: x -> x' with F(u) = v. One v lifts if and only if
+v = F(a) for some a in hom(x, x') with x' isomorphic to x and Fx' = y, and
+then by a closed formula. The kernel of F on End(x) is a two-sided ideal
+(1 - z) End(x) with z a central projection, and z is the least-norm
+preimage of 1_Fx. For a unitary u0: x -> x' the kernel on hom(x, x') is
+u0 (1 - z) End(x), so the least-norm preimage a of v lies in u0 z End(x),
+where F is injective; F(a*a) = v*v = 1 = F(z) gives a*a = z, and
+u = a + u0 (1 - z) is a unitary in hom(x, x') with F(u) = v. Every unitary
+lift lies in such a hom(x, x'), so the construction is complete.
+
+Between categories with finitely many objects fibrations are decided
+exactly: F is a fibration if and only if (i) every End(x) -> End(Fx) is
+onto, and (ii) for every x and every y isomorphic to Fx some x' isomorphic
+to x has Fx' = y. Sufficiency: for v: Fx -> y, (ii) gives such an x' and a
+unitary u0: x -> x', and F(hom(x, x')) = F(u0) End(Fx) = hom(Fx, y) by
+(i), so v lifts by the construction. Necessity of (ii) is the lifting
 itself. Necessity of (i): the lifts of the unitaries of End(Fx) over Fx
 itself lie in the finitely many hom(x, x') with Fx' = Fx, so U(End Fx) is
 a finite union of closed cosets of the compact group F(U(End x)). By
@@ -29,15 +38,14 @@ midway category has one object (x, 1_Fx, Fx) per source object, with homs
 borrowed from the source; the cylinder midway has the disjoint union of both
 object sets with homs pulled back along the functor.
 
-All nonconstructive choices (preimages, quasi-inverse object choices, lift
-witnesses) are made deterministic: declaration order and seeded sampling.
+All nonconstructive choices are made deterministic: preimages are
+least-norm (``StarFunctor.preimage``), objects are chosen in declaration
+order, and unitary witnesses are seeded samples of ``iso_exists``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .categories import (
     MatCStarCategory,
@@ -136,14 +144,16 @@ def is_trivial_fibration(functor: StarFunctor) -> bool:
 # unitary lifts and quasi-inverses
 
 
-def solve_unitary_lift(functor: StarFunctor, x: str, v, y: str):
-    """Lift a unitary v: Fx -> y through the functor.
+def solve_unitary_lift(functor: StarFunctor, x: str, v, y: str | None = None):
+    """Lift a unitary v: Fx -> y through the functor, or v: Fx -> Fx' for
+    any object x' when y is None.
 
-    Searches the preimages x' of y isomorphic to x in declaration order,
-    solves F(a) = v linearly on hom(x, x'), and polar-corrects an
-    invertible solution; the functor then carries the correction to
-    v (v*v)^(-1/2) = v, so F(u) = v. Every comparison is judged by the
-    functor's tolerance. Returns (u, x') or None.
+    Exact, by the construction of the module docstring: the first x'
+    isomorphic to x (and over y) in declaration order whose least-norm
+    preimage a of v has F(a) = v gives u = a + u0 (1 - z), polar-corrected,
+    with z the least-norm preimage of 1_Fx and u0 the ``iso_exists``
+    witness x -> x'. Returns (u, x'), or None when v has no unitary lift.
+    Every comparison is judged by the functor's tolerance.
     """
     tol = functor.tol
     src, tgt = functor.source, functor.target
@@ -151,37 +161,29 @@ def solve_unitary_lift(functor: StarFunctor, x: str, v, y: str):
     v = as_matrix(v)
     if v.shape[1] != tgt.obj(fx).dim:
         raise SquareMismatch(f"unitary domain does not match F({x!r})")
-    v = as_matrix(v, tgt.obj(y).dim, tgt.obj(fx).dim)
+    if y is not None:
+        v = as_matrix(v, tgt.obj(y).dim, tgt.obj(fx).dim)
     if not linalg.is_unitary(v, tol):
         return None
     for x2 in src.object_names:
-        if functor.object_map[x2] != y or not isomorphic(src, x, x2):
+        fx2 = functor.object_map[x2]
+        if y not in (None, fx2) or tgt.obj(fx2).dim != len(v) or not isomorphic(src, x, x2):
             continue
-        space = src.hom(x, x2)
-        if space.dim == 0:
+        [a] = functor.preimage(x, x2, [v])
+        if not tol.close(functor.apply(x, x2, a), v):
             continue
-        hom = tgt.hom(fx, y)
-        if not hom.contains(v, tol):
-            continue
-        coord = functor.coord_matrix(x, x2)
-        rhs = hom.coords(v)
-        sol, *_ = np.linalg.lstsq(coord, rhs, rcond=None)
-        if float(np.linalg.norm(coord @ sol - rhs)) > tol.bound(1.0):
-            continue
-        a = space.from_coords(sol)
-        if linalg.smallest_singular_value(a) <= tol.eps_abs:
-            continue
-        u = unitarize(src, a, x, x2)
-        if tol.close(functor.apply(x, x2, u), v):
-            return u, x2
+        [z] = functor.preimage(x, x, [tgt.identity(fx)])
+        u0 = iso_exists(src, x, x2).witness
+        return unitarize(src, a + u0 @ (src.identity(x) - z), x, x2), x2
     return None
 
 
-def quasi_inverse(functor: StarFunctor, seed: int = 0):
+def quasi_inverse(functor: StarFunctor):
     """A quasi-inverse G with unitary natural isomorphisms u: GF -> id and
     v: FG -> id. When F is injective on objects the witnesses are chosen so
     that GF is the identity on objects and v is the identity on the image;
-    off the image, the seed picks v through ``iso_exists``.
+    off the image, v at y is the ``iso_exists`` witness Fx -> y for the
+    first source object x with Fx isomorphic to y.
 
     Returns (G, u, v), with u and v as dicts of components by object."""
     verdict = is_weak_equivalence(functor)
@@ -197,29 +199,22 @@ def quasi_inverse(functor: StarFunctor, seed: int = 0):
             g_objects[y], v_units[y] = image[y], tgt.identity(y)
             continue
         for i, x in enumerate(src.object_names):
-            iso = iso_exists(tgt, functor.object_map[x], y, seed=seed * 7919 + 31 * j + i)
+            iso = iso_exists(tgt, functor.object_map[x], y, seed=31 * j + i)
             if iso:
                 g_objects[y], v_units[y] = x, iso.witness
                 break
 
-    def f_inverse(x: str, x2: str, m):
-        space = src.hom(x, x2)
-        hom = tgt.hom(functor.object_map[x], functor.object_map[x2])
-        coord = functor.coord_matrix(x, x2)
-        sol, *_ = np.linalg.lstsq(coord, hom.coords(m), rcond=None)
-        return space.from_coords(sol)
-
     hom_maps = {}
     for (y, y2), space in tgt.homs.items():
-        gx, gx2 = g_objects[y], g_objects[y2]
-        hom_maps[(y, y2)] = [f_inverse(gx, gx2, v_units[y2].conj().T @ b @ v_units[y])
-                             for b in space.basis]
+        hom_maps[(y, y2)] = functor.preimage(
+            g_objects[y], g_objects[y2],
+            [v_units[y2].conj().T @ b @ v_units[y] for b in space.basis])
     g = StarFunctor(tgt, src, g_objects, hom_maps, tol=functor.tol)
 
     u = {}
     for x in src.object_names:
         fx = functor.object_map[x]
-        u[x] = f_inverse(g_objects[fx], x, v_units[fx])
+        [u[x]] = functor.preimage(g_objects[fx], x, [v_units[fx]])
     return g, u, v_units
 
 
@@ -253,9 +248,11 @@ class LiftingSquare:
                 functor_distance(second, self.bottom))
 
 
-def lift_tcof_fib(square: LiftingSquare, seed: int = 0) -> StarFunctor:
-    """Lift when the left leg is a trivial cofibration and the right leg
-    answers unitary-lift queries through ``solve_unitary_lift``.
+def lift_tcof_fib(square: LiftingSquare) -> StarFunctor:
+    """Lift when the left leg is a trivial cofibration and the right leg a
+    fibration, through ``solve_unitary_lift``. Raises ``LiftObstruction``
+    at an object where no unitary lift exists: the right leg is then not a
+    fibration.
 
     Follows the constructive recipe: choose a quasi-inverse F' of the left
     leg with F'F = id and identity witnesses on the image, lift the unitaries
@@ -265,7 +262,7 @@ def lift_tcof_fib(square: LiftingSquare, seed: int = 0) -> StarFunctor:
     f, u_top, g, v_bottom = square.left, square.top, square.right, square.bottom
     if not is_cofibration(f):
         raise PreconditionFailed("left leg is not a cofibration")
-    f_prime, _u, v = quasi_inverse(f, seed=seed)
+    f_prime, _u, v = quasi_inverse(f)
 
     image = {f.object_map[z]: z for z in f.source.object_names}
     obj_map, w_units = {}, {}
@@ -292,19 +289,6 @@ def lift_tcof_fib(square: LiftingSquare, seed: int = 0) -> StarFunctor:
     return StarFunctor(f.target, u_top.target, obj_map, hom_maps, tol=f.tol)
 
 
-def lift_unitary_by_search(functor: StarFunctor, x: str, v):
-    """Unitary-lift oracle backed by the generic solver: no codomain object
-    is prescribed, every target object of matching dimension is tried."""
-    tgt = functor.target
-    for y in tgt.object_names:
-        if tgt.obj(y).dim != np.asarray(v).shape[0]:
-            continue
-        lifted = solve_unitary_lift(functor, x, v, y)
-        if lifted is not None:
-            return lifted
-    return None
-
-
 def lift_cof_tfib(square: LiftingSquare) -> StarFunctor:
     """Lift when the left leg is a cofibration and the right leg a trivial
     fibration: objects by first-preimage choice (respecting the top leg on
@@ -326,16 +310,8 @@ def lift_cof_tfib(square: LiftingSquare) -> StarFunctor:
                               if g.object_map[c] == vx)
     hom_maps = {}
     for (x, x2), space in f.target.homs.items():
-        cx, cx2 = obj_map[x], obj_map[x2]
-        c_space = g.source.hom(cx, cx2)
-        coord = g.coord_matrix(cx, cx2)
-        d_space = g.target.hom(g.object_map[cx], g.object_map[cx2])
-        images = []
-        for b in space.basis:
-            vb = v_bottom.apply(x, x2, b)
-            sol, *_ = np.linalg.lstsq(coord, d_space.coords(vb), rcond=None)
-            images.append(c_space.from_coords(sol))
-        hom_maps[(x, x2)] = images
+        hom_maps[(x, x2)] = g.preimage(obj_map[x], obj_map[x2],
+                                       [v_bottom.apply(x, x2, b) for b in space.basis])
     return StarFunctor(f.target, g.source, obj_map, hom_maps, tol=f.tol)
 
 

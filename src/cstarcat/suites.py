@@ -138,7 +138,7 @@ def suite_mc(seed: int = 0, tol: Tolerance = DEFAULT_TOL):
             cylinder = md.factor_cylinder(functor)
             square = md.LiftingSquare(top=cylinder.first, left=path.first,
                                       right=cylinder.second, bottom=path.second)
-            lift1 = md.lift_tcof_fib(square, seed=seed + idx)
+            lift1 = md.lift_tcof_fib(square)
             lift2 = md.lift_cof_tfib(square)
         except CStarCatError as err:
             entries.append(_unbuilt(f"mc4[{idx}]", err))

@@ -513,8 +513,10 @@ def test_lift_generator_judges_the_residual_by_the_tolerance(tmp_path, capsys):
     assert run("lift", near, "--mode", "generator", "--tolerance", "1e-6") == 0
     check = json.loads(capsys.readouterr().out)["checks"][0]
     assert check["status"] == "pass" and 7e-8 < check["residual"] < 7.2e-8
-    # at the default tolerance v is not unitary, so no lift is attempted
-    assert run("lift", near, "--mode", "generator") == 3
+    # at the default tolerance v is not unitary, so it has no unitary lift
+    assert run("lift", near, "--mode", "generator") == 1
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check["status"] == "fail" and check["detail"] == "no unitary lift exists"
 
 
 def test_lift_generator_skips_preimages_of_another_carrier(tmp_path, capsys):
@@ -529,9 +531,27 @@ def test_lift_generator_skips_preimages_of_another_carrier(tmp_path, capsys):
     assert kind == "projection"
     v = iso_exists(functor.target, functor.object_map["o0"], "p:o1").witness
     data = {"F": functor.to_json(), "x": "o0", "v": matrix_to_json(v), "y": "p:o1"}
-    assert run("lift", write(tmp_path / "gen.json", data), "--mode", "generator") == 3
+    assert run("lift", write(tmp_path / "gen.json", data), "--mode", "generator") == 1
     [check] = json.loads(capsys.readouterr().out)["checks"]
-    assert check["name"] == "unitary_lift" and check["status"] == "unknown"
+    assert check["name"] == "unitary_lift" and check["status"] == "fail"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lift_generator_without_y_lifts_the_unit_through_a_projection(tmp_path, capsys, seed):
+    from cstarcat.linalg import matrix_to_json
+
+    # the projection of a one-object category kills one of its two sectors, so
+    # the least-norm preimage of the unit is a singular projection; with no
+    # "y" every object is tried, and the exact lift of v = 1 is over o0
+    _cat, model = rg.random_matcat(rg.rng_from_seed(seed), n_objects=1, max_dim=4, n_sectors=2)
+    assert all(min(m) >= 1 for m in model.multiplicities.values())
+    functor = rg.sector_projection_functor(model, keep=0)
+    dim = functor.target.obj(functor.object_map["o0"]).dim
+    data = {"F": functor.to_json(), "x": "o0", "v": matrix_to_json(np.eye(dim, dtype=complex))}
+    assert run("lift", write(tmp_path / "gen.json", data), "--mode", "generator") == 0
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check["status"] == "pass" and check["witness"] == "o0"
+    assert check["residual"] <= 1e-8
 
 
 def test_tensor_and_pi_chain(tmp_path, z2_file, capsys):
