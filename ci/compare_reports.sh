@@ -8,7 +8,9 @@
 # which between them run all ten commands:
 #   generate random_weq -> validate -> factorize --mode path|cylinder ->
 #     lift --mode tcof-fib|cof-tfib, the lift square built from each tree's
-#     own factorizations;
+#     own factorizations, and lift --mode generator through the cylinder's
+#     second functor Q: the first x, the first y != Q(x) isomorphic to Q(x),
+#     and the unitary Q(x) -> y that iso_exists finds;
 #   generate random_groupoid -> validate -> groupoid-cstar;
 #   nerve --dim-cap 3 of that groupoid -> validate -> fundamental-groupoid -> pi;
 #   generate random_matcat -> tensor with itself.
@@ -63,6 +65,21 @@ SQUARE
     for mode in tcof-fib cof-tfib; do
       cli "$tree" "$dir" "lift_${mode}_$seed" lift "square_$seed.json" --mode "$mode"
     done
+    (cd "$dir" && PYTHONPATH="$tree/src" python3 - "cylinder_$seed.json" \
+      "generator_$seed.json" <<'GENERATOR'
+import json, sys
+from cstarcat.categories import StarFunctor, iso_exists, isomorphic
+from cstarcat.linalg import matrix_to_json
+second = json.load(open(sys.argv[1]))["second"]
+q = StarFunctor.from_json(second)
+x, y = next((x, y) for x in q.source.object_names for y in q.target.object_names
+            if y != q.object_map[x] and isomorphic(q.target, q.object_map[x], y))
+v = iso_exists(q.target, q.object_map[x], y).witness
+json.dump({"F": second, "x": x, "v": matrix_to_json(v), "y": y},
+          open(sys.argv[2], "w"), indent=2)
+GENERATOR
+    )
+    cli "$tree" "$dir" "lift_generator_$seed" lift "generator_$seed.json" --mode generator
 
     cli "$tree" "$dir" "generate_groupoid_$seed" generate --kind random_groupoid \
       --seed "$seed" --output "groupoid_$seed.json"

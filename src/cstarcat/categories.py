@@ -504,7 +504,7 @@ def unitarize(cat: MatCStarCategory, a, x: str, y: str) -> np.ndarray:
     if smallest_singular_value(a) <= cat.tol.eps_abs:
         raise SingularOperand("arrow is singular within tolerance")
     gram = a.conj().T @ a  # Hermitian up to rounding, which herm_funcalc would judge
-    return a @ herm_funcalc((gram + gram.conj().T) / 2.0, "inv_sqrt", tol=cat.tol)
+    return a @ herm_funcalc((gram + gram.conj().T) / 2.0, tol=cat.tol)
 
 
 @dataclass
@@ -561,58 +561,51 @@ def carrier_blocks(f: StarFunctor) -> dict[str, slice]:
 
 
 def nat_space(f: StarFunctor, g: StarFunctor) -> Subspace:
-    """Solve the finite linear system for all natural transformations F -> G
-    whose components live in the target hom spaces, each returned as the
-    block-diagonal matrix from the carrier of F to the carrier of G (see
-    ``carrier_blocks``).
+    """Solve the finite linear system for all natural transformations F -> G,
+    each returned as the block-diagonal matrix from the carrier of F to the
+    carrier of G (see ``carrier_blocks``).
 
-    With row-major vec, alpha_y F(a) contributes (I (x) F(a)^T) and
-    G(a) alpha_x contributes (G(a) (x) I); hom membership contributes
-    (I - P) vec(alpha_x) = 0 for the orthogonal projector P of hom(Fx, Gx).
-    The kernel rows are orthonormal and the blocks do not overlap, so the
-    basis is HS-orthonormal, and the operator norm of an element is the
-    sup norm of its components.
+    The unknowns are the coordinates c_x of each component alpha_x in the
+    stored basis of hom(Fx, Gx), so every component lies in its hom by
+    construction. Each stored basis element a of hom(x, y) contributes the
+    coordinates of alpha_y F(a) - G(a) alpha_x in the basis of hom(Fx, Gy).
+    Precondition: F and G are *-functors into a category closed under
+    composition (``validate_functor``, ``validate_category``), so this defect
+    lies in hom(Fx, Gy) and vanishes exactly when its coordinates do. The
+    kernel rows are orthonormal, the hom bases HS-orthonormal and the blocks
+    disjoint, so the basis is HS-orthonormal, and the operator norm of an
+    element is the sup norm of its components.
     """
     if f.source.object_names != g.source.object_names:
         raise NotParallel("functors are not parallel")
     src, tgt = f.source, f.target
-    shapes, offsets, total = {}, {}, 0
-    for x in src.object_names:
-        rows = tgt.obj(g.object_map[x]).dim
-        cols = tgt.obj(f.object_map[x]).dim
-        shapes[x] = (rows, cols)
-        offsets[x] = total
-        total += rows * cols
-    carrier_shape = (sum(r for r, _c in shapes.values()),
-                     sum(c for _r, c in shapes.values()))
-    if total == 0:
-        return Subspace(*carrier_shape, [], tol=f.tol)
-
-    n_rows = total + sum(space.dim * shapes[y][0] * shapes[x][1]
-                         for (x, y), space in src.homs.items())
-    system = np.zeros((n_rows, total), dtype=np.complex128)
-    for x in src.object_names:
-        n = shapes[x][0] * shapes[x][1]
-        space = tgt.hom(f.object_map[x], g.object_map[x])
-        system[offsets[x]:offsets[x] + n, offsets[x]:offsets[x] + n] = \
-            np.eye(n) - space._rows.T @ space._rows.conj()
-    start = total
-    for (x, y), space in src.homs.items():
-        ry, cy = shapes[y]
-        rx, cx = shapes[x]
-        for fa, ga in zip(f.hom_maps[(x, y)], g.hom_maps[(x, y)]):
-            block = system[start:start + ry * cx]
-            block[:, offsets[y]:offsets[y] + ry * cy] = np.kron(np.eye(ry), fa.T)
-            block[:, offsets[x]:offsets[x] + rx * cx] -= np.kron(ga, np.eye(cx))
-            start += ry * cx
-
     f_blocks, g_blocks = carrier_blocks(f), carrier_blocks(g)
+    carrier_shape = (sum(s.stop - s.start for s in g_blocks.values()),
+                     sum(s.stop - s.start for s in f_blocks.values()))
+    comps, cols, total = {}, {}, 0
+    for x in src.object_names:
+        comps[x] = tgt.hom(f.object_map[x], g.object_map[x])
+        cols[x] = slice(total, total + comps[x].dim)
+        total += comps[x].dim
+    defects = {(x, y): tgt.hom(f.object_map[x], g.object_map[y]) for x, y in src.homs}
+    system = np.zeros((sum(space.dim * defects[pair].dim
+                           for pair, space in src.homs.items()), total),
+                      dtype=np.complex128)
+    start = 0
+    for (x, y), defect in defects.items():
+        dual = defect.basis.conj()
+        for fa, ga in zip(f.hom_maps[(x, y)], g.hom_maps[(x, y)]):
+            # column k: the coordinates in hom(Fx, Gy) of basis element k's term
+            block = system[start:start + defect.dim]
+            block[:, cols[y]] = np.tensordot(dual, comps[y].basis @ fa, ([1, 2], [1, 2]))
+            block[:, cols[x]] -= np.tensordot(dual, ga @ comps[x].basis, ([1, 2], [1, 2]))
+            start += defect.dim
+
     basis = []
     for row in kernel_rows(system, f.tol):
         alpha = np.zeros(carrier_shape, dtype=np.complex128)
-        for x in src.object_names:
-            alpha[g_blocks[x], f_blocks[x]] = \
-                row[offsets[x]:offsets[x] + shapes[x][0] * shapes[x][1]].reshape(shapes[x])
+        for x, space in comps.items():
+            alpha[g_blocks[x], f_blocks[x]] = space.from_coords(row[cols[x]])
         basis.append(alpha)
     return Subspace(*carrier_shape, basis, tol=f.tol, _trusted=True)
 

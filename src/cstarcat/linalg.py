@@ -1,5 +1,5 @@
-"""Numerical substrate: complex dense matrices, operator norms, Hermitian
-functional calculus, Hilbert-Schmidt subspaces of matrix spaces, and seeded
+"""Numerical substrate: complex dense matrices, operator norms, the Hermitian
+inverse square root, Hilbert-Schmidt subspaces of matrix spaces, and seeded
 search for invertible elements.
 
 All values are immutable after construction (stacked matrices are read-only)
@@ -158,13 +158,9 @@ def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     return float(np.linalg.norm(a - a.conj().T)) <= tol.bound(hs_norm(a))
 
 
-def herm_funcalc(h, fn: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Apply ``fn`` in {sqrt, inv_sqrt, inv} to a Hermitian matrix via its
-    eigendecomposition.
-
-    ``inv_sqrt`` and ``inv`` require every eigenvalue above ``tol.eps_abs``;
-    ``sqrt`` tolerates eigenvalues down to ``-tol.eps_abs`` (clipped to 0).
-    """
+def herm_funcalc(h, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The inverse square root of a Hermitian matrix via its
+    eigendecomposition; every eigenvalue must exceed ``tol.eps_abs``."""
     a = as_matrix(h)
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix of shape {a.shape} is not square")
@@ -172,21 +168,9 @@ def herm_funcalc(h, fn: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     sym = (a + a.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(sym)
-    if fn == "sqrt":
-        if np.any(eigvals < -tol.eps_abs):
-            raise SingularOperand(f"negative eigenvalue {eigvals.min():.3e} under sqrt")
-        vals = np.sqrt(np.clip(eigvals, 0.0, None))
-    elif fn == "inv_sqrt":
-        if np.any(eigvals <= tol.eps_abs):
-            raise SingularOperand(f"eigenvalue {eigvals.min():.3e} too small for inv_sqrt")
-        vals = 1.0 / np.sqrt(eigvals)
-    elif fn == "inv":
-        if np.any(eigvals <= tol.eps_abs):
-            raise SingularOperand(f"eigenvalue {eigvals.min():.3e} too small for inv")
-        vals = 1.0 / eigvals
-    else:
-        raise ValueError(f"unknown function {fn!r}")
-    out = (eigvecs * vals) @ eigvecs.conj().T
+    if np.any(eigvals <= tol.eps_abs):
+        raise SingularOperand(f"eigenvalue {eigvals.min():.3e} too small for inv_sqrt")
+    out = (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.conj().T
     return (out + out.conj().T) / 2.0
 
 

@@ -5,6 +5,7 @@ Derived expectations come from in-file oracles: a Gaussian-elimination rank
 count, a hand commutant solve, and hand polar decompositions.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,14 @@ from cstarcat.errors import (
     NotParallel,
     SingularOperand,
 )
-from cstarcat.linalg import Subspace, Tolerance, herm_funcalc, is_unitary, op_norm, subspace_span
+from cstarcat.linalg import (
+    Subspace,
+    Tolerance,
+    is_unitary,
+    kernel_rows,
+    op_norm,
+    subspace_span,
+)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -81,6 +89,46 @@ def naturality_residual(alpha, f, g):
         for fa, ga in zip(f.hom_maps[(x, y)], g.hom_maps[(x, y)]):
             worst = max(worst, float(np.linalg.norm(comps[y] @ fa - ga @ comps[x])))
     return worst
+
+
+def dense_nat_space(f, g):
+    """nat(F, G) by the dense formulation: each component alpha_x a free
+    dim Gx x dim Fx matrix, hom membership as (I - P) vec(alpha_x) = 0 for
+    the projector P of hom(Fx, Gx), and naturality alpha_y F(a) = G(a) alpha_x
+    as the row-major Kronecker blocks (I (x) F(a)^T) - (G(a) (x) I)."""
+    names, tgt = f.source.object_names, f.target
+    shapes = {x: (tgt.obj(g.object_map[x]).dim, tgt.obj(f.object_map[x]).dim)
+              for x in names}
+    offsets = dict(zip(names, np.cumsum([0] + [r * c for r, c in shapes.values()])))
+    total = sum(r * c for r, c in shapes.values())
+    rows = []
+    for x in names:
+        block = np.zeros((shapes[x][0] * shapes[x][1], total), dtype=complex)
+        hom = tgt.hom(f.object_map[x], g.object_map[x])._rows
+        block[:, offsets[x]:offsets[x] + len(block)] = np.eye(len(block)) - hom.T @ hom.conj()
+        rows.append(block)
+    for x, y in f.source.homs:
+        (ry, cy), (rx, cx) = shapes[y], shapes[x]
+        for fa, ga in zip(f.hom_maps[(x, y)], g.hom_maps[(x, y)]):
+            block = np.zeros((ry * cx, total), dtype=complex)
+            block[:, offsets[y]:offsets[y] + ry * cy] = np.kron(np.eye(ry), fa.T)
+            block[:, offsets[x]:offsets[x] + rx * cx] -= np.kron(ga, np.eye(cx))
+            rows.append(block)
+    f_blocks, g_blocks = cat.carrier_blocks(f), cat.carrier_blocks(g)
+    carrier = (sum(r for r, _c in shapes.values()), sum(c for _r, c in shapes.values()))
+    basis = []
+    for row in kernel_rows(np.concatenate(rows), f.tol):
+        alpha = np.zeros(carrier, dtype=complex)
+        for x in names:
+            alpha[g_blocks[x], f_blocks[x]] = \
+                row[offsets[x]:offsets[x] + shapes[x][0] * shapes[x][1]].reshape(shapes[x])
+        basis.append(alpha)
+    return Subspace(*carrier, basis)
+
+
+def projector(space):
+    """The HS-orthogonal projector onto a subspace, on row-major vec."""
+    return space._rows.T @ space._rows.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +583,9 @@ def test_unitarize_accepts_its_own_gram_matrix_at_a_tiny_tolerance():
         a = gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6))
         w = cat.unitarize(full, a, "m0", "m0")
         assert is_unitary(w, Tolerance(1e-12))
-        assert np.allclose(w @ herm_funcalc(a.conj().T @ a, "sqrt"), a)
+        # w is the unitary polar factor of a, u . vh from its SVD
+        u, _s, vh = np.linalg.svd(a)
+        assert np.allclose(w, u @ vh)
 
 
 def test_iso_exists_trivial_cases():
@@ -644,8 +694,10 @@ def test_nat_space_members_are_natural(rng):
 
 
 def test_nat_space_full_8x8_fits_in_memory():
-    # the system has 16,512 rows and 128 columns (34 MB); the U of its full
-    # SVD would have 16,512^2 complex entries (4.4 GB)
+    # the system has 16,384 naturality rows, one per basis element of each
+    # of the four 64-dimensional homs and coordinate of its defect, and 128
+    # columns (34 MB); the U of its full SVD would have 16,384^2 complex
+    # entries (4.3 GB)
     full = cat.full_matrix_category([8, 8])
     ident = cat.identity_functor(full)
     tracemalloc.start()
@@ -656,6 +708,50 @@ def test_nat_space_full_8x8_fits_in_memory():
         tracemalloc.stop()
     assert dim == 1
     assert peak < 128 * 2**20
+
+
+def test_nat_space_matches_the_dense_formulation():
+    from cstarcat.suites import functor_zoo
+
+    for seed in range(6):
+        for kind, f in functor_zoo(rg.rng_from_seed(seed), 12):
+            ident = cat.identity_functor(f.target)
+            for a, b in ((f, f), (ident, ident)):
+                got, want = cat.nat_space(a, b), dense_nat_space(a, b)
+                assert got.dim == want.dim, (seed, kind)
+                assert np.linalg.norm(projector(got) - projector(want)) <= 1e-8, (seed, kind)
+
+
+@pytest.mark.parametrize("group, objects, classes", [
+    ("z16", 2, 16),  # abelian: every element is its own class
+    ("klein", 2, 4),
+    ("s3", 4, 3),    # identity, transpositions, 3-cycles
+])
+def test_nat_space_centre_counts_conjugacy_classes(group, objects, classes):
+    # the centre nat(id, id) of C*[G] has one dimension per conjugacy class;
+    # the dense system for Z/16 on 2 objects needs 2 GiB, for S3 on 4 objects
+    # 248 GiB
+    from cstarcat import groupoids as gpd
+
+    table = gpd.cyclic_group_table(16) if group == "z16" else rg.group_table(group)
+    groupoid = gpd.connected_groupoid([f"o{i}" for i in range(objects)], table, check=False)
+    ident = cat.identity_functor(gpd.cstar_max(groupoid).category)
+    start = time.perf_counter()
+    assert cat.nat_space(ident, ident).dim == classes
+    assert time.perf_counter() - start < 1.0
+
+
+def test_nat_space_z8_pair_stays_small():
+    # the dense system for Z/8 on 2 objects peaked at 140 MB
+    ident = cat.identity_functor(cyclic_groupoid_category(8))
+    tracemalloc.start()
+    try:
+        dim = cat.nat_space(ident, ident).dim
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dim == 8
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,8 @@ def test_op_norm_rejects_non_finite():
 def test_funcalc_diagonal_cases():
     h = np.diag([4.0, 9.0]).astype(np.complex128)
     expect = np.diag([0.5, 1.0 / 3.0])
-    assert np.linalg.norm(herm_funcalc(h, "inv_sqrt") - expect) <= 1e-12
-    assert np.linalg.norm(herm_funcalc(np.eye(3), "sqrt") - np.eye(3)) <= 1e-12
+    assert np.linalg.norm(herm_funcalc(h) - expect) <= 1e-12
+    assert np.linalg.norm(herm_funcalc(np.eye(3)) - np.eye(3)) <= 1e-12
 
 
 def test_funcalc_inv_sqrt_against_eig_oracle():
@@ -160,26 +160,23 @@ def test_funcalc_inv_sqrt_against_eig_oracle():
     (l1, v1), (l2, v2) = eig_2x2_real_symmetric(h)
     assert (abs(l1 - 1.0) < 1e-12 and abs(l2 - 3.0) < 1e-12)
     expect = np.outer(v1, v1) / math.sqrt(l1) + np.outer(v2, v2) / math.sqrt(l2)
-    got = herm_funcalc(h, "inv_sqrt")
+    got = herm_funcalc(h)
     assert np.linalg.norm(got - expect) <= 1e-10
     # inv_sqrt(H) @ inv_sqrt(H) @ H is the identity
     assert np.linalg.norm(got @ got @ h - np.eye(2)) <= 1e-10
 
 
-@given(matrices(3, 3))
-def test_funcalc_sqrt_squares_back(a):
-    h = a.conj().T @ a  # Hermitian positive
-    r = herm_funcalc(h, "sqrt")
-    assert np.linalg.norm(r @ r - h) <= 1e-8 * max(1.0, float(np.linalg.norm(h)))
-
-
 def test_funcalc_rejects_non_hermitian_and_singular():
     with pytest.raises(NotHermitian):
-        herm_funcalc(np.array([[0, 1], [0, 0]], dtype=complex), "sqrt")
+        herm_funcalc(np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(NotHermitian):
+        herm_funcalc(np.ones((2, 3), dtype=complex))
     with pytest.raises(SingularOperand):
-        herm_funcalc(np.diag([1.0, 0.0]).astype(complex), "inv")
+        herm_funcalc(np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(SingularOperand):
-        herm_funcalc(np.diag([1.0, 1e-12]).astype(complex), "inv_sqrt")
+        herm_funcalc(np.diag([1.0, 1e-12]).astype(complex))
+    with pytest.raises(SingularOperand):
+        herm_funcalc(np.diag([1.0, -1.0]).astype(complex))
 
 
 # ---------------------------------------------------------------------------
