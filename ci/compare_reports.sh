@@ -4,8 +4,10 @@
 #
 #   ci/compare_reports.sh PARENT_TREE CHANGE_TREE [SEED ...]
 #
-# For each seed (default 0): the four verify-axioms suites and four chains,
-# which between them run all ten commands:
+# For each seed (default 0): the four verify-axioms suites, at the default
+# tolerance and again at --tolerance 1e-15, where some verdicts fail and so
+# depend on which tolerance each comparison reads, and four chains, which
+# between them run all ten commands:
 #   generate random_weq -> validate -> factorize --mode path|cylinder ->
 #     lift --mode tcof-fib|cof-tfib, the lift square built from each tree's
 #     own factorizations, and lift --mode generator through the cylinder's
@@ -46,6 +48,8 @@ run_side() {
   for seed in "${seeds[@]}"; do
     for suite in mc monoidal simplicial adjunctions; do
       cli "$tree" "$dir" "suite_${suite}_$seed" verify-axioms --suite "$suite" --seed "$seed"
+      cli "$tree" "$dir" "suite_${suite}_tight_$seed" verify-axioms --suite "$suite" \
+        --seed "$seed" --tolerance 1e-15
     done
     cli "$tree" "$dir" "generate_$seed" generate --kind random_weq --seed "$seed" \
       --output "weq_$seed.json"

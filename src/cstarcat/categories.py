@@ -7,6 +7,10 @@ tolerance). Functors are given by an object map plus, for every source hom
 pair, the list of images of the stored hom basis; everything else follows by
 linearity.
 
+A category carries its ``Tolerance``: a functor reads its source's, and hom
+spaces are judged by their category's, so every comparison made on a
+category, its functors or its homs uses the one ``tol`` it was built with.
+
 Includes polar unitarization, an exact test for unitary isomorphism,
 spaces of bounded natural transformations (solved as one linear system),
 maximal tensor products via Kronecker blocks, and the exponential law.
@@ -29,7 +33,6 @@ import numpy as np
 from .errors import (
     InvalidCategory,
     InvalidFunctor,
-    InvalidMatrix,
     MalformedInput,
     NotInvertible,
     NotParallel,
@@ -105,7 +108,7 @@ class MatCStarCategory:
     def hom(self, x: str, y: str) -> Subspace:
         space = self.homs.get((x, y))
         if space is None:
-            space = Subspace(self.obj(y).dim, self.obj(x).dim, [], tol=self.tol)
+            space = Subspace(self.obj(y).dim, self.obj(x).dim)
         return space
 
     def identity(self, x: str) -> np.ndarray:
@@ -132,7 +135,9 @@ class MatCStarCategory:
     @classmethod
     def from_json(cls, data, tol: Tolerance = DEFAULT_TOL) -> "MatCStarCategory":
         """Read a category file; a JSON shape error raises ``MalformedInput``,
-        objects or homs that do not fit ``InvalidCategory``."""
+        objects or homs that do not fit ``InvalidCategory``. A hom basis is
+        kept as given when its Gram matrix is within ``tol.bound(1.0)`` of
+        the identity, and otherwise re-spanned by ``subspace_span``."""
         try:
             objects = [(o["name"], o["dim"]) for o in data["objects"]]
             hom_data = [(key, list(mats)) for key, mats in data.get("homs", {}).items()]
@@ -148,11 +153,11 @@ class MatCStarCategory:
             x, y = split_pair_key(key)
             if x not in dims or y not in dims:
                 raise MalformedInput(f"hom key {key!r} names an undeclared object")
-            basis = [matrix_from_json(m) for m in mats]
-            try:
-                homs[(x, y)] = Subspace(dims[y], dims[x], basis, tol=tol)
-            except InvalidMatrix:
-                homs[(x, y)] = subspace_span(basis, ambient_shape=(dims[y], dims[x]), tol=tol)
+            space = Subspace(dims[y], dims[x], [matrix_from_json(m) for m in mats])
+            gram = space._rows @ space._rows.conj().T
+            if float(np.linalg.norm(gram - np.eye(space.dim))) > tol.bound(1.0):
+                space = subspace_span(space.basis, ambient_shape=space.shape, tol=tol)
+            homs[(x, y)] = space
         return cls(objects, homs, tol=tol)
 
     def __repr__(self):
@@ -250,13 +255,13 @@ def _composition_violations(cat: MatCStarCategory) -> list[Violation]:
 
 class StarFunctor:
     """Object map plus per-pair linear maps, specified on the stored source
-    hom bases."""
+    hom bases. It judges its comparisons by its source's tolerance."""
 
     def __init__(self, source: MatCStarCategory, target: MatCStarCategory,
-                 object_map: dict, hom_maps: dict, tol: Tolerance = DEFAULT_TOL):
+                 object_map: dict, hom_maps: dict):
         self.source = source
         self.target = target
-        self.tol = tol
+        self.tol = source.tol
         self.object_map = dict(object_map)
         for x in source.object_names:
             fx = self.object_map.get(x)
@@ -341,7 +346,7 @@ class StarFunctor:
         target = MatCStarCategory.from_json(target, tol=tol)
         hom_maps = {split_pair_key(key): [matrix_from_json(m) for m in mats]
                     for key, mats in hom_data}
-        return cls(source, target, object_map, hom_maps, tol=tol)
+        return cls(source, target, object_map, hom_maps)
 
     def __repr__(self):
         return f"StarFunctor({self.source.object_names} -> {self.target.object_names})"
@@ -361,8 +366,7 @@ def compose_functors(second: StarFunctor, first: StarFunctor) -> StarFunctor:
     for (x, y), images in first.hom_maps.items():
         fx, fy = first.object_map[x], first.object_map[y]
         hom_maps[(x, y)] = [second.apply(fx, fy, img) for img in images]
-    return StarFunctor(first.source, second.target, object_map, hom_maps,
-                       tol=first.tol)
+    return StarFunctor(first.source, second.target, object_map, hom_maps)
 
 
 def _paired_images(f: StarFunctor, g: StarFunctor):
@@ -607,7 +611,7 @@ def nat_space(f: StarFunctor, g: StarFunctor) -> Subspace:
         for x, space in comps.items():
             alpha[g_blocks[x], f_blocks[x]] = space.from_coords(row[cols[x]])
         basis.append(alpha)
-    return Subspace(*carrier_shape, basis, tol=f.tol, _trusted=True)
+    return Subspace(*carrier_shape, basis)
 
 
 class FunctorCategory(MatCStarCategory):
@@ -652,7 +656,7 @@ def full_matrix_category(dims, names=None, tol: Tolerance = DEFAULT_TOL) -> MatC
                     m = np.zeros((dy, dx), dtype=np.complex128)
                     m[i, j] = 1.0
                     units.append(m)
-            homs[(x, y)] = Subspace(dy, dx, units, tol=tol, _trusted=True)
+            homs[(x, y)] = Subspace(dy, dx, units)
     return MatCStarCategory(objects, homs, tol=tol)
 
 
@@ -679,15 +683,14 @@ def tensor_max(a: MatCStarCategory, b: MatCStarCategory, check: bool = True) -> 
         for (x2, y2), s2 in b.homs.items():
             basis = [np.kron(m1, m2) for m1 in s1.basis for m2 in s2.basis]
             key = (pair_name(x1, x2), pair_name(y1, y2))
-            homs[key] = Subspace(basis[0].shape[0], basis[0].shape[1],
-                                 basis, tol=a.tol, _trusted=True)
+            homs[key] = Subspace(*basis[0].shape, basis)
     return MatCStarCategory(objects, homs, tol=a.tol)
 
 
-def tensor_functor(f: StarFunctor, g: StarFunctor,
-                   source: MatCStarCategory) -> StarFunctor:
-    """F (x) G on Kronecker generators, out of ``source``, the tensor product
-    of the two sources."""
+def tensor_functor(f: StarFunctor, g: StarFunctor) -> StarFunctor:
+    """F (x) G on Kronecker generators, from the tensor product of the two
+    sources to that of the two targets."""
+    source = tensor_max(f.source, g.source, check=False)
     target = tensor_max(f.target, g.target, check=False)
     object_map = {}
     for x in f.source.object_names:
@@ -698,11 +701,12 @@ def tensor_functor(f: StarFunctor, g: StarFunctor,
         for (x2, y2), imgs2 in g.hom_maps.items():
             key = (pair_name(x1, x2), pair_name(y1, y2))
             hom_maps[key] = [np.kron(m1, m2) for m1 in imgs1 for m2 in imgs2]
-    return StarFunctor(source, target, object_map, hom_maps, tol=f.tol)
+    return StarFunctor(source, target, object_map, hom_maps)
 
 
-def disjoint_union(parts, prefixes=None, tol: Tolerance = DEFAULT_TOL) -> MatCStarCategory:
-    """Coproduct of matrix categories: zero homs between distinct parts."""
+def disjoint_union(parts, prefixes=None) -> MatCStarCategory:
+    """Coproduct of matrix categories: zero homs between distinct parts,
+    with the first part's tolerance."""
     parts = list(parts)
     if prefixes is None:
         prefixes = [""] * len(parts)
@@ -712,7 +716,7 @@ def disjoint_union(parts, prefixes=None, tol: Tolerance = DEFAULT_TOL) -> MatCSt
             objects.append((pre + o.name, o.dim))
         for (x, y), space in cat.homs.items():
             homs[(pre + x, pre + y)] = space
-    return MatCStarCategory(objects, homs, tol=tol)
+    return MatCStarCategory(objects, homs, tol=parts[0].tol)
 
 
 def inclusion_functor(part: MatCStarCategory, whole: MatCStarCategory,
@@ -722,7 +726,7 @@ def inclusion_functor(part: MatCStarCategory, whole: MatCStarCategory,
     if object_map is None:
         object_map = {x: x for x in part.object_names}
     hom_maps = {pair: space.basis for pair, space in part.homs.items()}
-    return StarFunctor(part, whole, object_map, hom_maps, tol=part.tol)
+    return StarFunctor(part, whole, object_map, hom_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +749,7 @@ def curry(f: StarFunctor, a: MatCStarCategory, b: MatCStarCategory) -> StarFunct
             pair = (pair_name(x.name, y), pair_name(x.name, y2))
             hom_maps[(y, y2)] = [f.apply(pair[0], pair[1], np.kron(eye, m))
                                  for m in space.basis]
-        functors[x.name] = StarFunctor(b, f.target, object_map, hom_maps, tol=f.tol)
+        functors[x.name] = StarFunctor(b, f.target, object_map, hom_maps)
     target = FunctorCategory(functors)
     hom_maps = {}
     for (x, x2), space in a.homs.items():
@@ -759,12 +763,12 @@ def curry(f: StarFunctor, a: MatCStarCategory, b: MatCStarCategory) -> StarFunct
                 alpha[rows[y.name], cols[y.name]] = f.apply(pair[0], pair[1], np.kron(m, eye))
             images.append(alpha)
         hom_maps[(x, x2)] = images
-    return StarFunctor(a, target, {x: x for x in a.object_names}, hom_maps, tol=f.tol)
+    return StarFunctor(a, target, {x: x for x in a.object_names}, hom_maps)
 
 
-def uncurry(curried: StarFunctor, tensor: MatCStarCategory) -> StarFunctor:
-    """Rebuild the *-functor A (x) B -> C out of ``tensor`` = A (x) B from a
-    curried functor A -> C*(B, C), sending a (x) b to G(a)_{y'} . G(x)(b)."""
+def uncurry(curried: StarFunctor) -> StarFunctor:
+    """Rebuild the *-functor A (x) B -> C from a curried functor
+    A -> C*(B, C), sending a (x) b to G(a)_{y'} . G(x)(b)."""
     a, cats = curried.source, curried.target
     functors = {x: cats.functors[curried.object_map[x]] for x in a.object_names}
     any_functor = next(iter(cats.functors.values()))
@@ -784,4 +788,5 @@ def uncurry(curried: StarFunctor, tensor: MatCStarCategory) -> StarFunctor:
                 for m in sb.basis:
                     images.append(component @ functors[x1].apply(y1, y2, m))
             hom_maps[key] = images
-    return StarFunctor(tensor, any_functor.target, object_map, hom_maps, tol=a.tol)
+    return StarFunctor(tensor_max(a, b, check=False), any_functor.target, object_map,
+                       hom_maps)

@@ -387,25 +387,25 @@ def cstar_max(groupoid: FiniteGroupoid, tol: Tolerance = DEFAULT_TOL) -> Groupoi
         embed[g] = mat
 
     objects = [(x, len(carrier[x])) for x in groupoid.objects]
-    homs = {(x, y): Subspace(len(carrier[y]), len(carrier[x]), basis, tol=tol, _trusted=True)
-            for (x, y), basis in _regular_hom_maps(groupoid, carrier, embed.__getitem__).items()}
+    # each pair's images are stacked before the next pair's are made
+    homs = {(x, y): Subspace(len(carrier[y]), len(carrier[x]), basis)
+            for (x, y), basis in _regular_hom_maps(groupoid, carrier, embed.__getitem__)}
     category = MatCStarCategory(objects, homs, tol=tol)
     return GroupoidCStar(groupoid, category, embed, carrier)
 
 
-def _regular_hom_maps(groupoid: FiniteGroupoid, carrier: dict, image) -> dict:
-    """For each pair (x, y) with arrows x -> y, the images ``image(g)`` of
-    those arrows scaled by 1/sqrt|carrier x|: at that scale the regular
-    representation's permutation matrices are an HS-orthonormal basis of
-    hom(x, y), so these are the images of the stored hom basis."""
-    out = {}
+def _regular_hom_maps(groupoid: FiniteGroupoid, carrier: dict, image):
+    """Yield, pair by pair, ((x, y), the images ``image(g)`` of the arrows
+    x -> y scaled by 1/sqrt|carrier x|) for each pair with arrows: at that
+    scale the regular representation's permutation matrices are an
+    HS-orthonormal basis of hom(x, y), so these are the images of the
+    stored hom basis."""
     for x in groupoid.objects:
         scale = 1.0 / np.sqrt(len(carrier[x]))
         for y in groupoid.objects:
             names = groupoid.hom(x, y)
             if names:
-                out[(x, y)] = [image(g) * scale for g in names]
-    return out
+                yield (x, y), [image(g) * scale for g in names]
 
 
 class UnitaryRep:
@@ -447,9 +447,8 @@ def adjunction_extend(gc: GroupoidCStar, rep: UnitaryRep) -> StarFunctor:
     if rep.groupoid is not gc.groupoid:
         if rep.groupoid.arrows != gc.groupoid.arrows:
             raise InvalidFunctor("representation is of a different groupoid")
-    hom_maps = _regular_hom_maps(gc.groupoid, gc.carrier, rep.arrow_map.__getitem__)
-    return StarFunctor(gc.category, rep.category, dict(rep.object_map), hom_maps,
-                       tol=gc.category.tol)
+    hom_maps = dict(_regular_hom_maps(gc.groupoid, gc.carrier, rep.arrow_map.__getitem__))
+    return StarFunctor(gc.category, rep.category, dict(rep.object_map), hom_maps)
 
 
 def adjunction_restrict(gc: GroupoidCStar, functor: StarFunctor) -> UnitaryRep:
@@ -503,8 +502,8 @@ def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
         return np.kron(c1.embed[a1], c2.embed[a2])
 
     object_map = {x: x for x in gc.category.object_names}
-    hom_maps = _regular_hom_maps(product, gc.carrier, image)
-    functor = StarFunctor(gc.category, tensor, object_map, hom_maps, tol=tol)
+    hom_maps = dict(_regular_hom_maps(product, gc.carrier, image))
+    functor = StarFunctor(gc.category, tensor, object_map, hom_maps)
 
     objects_ok = len(gc.category.objects) == len(tensor.objects) and \
         set(object_map.values()) == set(tensor.object_names)

@@ -5,7 +5,9 @@ search for invertible elements.
 All values are immutable after construction (stacked matrices are read-only)
 and all routines are pure given explicit seeds. Matrices are numpy
 ``complex128`` arrays throughout; equality is tolerance-based, with residuals
-compared against ``eps_abs * max(1, operand norms)``.
+compared against ``eps_abs * max(1, operand norms)``. A ``Subspace`` holds
+no tolerance: a category carries the ``Tolerance``, and its functors and hom
+spaces are judged by it (``Subspace.contains`` takes it as an argument).
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ class Tolerance:
     round trips); ``composite`` judges residuals that accumulate several
     products and solves: functor distances, factorization composites,
     lifting triangles, lifted unitaries, retracts and the comparison
-    functor's residual."""
+    functor's residual.
+
+    Each ``MatCStarCategory`` carries one; a ``StarFunctor`` reads its
+    source's, and hom spaces are judged by their category's."""
 
     eps_abs: float = 1e-9
 
@@ -189,22 +194,20 @@ class Subspace:
     """A linear subspace of the ``rows x cols`` complex matrices, held as an
     orthonormal basis under the Hilbert-Schmidt inner product.
 
+    Precondition: ``basis`` is HS-orthonormal. It is not checked here; to
+    span arbitrary matrices use ``subspace_span``. Each entry is still
+    checked by ``stack_matrices`` (``InvalidMatrix``, ``ShapeMismatch``).
+
     ``basis`` is one read-only ``(dim, rows, cols)`` array; ``_rows`` is its
     ``(dim, rows * cols)`` view of flattened rows, which makes projections
     one matmul.
     """
 
-    def __init__(self, ambient_rows: int, ambient_cols: int, basis=(),
-                 tol: Tolerance = DEFAULT_TOL, _trusted: bool = False):
+    def __init__(self, ambient_rows: int, ambient_cols: int, basis=()):
         self.ambient_rows = int(ambient_rows)
         self.ambient_cols = int(ambient_cols)
-        self.tol = tol
         self.basis = stack_matrices(basis, self.ambient_rows, self.ambient_cols)
         self._rows = self.basis.reshape(self.dim, self.ambient_rows * self.ambient_cols)
-        if self.dim and not _trusted:
-            gram = self._rows @ self._rows.conj().T
-            if float(np.linalg.norm(gram - np.eye(self.dim))) > tol.bound(1.0):
-                raise InvalidMatrix("basis is not HS-orthonormal; use subspace_span")
 
     @property
     def dim(self) -> int:
@@ -235,8 +238,7 @@ class Subspace:
         a = as_matrix(m, self.ambient_rows, self.ambient_cols)
         return hs_norm(a - self.project(a))
 
-    def contains(self, m, tol: Tolerance | None = None) -> bool:
-        tol = tol or self.tol
+    def contains(self, m, tol: Tolerance) -> bool:
         a = as_matrix(m, self.ambient_rows, self.ambient_cols)
         return self.residual(a) <= tol.bound(hs_norm(a))
 
@@ -256,7 +258,7 @@ def subspace_span(mats, ambient_shape: tuple[int, int] | None = None,
     if not mats:
         if ambient_shape is None:
             raise MissingShape("empty span needs an explicit ambient shape")
-        return Subspace(ambient_shape[0], ambient_shape[1], [], tol=tol)
+        return Subspace(*ambient_shape)
     first = as_matrix(mats[0])
     shape = first.shape
     if ambient_shape is not None and tuple(ambient_shape) != shape:
@@ -264,8 +266,7 @@ def subspace_span(mats, ambient_shape: tuple[int, int] | None = None,
     stacked = stack_matrices(mats, *shape).reshape(len(mats), -1)
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     rank = numerical_rank(svals, tol)
-    return Subspace(shape[0], shape[1], vh[:rank].reshape(rank, *shape), tol=tol,
-                    _trusted=True)
+    return Subspace(*shape, vh[:rank].reshape(rank, *shape))
 
 
 INVERTIBLE_SAMPLES = 64

@@ -209,7 +209,7 @@ def quasi_inverse(functor: StarFunctor):
         hom_maps[(y, y2)] = functor.preimage(
             g_objects[y], g_objects[y2],
             [v_units[y2].conj().T @ b @ v_units[y] for b in space.basis])
-    g = StarFunctor(tgt, src, g_objects, hom_maps, tol=functor.tol)
+    g = StarFunctor(tgt, src, g_objects, hom_maps)
 
     u = {}
     for x in src.object_names:
@@ -286,7 +286,7 @@ def lift_tcof_fib(square: LiftingSquare) -> StarFunctor:
         hom_maps[(x, x2)] = [
             w_units[x2] @ u_top.apply(fx, fx2, f_prime.apply(x, x2, b)) @ w_units[x].conj().T
             for b in space.basis]
-    return StarFunctor(f.target, u_top.target, obj_map, hom_maps, tol=f.tol)
+    return StarFunctor(f.target, u_top.target, obj_map, hom_maps)
 
 
 def lift_cof_tfib(square: LiftingSquare) -> StarFunctor:
@@ -312,7 +312,7 @@ def lift_cof_tfib(square: LiftingSquare) -> StarFunctor:
     for (x, x2), space in f.target.homs.items():
         hom_maps[(x, x2)] = g.preimage(obj_map[x], obj_map[x2],
                                        [v_bottom.apply(x, x2, b) for b in space.basis])
-    return StarFunctor(f.target, g.source, obj_map, hom_maps, tol=f.tol)
+    return StarFunctor(f.target, g.source, obj_map, hom_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +351,7 @@ def factor_path(functor: StarFunctor) -> FactorizationResult:
 
     i_functor = inclusion_functor(src, midway, names)
     p_obj = {names[x]: functor.object_map[x] for x in src.object_names}
-    p_functor = StarFunctor(midway, tgt, p_obj, p_hom_maps, tol=src.tol)
+    p_functor = StarFunctor(midway, tgt, p_obj, p_hom_maps)
     return FactorizationResult(i_functor, midway, p_functor)
 
 
@@ -388,7 +388,7 @@ def factor_cylinder(functor: StarFunctor) -> FactorizationResult:
     j_hom_maps = {}
     for (x, x2), space in src.homs.items():
         j_hom_maps[(x, x2)] = [functor.apply(x, x2, b) for b in space.basis]
-    j_functor = StarFunctor(src, midway, j_obj, j_hom_maps, tol=src.tol)
+    j_functor = StarFunctor(src, midway, j_obj, j_hom_maps)
 
     q_functor = inclusion_functor(midway, tgt, {n: in_b(n) for n in names})
     return FactorizationResult(j_functor, midway, q_functor)

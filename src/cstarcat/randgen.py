@@ -97,8 +97,7 @@ class SectorModel:
             for y in self.names:
                 basis = self.hom_basis(x, y)
                 if basis:
-                    homs[(x, y)] = Subspace(self.dim(y), self.dim(x), basis,
-                                            tol=self.tol, _trusted=True)
+                    homs[(x, y)] = Subspace(self.dim(y), self.dim(x), basis)
         return MatCStarCategory([(n, self.dim(n)) for n in self.names], homs,
                                 tol=self.tol)
 
@@ -140,8 +139,7 @@ def _conjugate(rng: np.random.Generator, cat: MatCStarCategory,
             space = cat.homs.get((beta[n1], beta[n2]))
             if space is not None:
                 basis = [units[n2] @ b @ units[n1].conj().T for b in space.basis]
-                homs[(n1, n2)] = Subspace(space.ambient_rows, space.ambient_cols,
-                                          basis, tol=cat.tol, _trusted=True)
+                homs[(n1, n2)] = Subspace(*space.shape, basis)
     target = MatCStarCategory([(n, cat.obj(x).dim) for n, x in beta.items()],
                               homs, tol=cat.tol)
     return target, units
@@ -153,7 +151,7 @@ def _conjugation_functor(cat: MatCStarCategory, target: MatCStarCategory,
     element goes to its conjugate, the same index of the target basis."""
     hom_maps = {(x, y): target.homs[(copy_of[x], copy_of[y])].basis
                 for (x, y) in cat.homs}
-    return StarFunctor(cat, target, copy_of, hom_maps, tol=cat.tol)
+    return StarFunctor(cat, target, copy_of, hom_maps)
 
 
 def conjugate_category(rng: np.random.Generator, cat: MatCStarCategory,
@@ -185,43 +183,38 @@ def fattening_functor(cat: MatCStarCategory, model: SectorModel) -> StarFunctor:
     return inclusion_functor(cat, target)
 
 
-def sector_projection_functor(model: SectorModel, keep: int = 0) -> StarFunctor:
-    """Project a multi-sector category onto one sector: a valid *-functor
+def sector_projection_functor(model: SectorModel) -> StarFunctor:
+    """Project a multi-sector category onto its sector 0: a valid *-functor
     that kills the other sectors, hence non-faithful whenever they are
-    present. Objects needing the kept sector survive unchanged in name."""
-    if any(m[keep] == 0 for m in model.multiplicities.values()):
-        raise InvalidParams("kept sector must be present at every object")
+    present. Each object x goes to ``p:x``."""
+    if any(m[0] == 0 for m in model.multiplicities.values()):
+        raise InvalidParams("sector 0 must be present at every object")
     source = model.category()
+    d = model.sector_dims[0]
+    kept = {n: model.multiplicities[n][0] * d for n in model.names}
     kept_model = SectorModel(
-        [model.sector_dims[keep]],
-        [[model.multiplicities[n][keep]] for n in model.names],
-        [np.eye(model.multiplicities[n][keep] * model.sector_dims[keep],
-                dtype=np.complex128) for n in model.names],
+        [d],
+        [[model.multiplicities[n][0]] for n in model.names],
+        [np.eye(kept[n], dtype=np.complex128) for n in model.names],
         [f"p:{n}" for n in model.names],
         tol=model.tol,
     )
     target = kept_model.category()
 
-    d = model.sector_dims[keep]
     hom_maps = {}
     for (x, y), space in source.homs.items():
-        offx = model._offsets(x)[keep]
-        offy = model._offsets(y)[keep]
-        mx = model.multiplicities[x][keep] * d
-        my = model.multiplicities[y][keep] * d
+        offx, offy = model._offsets(x)[0], model._offsets(y)[0]
         ux, uy = model.unitaries[x], model.unitaries[y]
-        hom_maps[(x, y)] = [(uy.conj().T @ b @ ux)[offy:offy + my, offx:offx + mx]
+        hom_maps[(x, y)] = [(uy.conj().T @ b @ ux)[offy:offy + kept[y], offx:offx + kept[x]]
                             for b in space.basis]
-    return StarFunctor(source, target,
-                       {n: f"p:{n}" for n in model.names}, hom_maps,
-                       tol=source.tol)
+    return StarFunctor(source, target, {n: f"p:{n}" for n in model.names}, hom_maps)
 
 
 def padding_functor(rng: np.random.Generator, cat: MatCStarCategory) -> StarFunctor:
     """Inclusion of A into A + (one random padding object): injective on
     objects but not surjective; fully faithful."""
     pad, _ = random_matcat(rng, n_objects=1, max_dim=3, prefix="pad", tol=cat.tol)
-    whole = disjoint_union([cat, pad], tol=cat.tol)
+    whole = disjoint_union([cat, pad])
     return inclusion_functor(cat, whole)
 
 
@@ -229,16 +222,15 @@ def build_retract(small: StarFunctor):
     """Embed F': A' -> B' as a retract of F = F' + id_{A'}: returns the
     retract diagram (big, i, p, j, q) with p.i = id and q.j = id."""
     a_small, b_small = small.source, small.target
-    big_source = disjoint_union([a_small, a_small], prefixes=["", "pad:"], tol=small.tol)
-    big_target = disjoint_union([b_small, a_small], prefixes=["", "pad:"], tol=small.tol)
+    big_source = disjoint_union([a_small, a_small], prefixes=["", "pad:"])
+    big_target = disjoint_union([b_small, a_small], prefixes=["", "pad:"])
     object_map = dict(small.object_map)
     hom_maps = dict(small.hom_maps)
     for x in a_small.object_names:
         object_map[f"pad:{x}"] = f"pad:{x}"
     for (x, y), space in a_small.homs.items():
         hom_maps[(f"pad:{x}", f"pad:{y}")] = space.basis
-    big = StarFunctor(big_source, big_target, object_map, hom_maps,
-                      tol=small.tol)
+    big = StarFunctor(big_source, big_target, object_map, hom_maps)
     i = inclusion_functor(a_small, big_source)
     j = inclusion_functor(b_small, big_target)
     p_obj = {x: x for x in a_small.object_names}
@@ -252,7 +244,7 @@ def build_retract(small: StarFunctor):
             q_maps[(x, y)] = [small.apply(x[4:], y[4:], b) for b in space.basis]
         else:
             q_maps[(x, y)] = space.basis
-    q = StarFunctor(big_target, b_small, q_obj, q_maps, tol=small.tol)
+    q = StarFunctor(big_target, b_small, q_obj, q_maps)
     return big, i, p, j, q
 
 

@@ -18,7 +18,6 @@ from .categories import (
     functors_agree,
     inclusion_functor,
     tensor_functor,
-    tensor_max,
     uncurry,
     validate_category,
     validate_functor,
@@ -80,10 +79,10 @@ def functor_zoo(rng: np.random.Generator, count: int, tol: Tolerance = DEFAULT_T
                                           n_sectors=2, tol=tol)
             if not all(m[0] >= 1 for m in model.multiplicities.values()):
                 continue
-            out.append((kind, rg.sector_projection_functor(model, keep=0)))
+            out.append((kind, rg.sector_projection_functor(model)))
         else:  # fold of a two-copy union onto one copy
             cat, _ = rg.random_matcat(rng, n_objects=1, max_dim=3, tol=tol)
-            two = disjoint_union([cat, cat], prefixes=["l_", "r_"], tol=cat.tol)
+            two = disjoint_union([cat, cat], prefixes=["l_", "r_"])
             fold = {pre + x: x for pre in ("l_", "r_") for x in cat.object_names}
             out.append((kind, inclusion_functor(two, cat, fold)))
     return out
@@ -272,10 +271,9 @@ def suite_adjunctions(seed: int = 0, tol: Tolerance = DEFAULT_TOL):
         b, _ = rg.random_matcat(rng, n_objects=1, max_dim=2, prefix="b", tol=tol)
         _target, g = rg.conjugate_category(rng, a)
         _target2, h = rg.conjugate_category(rng, b, prefix="d")
-        tensor = tensor_max(a, b, check=False)
-        functor = tensor_functor(g, h, tensor)
+        functor = tensor_functor(g, h)
         curried = curry(functor, a, b)
-        back = uncurry(curried, tensor)
+        back = uncurry(curried)
         ok = (functors_agree(back, functor)
               and not validate_category(curried.target)
               and not validate_functor(curried))

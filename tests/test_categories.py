@@ -16,6 +16,7 @@ from cstarcat import light
 from cstarcat import randgen as rg
 from cstarcat.errors import (
     InvalidCategory,
+    InvalidMatrix,
     NotInvertible,
     NotParallel,
     SingularOperand,
@@ -25,6 +26,7 @@ from cstarcat.linalg import (
     Tolerance,
     is_unitary,
     kernel_rows,
+    matrix_to_json,
     op_norm,
     subspace_span,
 )
@@ -383,7 +385,7 @@ def nudged_functor(f, rng, scale):
     noise = rng.standard_normal(images[pair][k].shape) + \
         1j * rng.standard_normal(images[pair][k].shape)
     images[pair][k] = images[pair][k] + scale * noise / np.linalg.norm(noise)
-    return cat.StarFunctor(f.source, f.target, f.object_map, images, tol=f.tol)
+    return cat.StarFunctor(f.source, f.target, f.object_map, images)
 
 
 def counting_basis_products(monkeypatch):
@@ -505,6 +507,18 @@ def test_functor_holds_each_hom_map_as_one_read_only_array():
             assert np.array_equal(maps, space.basis)
 
 
+def test_functor_judges_by_its_sources_tolerance():
+    # every image moved by 1e-5: within the source's eps_abs = 1e-3, but a
+    # unit, composition and involution violation at the default 1e-9
+    full = cat.full_matrix_category([2], tol=Tolerance(1e-3))
+    noise = rg.rng_from_seed(5).standard_normal((4, 2, 2, 2)) @ [1, 1j]
+    noise /= np.linalg.norm(noise, axis=(1, 2), keepdims=True)
+    images = {("m0", "m0"): full.hom("m0", "m0").basis + 1e-5 * noise}
+    functor = cat.StarFunctor(full, full, {"m0": "m0"}, images)
+    assert functor.tol is full.tol
+    assert cat.validate_functor(functor) == []
+
+
 def test_unit_law_violation():
     unit = cat.full_matrix_category([1], ["pt"])
     zero = np.zeros((1, 1), dtype=complex)
@@ -569,7 +583,7 @@ def test_unitarize_stays_in_hom_and_is_idempotent(rng):
     a = hom.from_coords(rng.standard_normal(hom.dim) + 1j * rng.standard_normal(hom.dim))
     w = cat.unitarize(conj, a, "c", "c")
     assert is_unitary(w)
-    assert hom.contains(w)
+    assert hom.contains(w, conj.tol)
     assert np.allclose(cat.unitarize(conj, w, "c", "c"), w, atol=1e-9)
 
 
@@ -639,7 +653,7 @@ def test_iso_exists_matches_sector_multiplicities():
                 if same:
                     yes += x != y
                     assert is_unitary(verdict.witness)
-                    assert c.hom(x, y).contains(verdict.witness)
+                    assert c.hom(x, y).contains(verdict.witness, c.tol)
     assert yes > 0
 
 
@@ -690,7 +704,7 @@ def test_nat_space_members_are_natural(rng):
     # a block-diagonal matrix that is not natural is not in the space
     swap = np.kron(np.eye(2), np.array([[0, 1], [1, 0]], dtype=complex))
     assert naturality_residual(swap, ident, ident) > 0.5
-    assert not space.contains(swap)
+    assert not space.contains(swap, full.tol)
 
 
 def test_nat_space_full_8x8_fits_in_memory():
@@ -819,7 +833,7 @@ def test_curry_uncurry_round_trip_on_identity():
     for functor in curried.target.functors.values():
         assert cat.validate_functor(functor) == []
     assert cat.validate_functor(curried) == []
-    back = cat.uncurry(curried, tensor)
+    back = cat.uncurry(curried)
     assert cat.functors_agree(back, ident)
 
 
@@ -868,7 +882,7 @@ def random_curried_instances(seed, count):
                                 prefix="b")
         _target, g = rg.conjugate_category(rng, a)
         _target2, h = rg.conjugate_category(rng, b, prefix="d")
-        functor = cat.tensor_functor(g, h, cat.tensor_max(a, b, check=False))
+        functor = cat.tensor_functor(g, h)
         yield a, h, cat.curry(functor, a, b)
 
 
@@ -914,6 +928,20 @@ def test_functors_are_norm_decreasing_and_faithful_isometric(rng):
         assert op_norm(img) <= op_norm(m) + 1e-9
         # conjugation is injective on homs, hence isometric
         assert abs(op_norm(img) - op_norm(m)) <= 1e-8
+
+
+def test_from_json_keeps_an_orthonormal_basis_and_respans_any_other(rng):
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    basis = [u @ np.diag(d) @ u.conj().T for d in ([1.0, 0.0], [0.0, 1.0])]
+    data = {"objects": [{"name": "x", "dim": 2}, {"name": "pt", "dim": 1}],
+            "homs": {"x|x": matrix_to_json(np.stack(basis)),
+                     "pt|pt": [matrix_to_json(2 * np.eye(1))]}}
+    c = cat.MatCStarCategory.from_json(data)
+    assert np.array_equal(c.hom("x", "x").basis, np.stack(basis))
+    assert np.array_equal(c.hom("pt", "pt").basis, [np.eye(1)])
+    data["homs"]["pt|pt"] = [[[[float("nan"), 0.0]]]]
+    with pytest.raises(InvalidMatrix):
+        cat.MatCStarCategory.from_json(data)
 
 
 def test_category_json_round_trip():

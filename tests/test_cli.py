@@ -545,7 +545,7 @@ def test_lift_generator_without_y_lifts_the_unit_through_a_projection(tmp_path, 
     # "y" every object is tried, and the exact lift of v = 1 is over o0
     _cat, model = rg.random_matcat(rg.rng_from_seed(seed), n_objects=1, max_dim=4, n_sectors=2)
     assert all(min(m) >= 1 for m in model.multiplicities.values())
-    functor = rg.sector_projection_functor(model, keep=0)
+    functor = rg.sector_projection_functor(model)
     dim = functor.target.obj(functor.object_map["o0"]).dim
     data = {"F": functor.to_json(), "x": "o0", "v": matrix_to_json(np.eye(dim, dtype=complex))}
     assert run("lift", write(tmp_path / "gen.json", data), "--mode", "generator") == 0

@@ -10,6 +10,7 @@ from cstarcat.categories import (
     MatCStarCategory,
     StarFunctor,
     compose_functors,
+    curry,
     disjoint_union,
     full_matrix_category,
     functors_agree,
@@ -18,6 +19,8 @@ from cstarcat.categories import (
     inclusion_functor,
     iso_exists,
     isomorphic,
+    tensor_functor,
+    uncurry,
     unitarize,
     validate_category,
     validate_functor,
@@ -57,7 +60,7 @@ def collapse_with_kernel():
         cat, model = rg.random_matcat(rng, n_objects=2, max_dim=4, n_sectors=2)
         if all(m[0] >= 1 for m in model.multiplicities.values()) and \
                 any(m[1] >= 1 for m in model.multiplicities.values()):
-            return rg.sector_projection_functor(model, keep=0)
+            return rg.sector_projection_functor(model)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,7 @@ def one_sided_lift(functor, x, v, y) -> bool:
 def in_image(functor, x, x2, v) -> bool:
     """Whether v lies in F(hom(x, x2)), by comparing ranks."""
     hom = functor.target.hom(functor.object_map[x], functor.object_map[x2])
-    if not hom.contains(v):
+    if not hom.contains(v, functor.tol):
         return False
     coord = functor.coord_matrix(x, x2)
     augmented = np.column_stack([coord, hom.coords(v)])
@@ -328,7 +331,7 @@ def test_exact_lift_over_the_zoo():
                             continue
                         u, x2 = result
                         assert functor.object_map[x2] == y
-                        assert is_unitary(u) and src.hom(x, x2).contains(u)
+                        assert is_unitary(u) and src.hom(x, x2).contains(u, src.tol)
                         assert np.linalg.norm(functor.apply(x, x2, u) - v) <= functor.tol.composite
                         lifted += 1
                         one_sided += old
@@ -346,7 +349,7 @@ def test_mc4_lifts_through_a_non_faithful_fibration():
         _cat, model = rg.random_matcat(rng, n_objects=2, max_dim=4, n_sectors=2)
         if not all(min(m) >= 1 for m in model.multiplicities.values()):
             continue
-        g = rg.sector_projection_functor(model, keep=0)
+        g = rg.sector_projection_functor(model)
         if not md.is_fibration(g):
             continue
         f = rg.random_weq(rng, g.source, n_extra=1)
@@ -395,7 +398,7 @@ def test_quasi_inverse_of_end_inclusion():
     assert np.allclose(v["i0"], np.eye(2))  # identity on the image
     far = v["i1"]
     assert is_unitary(far)
-    assert inc.target.hom("i0", "i1").contains(far)
+    assert inc.target.hom("i0", "i1").contains(far, inc.tol)
     assert max(witness_residuals(inc, g, u, v)) <= 1e-9
     assert all(is_unitary(m) for m in [*u.values(), *v.values()])
 
@@ -415,10 +418,10 @@ def test_quasi_inverse_naturality_on_random_instances():
         assert max(witness_residuals(weq, g, u, v)) <= 1e-9
         for x in cat.object_names:
             gfx = g.object_map[weq.object_map[x]]
-            assert cat.hom(gfx, x).contains(u[x]) and is_unitary(u[x])
+            assert cat.hom(gfx, x).contains(u[x], cat.tol) and is_unitary(u[x])
         for y in weq.target.object_names:
             fgy = weq.object_map[g.object_map[y]]
-            assert weq.target.hom(fgy, y).contains(v[y]) and is_unitary(v[y])
+            assert weq.target.hom(fgy, y).contains(v[y], weq.tol) and is_unitary(v[y])
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +624,25 @@ def test_generated_instances_carry_the_callers_tolerance():
     rng = rg.rng_from_seed(71)
     functors = [f for _kind, f in functor_zoo(rng, 12, tol)]
     cat, _ = rg.random_matcat(rng, n_objects=1, max_dim=3, tol=tol)
-    functors += rg.build_retract(rg.random_weq(rng, cat, n_extra=1))
+    weq = rg.random_weq(rng, cat, n_extra=1)
+    functors += rg.build_retract(weq)
+    path, cylinder = md.factor_path(weq), md.factor_cylinder(weq)
+    square = md.LiftingSquare(top=cylinder.first, left=path.first,
+                              right=cylinder.second, bottom=path.second)
+    functors += [path.first, path.second, cylinder.first, cylinder.second,
+                 compose_functors(path.second, path.first), md.quasi_inverse(weq)[0],
+                 md.lift_tcof_fib(square), md.lift_cof_tfib(square)]
+    a, _ = rg.random_matcat(rng, n_objects=1, max_dim=2, prefix="a", tol=tol)
+    b, _ = rg.random_matcat(rng, n_objects=1, max_dim=2, prefix="b", tol=tol)
+    g = rg.conjugate_category(rng, a)[1]
+    h = rg.conjugate_category(rng, b, prefix="d")[1]
+    curried = curry(tensor_functor(g, h), a, b)
+    functors += [curried, *curried.target.functors.values(), uncurry(curried)]
+    groupoid = rg.random_groupoid(rng, n_objects=2, max_order=4)
+    gc = gp.cstar_max(groupoid, tol=tol)
+    functors.append(gp.adjunction_extend(gc, rg.random_unitary_rep(rng, groupoid, gc)))
+    functors.append(gp.comparison_functor(gp.cyclic_groupoid(2), gp.interval_groupoid(),
+                                          tol)[0])
     for f in functors:
         assert f.tol == f.source.tol == f.target.tol == tol
 

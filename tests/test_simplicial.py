@@ -264,7 +264,7 @@ def is_simplex(functors, arrows):
     category = FunctorCategory(dict(zip(names, functors)))
     return (all(validate_functor(f) == [] for f in functors)
             and validate_category(category) == []
-            and all(category.hom(names[i], names[i + 1]).contains(arrow)
+            and all(category.hom(names[i], names[i + 1]).contains(arrow, category.tol)
                     and is_unitary(arrow) for i, arrow in enumerate(arrows)))
 
 
