@@ -6,14 +6,17 @@
 #
 # For each seed (default 0): the four verify-axioms suites, at the default
 # tolerance and again at --tolerance 1e-15, where some verdicts fail and so
-# depend on which tolerance each comparison reads, and four chains, which
+# depend on which tolerance each comparison reads, and five chains, which
 # between them run all ten commands:
 #   generate random_weq -> validate -> factorize --mode path|cylinder ->
 #     lift --mode tcof-fib|cof-tfib, the lift square built from each tree's
 #     own factorizations, and lift --mode generator through the cylinder's
 #     second functor Q: the first x, the first y != Q(x) isomorphic to Q(x),
 #     and the unitary Q(x) -> y that iso_exists finds;
-#   generate random_groupoid -> validate -> groupoid-cstar;
+#   generate random_groupoid -> validate -> groupoid-cstar, at the default
+#     size and again with --objects 5 --order 8, whose multi-component
+#     tables of up to 78 arrows exercise the groupoid file's serializer and
+#     the composition-table check;
 #   nerve --dim-cap 3 of that groupoid -> validate -> fundamental-groupoid -> pi;
 #   generate random_matcat -> tensor with itself.
 # Run both trees on the same machine, so that BLAS rounding is the same on
@@ -90,6 +93,11 @@ GENERATOR
     cli "$tree" "$dir" "validate_groupoid_$seed" validate "groupoid_$seed.json"
     cli "$tree" "$dir" "groupoid_cstar_$seed" groupoid-cstar "groupoid_$seed.json" \
       --output "cstar_$seed.json"
+    cli "$tree" "$dir" "generate_groupoid5_$seed" generate --kind random_groupoid \
+      --objects 5 --order 8 --seed "$seed" --output "groupoid5_$seed.json"
+    cli "$tree" "$dir" "validate_groupoid5_$seed" validate "groupoid5_$seed.json"
+    cli "$tree" "$dir" "groupoid_cstar5_$seed" groupoid-cstar "groupoid5_$seed.json" \
+      --output "cstar5_$seed.json"
 
     cli "$tree" "$dir" "nerve_$seed" nerve "groupoid_$seed.json" --dim-cap 3 \
       --output "nerve_$seed.json"

@@ -27,6 +27,7 @@ it. ``curry`` transposes F: A (x) B -> C into a *-functor A -> C*(B, C) that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +119,15 @@ class MatCStarCategory:
         for x in self.object_names:
             for y in self.object_names:
                 yield (x, y)
+
+    @cached_property
+    def light_certificate(self):
+        """This category's ``LightClosure`` and its ``certify()`` bounds (None
+        when the certificate fails), built on first use and kept: the homs
+        and the tolerance are fixed at construction, so ``validate_category``
+        and ``validate_functor`` on a functor's source share one closure."""
+        closure = LightClosure(self)
+        return closure, closure.certify()
 
     # -- serialization --------------------------------------------------------
 
@@ -221,7 +231,7 @@ def validate_category(cat: MatCStarCategory) -> list[Violation]:
             if res > tol.bound(1.0):
                 out.append(Violation("adjoint", (x, y, i), float(res),
                                      "adjoint of basis element leaves hom(y,x)"))
-    if not out and worth_certifying(cat) and LightClosure(cat).certify() is not None:
+    if not out and worth_certifying(cat) and cat.light_certificate[1] is not None:
         return out
     return out + _composition_violations(cat)
 

@@ -15,6 +15,8 @@ and running a bounded coset enumeration on the vertex group presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -36,13 +38,16 @@ from .simplicial import FiniteSimplicialSet, SimplexRef
 
 class FiniteGroupoid:
     """Fully enumerated groupoid: arrows, composition table, inverses and
-    identities, checked at construction by ``check_composition_table`` and
-    the two-sided inverse law.
+    identities, checked at construction by ``check_composition_table`` (whose
+    Light's test runs on arrow indices, not names) and the two-sided inverse
+    law.
 
     Construction also builds the endpoint index ``_ends``: (src, tgt) to the
     sorted names of the arrows src -> tgt. ``hom``, ``arrows_into``, the
     identity and inverse searches and ``nerve`` read it instead of scanning
-    every arrow."""
+    every arrow. ``to_json`` walks the sorted arrows, and for each g the
+    sorted arrows into src(g), so it writes ``compose`` in sorted order
+    without sorting the pairs."""
 
     def __init__(self, objects, arrows, compose, identities=None, inverses=None,
                  check: bool = True):
@@ -142,27 +147,45 @@ class FiniteGroupoid:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The groupoid file. ``compose`` walks the arrows g in sorted order
+        and, for each, the sorted arrows f into src(g): since its keys are
+        exactly the composable pairs, that is ``sorted(compose)``."""
+        items = sorted(self.arrows.items())
+        into = {}
+        for f, (_src, tgt) in items:
+            into.setdefault(tgt, []).append(f)
+        compose = {f"{g}|{f}": self.compose[(g, f)]
+                   for g, (src, _tgt) in items for f in into.get(src, ())}
         return {
             "objects": list(self.objects),
             "arrows": [{"name": f, "src": s, "tgt": t, "inv": self.inverses[f]}
-                       for f, (s, t) in sorted(self.arrows.items())],
-            "compose": {f"{g}|{f}": h for (g, f), h in sorted(self.compose.items())},
+                       for f, (s, t) in items],
+            "compose": compose,
         }
 
     @classmethod
     def from_json(cls, data) -> "FiniteGroupoid":
         """Read a groupoid file; a JSON shape error raises ``MalformedInput``,
-        a table that is not a groupoid ``InvalidGroupoid``."""
+        a table that is not a groupoid ``InvalidGroupoid``. The ``"g|f"``
+        keys are split in one pass; the first that does not split in two
+        raises ``split_pair_key``'s error."""
         try:
             objects = list(data["objects"])
             arrows = {a["name"]: (a["src"], a["tgt"]) for a in data["arrows"]}
             inverses = {a["name"]: a["inv"] for a in data["arrows"]}
-            compose = {split_pair_key(key): h for key, h in data["compose"].items()}
+            items = data["compose"].items()
+            keys = list(map(itemgetter(0), items))
+            bars = list(map(methodcaller("count", "|"), keys))
+            if not set(bars) <= {1}:
+                split_pair_key(next(key for key, n in zip(keys, bars) if n != 1))
+            # each key holds one "|", so the joined keys split into their halves
+            halves = iter("|".join(keys).split("|"))
+            compose = dict(zip(zip(halves, halves), map(itemgetter(1), items)))
         except (AttributeError, KeyError, TypeError) as err:
             raise MalformedInput(f"groupoid file: {type(err).__name__}: {err}") from None
         names = [*objects, *arrows, *inverses.values(), *compose.values(),
                  *(end for ends in arrows.values() for end in ends)]
-        if not all(isinstance(name, str) for name in names):
+        if not all(map(isinstance, names, repeat(str))):
             raise MalformedInput("groupoid file: object and arrow names must be strings")
         return cls(objects, arrows, compose, inverses=inverses)
 
@@ -231,28 +254,32 @@ def _arrow_name(x: str, h: int, y: str) -> str:
 
 def connected_groupoid(objects, group_table, check: bool = True) -> FiniteGroupoid:
     """The connected groupoid on the given objects with the given vertex
-    group: arrows (x, h, y) named "x>h>y", composing through the group."""
+    group: arrows (x, h, y) named "x>h>y", composing through the group.
+
+    Each name is formatted once, in the row of the n arrows x -> y;
+    ``compose`` is keyed (y>h2>z, x>h1>y) in the order x, y, z, h1, h2 and
+    looks its composites x>(h2 h1)>z up in the rows."""
     objects = list(objects)
     n = len(group_table)
     ident = next(i for i in range(n) if all(group_table[i][j] == j for j in range(n)))
     inv = {i: next(j for j in range(n)
                    if group_table[j][i] == ident and group_table[i][j] == ident)
            for i in range(n)}
-    arrows, compose = {}, {}
-    for x in objects:
-        for y in objects:
-            for h in range(n):
-                arrows[_arrow_name(x, h, y)] = (x, y)
+    names = {(x, y): [_arrow_name(x, h, y) for h in range(n)]
+             for x in objects for y in objects}
+    arrows = {name: pair for pair, row in names.items() for name in row}
+    # column h1 of the table: the products h2 h1, h2 = 0 .. n-1
+    columns = [[row[h1] for row in group_table] for h1 in range(n)]
+    compose = {}
     for x in objects:
         for y in objects:
             for z in objects:
-                for h1 in range(n):
-                    for h2 in range(n):
-                        compose[(_arrow_name(y, h2, z), _arrow_name(x, h1, y))] = \
-                            _arrow_name(x, group_table[h2][h1], z)
-    identities = {x: _arrow_name(x, ident, x) for x in objects}
-    inverses = {_arrow_name(x, h, y): _arrow_name(y, inv[h], x)
-                for x in objects for y in objects for h in range(n)}
+                after, composite = names[(y, z)], names[(x, z)].__getitem__
+                for f, column in zip(names[(x, y)], columns):
+                    compose.update(zip(zip(after, repeat(f)), map(composite, column)))
+    identities = {x: names[(x, x)][ident] for x in objects}
+    inverses = {name: names[(y, x)][inv[h]]
+                for (x, y), row in names.items() for h, name in enumerate(row)}
     return FiniteGroupoid(objects, arrows, compose, identities, inverses, check=check)
 
 
@@ -797,8 +824,10 @@ def nerve(groupoid: FiniteGroupoid, dim_cap: int) -> FiniteSimplicialSet:
     arrows, compose = groupoid.arrows, groupoid.compose
     idents = set(groupoid.identities.values())
     nonident = sorted(a for a in arrows if a not in idents)
-    nonident_from = {x: [a for y in groupoid.objects for a in groupoid.hom(x, y)
-                         if a not in idents] for x in groupoid.objects}
+    # sorted like nonident, so each level's chains come out in sorted order
+    nonident_from = {x: [] for x in groupoid.objects}
+    for a in nonident:
+        nonident_from[arrows[a][0]].append(a)
 
     # chains are tuples (g1, ..., gn) in path order: src(g_{i+1}) == tgt(g_i);
     # refs maps each nondegenerate chain of the level below to its ref, and
@@ -812,8 +841,8 @@ def nerve(groupoid: FiniteGroupoid, dim_cap: int) -> FiniteSimplicialSet:
         if not refs:
             break
         level = {}
-        for chain in sorted(chain + (a,) for chain in refs
-                            for a in nonident_from[arrows[chain[-1]][1]]):
+        for chain in (chain + (a,) for chain in refs
+                      for a in nonident_from[arrows[chain[-1]][1]]):
             faces = [refs[chain[1:]]]
             for i in range(1, dim):
                 composite = compose[(chain[i], chain[i - 1])]

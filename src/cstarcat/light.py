@@ -12,7 +12,9 @@ size of the whole instead of its square. Two checks use it.
 
 * ``presentations.check_composition_table`` applies it to composition
   tables. There "good" is associativity and reaching is exact, so no
-  certificate is needed.
+  certificate is needed. It runs on arrow indices: the table is read once
+  into one integer row of composites per arrow, and each test of a middle
+  arrow compares two rows.
 * ``categories.validate_category`` and ``categories.validate_functor``
   apply its linear form, in this module, to V, the direct sum of the hom
   spaces. "Good" is s.V within V (for a functor, F(s.a) = F(s) F(a)), and
@@ -22,7 +24,9 @@ size of the whole instead of its square. Two checks use it.
   violations". Whenever it is not, or the input is too small for the
   certificate to pay (``worth_certifying``), the validators form every
   product as before, so a failing report keeps its violation list, its
-  order and its bytes.
+  order and its bytes. A category builds its closure and certificate once
+  (``MatCStarCategory.light_certificate``), so validating a functor's
+  source and then the functor reuses them.
 """
 
 from __future__ import annotations
@@ -106,7 +110,10 @@ class LightClosure:
     """
 
     def __init__(self, cat: MatCStarCategory):
-        self.cat = cat
+        # what complete() and certify() read of the category, so that the
+        # closure holds no reference back to a category that keeps it
+        self.n_objects, self.tol = len(cat.objects), cat.tol
+        self.hom_dims = {pair: space.dim for pair, space in cat.homs.items()}
         cutoff = float(np.sqrt(cat.tol.eps_abs))
         names = cat.object_names
         self.rows: list[_Row] = []
@@ -205,9 +212,9 @@ class LightClosure:
     def complete(self) -> bool:
         """Whether the reached rows span V: every identity is reached and
         every hom's reached dimension equals its stored dimension."""
-        return (len(self.identity_residuals) == len(self.cat.objects)
-                and all(len(self.by_pair[pair]) == space.dim
-                        for pair, space in self.cat.homs.items()))
+        return (len(self.identity_residuals) == self.n_objects
+                and all(len(self.by_pair[pair]) == dim
+                        for pair, dim in self.hom_dims.items()))
 
     def own_bounds(self, terms) -> np.ndarray:
         """Per generator g, the l2 norm of ``terms`` (one array per group,
@@ -258,7 +265,7 @@ class LightClosure:
         deltas = [group.deltas for group in self.groups]
         bounds = self.row_bounds(self.identity_residuals, self.own_bounds(deltas),
                                  self.generator_norms, deltas)
-        if float(np.linalg.norm(bounds)) > self.cat.tol.eps_abs / 2:
+        if float(np.linalg.norm(bounds)) > self.tol.eps_abs / 2:
             return None
         return bounds
 
@@ -272,8 +279,7 @@ def functor_certified(functor: StarFunctor, unit_residuals: dict) -> bool:
     coordinate maps; a generator's row from |mu(s, .)|_2; and a product row
     from s . r_j adds |F(s)|_op f(r_j) + f(s) + |F| (|s|_op e(r_j)
     + delta(s, r_j) + mu(s, r_j)), e the source's closure bounds."""
-    closure = LightClosure(functor.source)
-    closure_bounds = closure.certify()
+    closure, closure_bounds = functor.source.light_certificate
     if closure_bounds is None:
         return False
     src, tgt = functor.source, functor.target

@@ -415,6 +415,12 @@ def check_composition_table(objects, arrows, identities, compose, error):
     ``arrows`` maps names to ``(src, tgt)``, ``identities`` objects to arrow
     names and ``compose`` pairs ``(g, f)`` (g after f) to arrow names.
 
+    ``compose`` is read once, g by g in ``arrows`` order, while the
+    composable pairs are checked; each g's composites are kept as an integer
+    row, the indices (positions in ``arrows``) of g.f for f over the arrows
+    into src(g) in ``arrows`` order. Identity neutrality, the closure and
+    the associativity test below run on these rows.
+
     Associativity is decided by Light's test (A. H. Clifford and G. B.
     Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2): call g
     good when (h.g).f = h.(g.f) for every composable h and f. Neutral
@@ -422,24 +428,32 @@ def check_composition_table(objects, arrows, identities, compose, error):
     table is associative exactly when a set S of arrows is good whose
     left products, starting from the identities, reach every arrow. S is
     grown greedily in ``arrows`` order, and only its members are tested as
-    middle arrows. The matrix validators of ``categories`` use the same
-    pattern; ``cstarcat.light`` describes it once ("Greedy generating set,
-    certificate, exhaustive fallback").
+    middle arrows, one row comparison per (g, h). The matrix validators of
+    ``categories`` use the same pattern; ``cstarcat.light`` describes it
+    once ("Greedy generating set, certificate, exhaustive fallback").
     """
     into = {x: [] for x in objects}          # arrow names by target
-    outof = {x: [] for x in objects}         # arrow names by source
+    outof = {x: [] for x in objects}         # arrow indices by source
+    index, place, targets = {}, [], []       # place: position in into[target]
     for name, (src, tgt) in arrows.items():
         if src not in into or tgt not in into:
             raise error(f"arrow {name!r} has undeclared endpoints")
+        outof[src].append(len(place))
+        index[name] = len(place)
+        place.append(len(into[tgt]))
         into[tgt].append(name)
-        outof[src].append(name)
+        targets.append(tgt)
+    rows = []                                # rows[g][place[f]] = index of g.f
     composable = 0
     for g, (gs, gt) in arrows.items():
+        row = []
         for f in into[gs]:
             h = compose.get((g, f))
             if h is None or arrows.get(h) != (arrows[f][0], gt):
                 raise error(f"bad composite {g!r}.{f!r}")
-            composable += 1
+            row.append(index[h])
+        rows.append(row)
+        composable += len(row)
     # every composable pair has its own key, so any further key is a
     # composite stored for a pair that is not composable
     if len(compose) != composable:
@@ -447,34 +461,39 @@ def check_composition_table(objects, arrows, identities, compose, error):
     for x in objects:
         if arrows.get(identities.get(x)) != (x, x):
             raise error(f"object {x!r} lacks an identity loop")
-    for f, (fs, ft) in arrows.items():
-        if compose[(identities[ft], f)] != f or compose[(f, identities[fs])] != f:
-            raise error(f"identities are not neutral on {f!r}")
-    reached = {identities[x] for x in objects}
-    reached_into = {x: [identities[x]] for x in objects}
+    ident = {x: index[identities[x]] for x in objects}
+    for f, (name, (fs, ft)) in enumerate(arrows.items()):
+        if rows[ident[ft]][place[f]] != f or rows[f][place[ident[fs]]] != f:
+            raise error(f"identities are not neutral on {name!r}")
+    reached = [False] * len(rows)
+    reached_into = {x: [ident[x]] for x in objects}
+    for e in ident.values():
+        reached[e] = True
     generators = []
     generators_outof = {x: [] for x in objects}
-    for a, (a_src, _a_tgt) in arrows.items():
-        if a in reached:
+    for a, (a_src, _a_tgt) in enumerate(arrows.values()):
+        if reached[a]:
             continue
         generators.append(a)
         generators_outof[a_src].append(a)
-        pending = [compose[(a, r)] for r in reached_into[a_src]]
+        row = rows[a]
+        pending = [row[place[r]] for r in reached_into[a_src]]
         while pending:
             c = pending.pop()
-            if c in reached:
+            if reached[c]:
                 continue
-            reached.add(c)
-            c_tgt = arrows[c][1]
+            reached[c] = True
+            c_tgt, c_place = targets[c], place[c]
             reached_into[c_tgt].append(c)
-            pending.extend(compose[(s, c)] for s in generators_outof[c_tgt])
+            pending.extend(rows[s][c_place] for s in generators_outof[c_tgt])
     for g in generators:
-        g_src, g_tgt = arrows[g]
-        for h in outof[g_tgt]:
-            hg = compose[(h, g)]
-            for f in into[g_src]:
-                if compose[(hg, f)] != compose[(h, compose[(g, f)])]:
-                    raise error("composition is not associative")
+        # the place of each g.f among the arrows into tgt(g)
+        through = list(map(place.__getitem__, rows[g]))
+        g_place = place[g]
+        for h in outof[targets[g]]:
+            row = rows[h]
+            if rows[row[g_place]] != list(map(row.__getitem__, through)):
+                raise error("composition is not associative")
 
 
 class FiniteCategory:

@@ -5,8 +5,10 @@ Derived expectations come from in-file oracles: a Gaussian-elimination rank
 count, a hand commutant solve, and hand polar decompositions.
 """
 
+import gc
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -470,6 +472,20 @@ def test_z60_groupoid_category_is_certified_without_basis_products(monkeypatch):
     assert cat.validate_category(c) == []
     assert calls == []
     assert [c.hom(x, y).dim for x, y in c.pairs()] == [60] * 4
+
+
+def test_a_certified_category_is_freed_by_reference_counting():
+    # the category keeps its closure; the closure must not refer back to
+    # it, or every validated category would wait for the cycle collector
+    c = cyclic_groupoid_category(10)
+    assert cat.validate_category(c) == [] and c.light_certificate[1] is not None
+    gc.disable()
+    try:
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_size_rule_sides(monkeypatch):

@@ -444,6 +444,37 @@ def test_validate_groupoid_and_nerve_files(tmp_path, generated_groupoid_file):
     assert json.loads(done.stdout)["checks"] == [{"name": "structure", "status": "pass"}]
 
 
+def test_validate_functor_file_builds_each_light_closure_once(tmp_path, monkeypatch, capsys):
+    from cstarcat import light
+    from cstarcat.groupoids import connected_groupoid, cstar_max, cyclic_group_table
+
+    # Z/10 on two objects is large enough to certify; the target is a
+    # renamed copy, so the closures of source and target can be told apart
+    groupoid = connected_groupoid(["a", "b"], cyclic_group_table(10), check=False)
+    source = cstar_max(groupoid).category
+    target = MatCStarCategory([(f"t{o.name}", o.dim) for o in source.objects],
+                              {(f"t{x}", f"t{y}"): space for (x, y), space in source.homs.items()})
+    functor = StarFunctor(source, target, {x: f"t{x}" for x in source.object_names},
+                          {pair: space.basis for pair, space in source.homs.items()})
+    path = write(tmp_path / "functor.json", functor.to_json())
+    built = []
+    construct = light.LightClosure.__init__
+
+    def counting(self, cat):
+        built.append(cat.object_names[0])
+        construct(self, cat)
+
+    monkeypatch.setattr(light.LightClosure, "__init__", counting)
+    assert run("validate", path) == 0
+    certified = capsys.readouterr().out
+    assert sorted(built) == ["a", "ta"]
+    # the exhaustive loop, with no closure, writes the same report
+    monkeypatch.setattr(light, "CERTIFY_WORK", 2 ** 62)
+    built.clear()
+    assert run("validate", path) == 0
+    assert capsys.readouterr().out == certified and built == []
+
+
 def test_validate_non_associative_groupoid_exits_1(tmp_path, generated_groupoid_file):
     data = json.loads(Path(generated_groupoid_file).read_text(encoding="utf-8"))
     # with g = x0>1>x0, swap g.g = g^2 and g.g^2 = 1: then (g^2.g).g = g but

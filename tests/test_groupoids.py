@@ -1,6 +1,7 @@
 """Tests for groupoids, the regular-representation C*-category, the
 adjunction with unitary subgroupoids, fundamental groupoids and nerves."""
 
+import json
 import time
 import tracemalloc
 from dataclasses import replace
@@ -18,8 +19,8 @@ from cstarcat.categories import (
     validate_category,
     validate_functor,
 )
-from cstarcat.errors import InvalidFunctor, InvalidGroupoid, NotUnitary
-from cstarcat.linalg import Tolerance, is_unitary
+from cstarcat.errors import InvalidFunctor, InvalidGroupoid, MalformedInput, NotUnitary
+from cstarcat.linalg import Tolerance, is_unitary, split_pair_key
 from cstarcat.simplicial import SimplexRef, standard
 
 
@@ -74,6 +75,78 @@ def test_groupoid_json_round_trip():
     blob = z3.to_json()
     again = gp.FiniteGroupoid.from_json(blob)
     assert again.to_json() == blob
+
+
+def relabelled(table, rng):
+    """The same group with its elements renamed by a random permutation."""
+    perm = [int(p) for p in rng.permutation(len(table))]
+    inv = {p: i for i, p in enumerate(perm)}
+    return [[perm[table[inv[a]][inv[b]]] for b in range(len(table))]
+            for a in range(len(table))]
+
+
+def per_entry_connected_compose(objects, table):
+    """``connected_groupoid``'s table formatted entry by entry, three names
+    per entry, in the order x, y, z, h1, h2."""
+    name = "{}>{}>{}".format
+    return [((name(y, h2, z), name(x, h1, y)), name(x, table[h2][h1], z))
+            for x in objects for y in objects for z in objects
+            for h1 in range(len(table)) for h2 in range(len(table))]
+
+
+def sorted_compose_json(groupoid):
+    """The groupoid file's ``compose`` by sorting the pairs."""
+    return {f"{g}|{f}": h for (g, f), h in sorted(groupoid.compose.items())}
+
+
+def serialized_instances():
+    rng = rg.rng_from_seed(29)
+    connected = [gp.connected_groupoid(objects, relabelled(rg.group_table(kind, order), rng))
+                 for objects in (["z"], ["q", "b"], ["x2", "x10", "x1"])
+                 for kind, order in (("cyclic", 5), ("klein", 4), ("s3", 6))]
+    randoms = [rg.random_groupoid(rng, n_objects=n, max_order=8) for n in (2, 4, 5)]
+    normalized = [gp.normalize_fp(gp.fundamental_groupoid(standard("delta", 2))).groupoid,
+                  gp.normalize_fp(gp.FPGroupoid(
+                      ["v", "u"], {"a": ("v", "v"), "e": ("v", "u")},
+                      [(gp.FPWord("v", "v", (("a", False),) * 6), gp.FPWord("v", "v"))])).groupoid]
+    built = [gp.disjoint_groupoid([connected[1], gp.interval_groupoid()]),
+             gp.product_groupoid(connected[4], gp.cyclic_groupoid(2)),
+             gp.product_groupoid(gp.interval_groupoid(), randoms[0]),
+             gp.terminal_groupoid(), gp.cyclic_groupoid(7)]
+    return connected + randoms + normalized + built
+
+
+def test_to_json_compose_is_the_sorted_table():
+    for g in serialized_instances():
+        blob = g.to_json()
+        assert list(blob["compose"].items()) == list(sorted_compose_json(g).items())
+        again = gp.FiniteGroupoid.from_json(json.loads(json.dumps(blob)))
+        assert list(again.compose.items()) == [
+            (split_pair_key(key), h) for key, h in blob["compose"].items()]
+        assert again.to_json() == blob
+
+
+def test_connected_groupoid_table_matches_the_per_entry_formula():
+    rng = rg.rng_from_seed(31)
+    for objects in (["a"], ["q", "b"], ["x2", "x10", "x1"]):
+        for kind, order in (("cyclic", 1), ("cyclic", 6), ("klein", 4), ("s3", 6)):
+            table = relabelled(rg.group_table(kind, order), rng)
+            g = gp.connected_groupoid(objects, table)
+            assert list(g.compose.items()) == per_entry_connected_compose(objects, table)
+            names = [f"{x}>{h}>{y}" for x in objects for y in objects for h in range(order)]
+            assert list(g.arrows) == names
+
+
+@pytest.mark.parametrize("bad", ["a|b|c", "ab"])
+def test_from_json_rejects_a_key_without_exactly_one_bar(bad):
+    blob = gp.cyclic_groupoid(2).to_json()
+    pairs = list(blob["compose"].items())
+    # the malformed key comes second, after a well-formed one and before a
+    # second malformed one: the first malformed key is the one named
+    blob["compose"] = dict([pairs[0], (bad, "g0"), ("x|y|z|w", "g0"), *pairs[1:]])
+    with pytest.raises(MalformedInput) as raised:
+        gp.FiniteGroupoid.from_json(json.loads(json.dumps(blob)))
+    assert str(raised.value) == f"key {bad!r} is not of the form 'a|b'"
 
 
 def test_groupoid_isomorphism_distinguishes_group_structure():
@@ -457,6 +530,19 @@ def test_nerve_faces_equal_the_normal_form_of_each_face_string():
                         sub = chain[:i - 1] + (composite,) + chain[i + 1:]
                     assert face == _string_ref(g, idents, sub, g.arrows[sub[0]][0])
     assert identity_composites > 100
+
+
+def test_nerve_levels_come_out_in_sorted_order():
+    # objects declared out of name order, so arrows grouped by source object
+    # would not be sorted
+    rng = rg.rng_from_seed(43)
+    groupoids = [gp.connected_groupoid(["q", "b", "m"], relabelled(rg.group_table("s3"), rng)),
+                 rg.random_groupoid(rng, n_objects=4, max_order=4)]
+    for g in groupoids:
+        n = gp.nerve(g, 3)
+        for dim in (1, 2, 3):
+            chains = [tuple(name.split("|")) for name in n.nondegenerate(dim)]
+            assert chains == sorted(chains) and len(chains) == composable_strings(g, dim)
 
 
 def test_nerve_stops_at_the_first_empty_level():

@@ -13,8 +13,10 @@ from cstarcat import randgen as rg
 from cstarcat.categories import MatCStarCategory, full_matrix_category
 from cstarcat.errors import (
     BoundFailed,
+    CStarCatError,
     InvalidCategory,
     InvalidFunctor,
+    InvalidGroupoid,
     InvalidQuiver,
     NotParallel,
     RelationFailed,
@@ -370,6 +372,135 @@ def test_identity_named_for_an_undeclared_object_is_not_trusted():
     # must not exempt it from the test
     objects, arrows, identities, compose = unital_magma(3, [0, 1, 1, 0])
     assert not same_verdict_as_triples(objects, arrows, {**identities, "y": "a1"}, compose)
+
+
+# ---------------------------------------------------------------------------
+# the integer rows give the verdicts and messages of the per-entry check
+
+
+def per_entry_check(objects, arrows, identities, compose, error):
+    """The composition-table check written entry by entry on names: the
+    oracle for which error ``check_composition_table`` raises, and with
+    which message."""
+    into = {x: [] for x in objects}
+    outof = {x: [] for x in objects}
+    for name, (src, tgt) in arrows.items():
+        if src not in into or tgt not in into:
+            raise error(f"arrow {name!r} has undeclared endpoints")
+        into[tgt].append(name)
+        outof[src].append(name)
+    composable = 0
+    for g, (gs, gt) in arrows.items():
+        for f in into[gs]:
+            h = compose.get((g, f))
+            if h is None or arrows.get(h) != (arrows[f][0], gt):
+                raise error(f"bad composite {g!r}.{f!r}")
+            composable += 1
+    if len(compose) != composable:
+        raise error("composite stored for a pair that is not composable")
+    for x in objects:
+        if arrows.get(identities.get(x)) != (x, x):
+            raise error(f"object {x!r} lacks an identity loop")
+    for f, (fs, ft) in arrows.items():
+        if compose[(identities[ft], f)] != f or compose[(f, identities[fs])] != f:
+            raise error(f"identities are not neutral on {f!r}")
+    for h, (hs, _ht) in arrows.items():
+        for g, (gs, gt) in arrows.items():
+            if gt != hs:
+                continue
+            for f in into[gs]:
+                if compose[(compose[(h, g)], f)] != compose[(h, compose[(g, f)])]:
+                    raise error("composition is not associative")
+
+
+def table_verdict(check, table, error):
+    """None when ``check`` accepts the table, else (error class, message)."""
+    try:
+        check(*table, error)
+    except CStarCatError as err:
+        return type(err), str(err)
+    return None
+
+
+def mutated_tables(objects, arrows, identities, compose):
+    """Every table with one composite moved to another arrow with the same
+    endpoints, then a few tables with one defect of each earlier kind."""
+    by_ends = {}
+    for a, ends in arrows.items():
+        by_ends.setdefault(ends, []).append(a)
+    for key, h in compose.items():
+        for other in by_ends[arrows[h]]:
+            if other != h:
+                yield objects, arrows, identities, {**compose, key: other}
+    first_key, first = next(iter(compose.items()))
+    last_key = list(compose)[-1]
+    loop = next((a for a, (s, t) in arrows.items()
+                 if s == t and a not in identities.values()), None)
+    stray = next((a for a, (s, t) in arrows.items() if s != arrows[first][0]), None)
+    yield objects, {**arrows, "stray": ("nowhere", objects[0])}, identities, compose
+    yield objects, arrows, identities, {k: v for k, v in compose.items() if k != last_key}
+    yield objects, arrows, identities, {**compose, first_key: "no such arrow"}
+    if stray is not None:
+        yield objects, arrows, identities, {**compose, first_key: stray}
+    yield objects, arrows, identities, {**compose, ("no", "pair"): first}
+    yield objects, arrows, {**identities, objects[-1]: None}, compose
+    if loop is not None:
+        yield objects, arrows, {**identities, arrows[loop][0]: loop}, compose
+
+
+def monoid_tables():
+    """The associative unital magmas on 3 elements: monoid tables, most
+    with arrows that have no inverse."""
+    tables = [unital_magma(3, products) for products in itertools.product(range(3), repeat=4)]
+    return [t for t in tables if associative_by_triples(t[1], t[3])]
+
+
+def same_verdicts(table) -> tuple | None:
+    """Assert ``check_composition_table`` raises what the per-entry check
+    raises on the table, for either error class; return the verdict."""
+    for error in (InvalidGroupoid, InvalidCategory):
+        expected = table_verdict(per_entry_check, table, error)
+        assert table_verdict(pr.check_composition_table, table, error) == expected
+    return expected
+
+
+def test_mutated_category_tables_get_the_per_entry_errors_and_messages():
+    bases = [monoid_tables()[i] for i in (0, 3, -1)] + [
+        (c.objects, c.arrows, c.identities, c.compose)
+        for c in (arrow_category(), terminal_category())]
+    rejected = 0
+    for base in bases:
+        assert same_verdicts(base) is None
+        for table in mutated_tables(*base):
+            expected = same_verdicts(table)
+            if expected is None:
+                pr.FiniteCategory(*table)       # one monoid moved to another
+                continue
+            with pytest.raises(InvalidCategory) as raised:
+                pr.FiniteCategory(*table)
+            assert str(raised.value) == expected[1]
+            rejected += 1
+    assert rejected > 20
+
+
+def test_mutated_groupoid_tables_get_the_per_entry_errors_and_messages():
+    bases = [gp.connected_groupoid(["o0", "o1"], rg.group_table("cyclic", 3)),
+             gp.connected_groupoid(["k"], rg.group_table("klein")),
+             gp.connected_groupoid(["s"], rg.group_table("s3")),
+             gp.product_groupoid(gp.interval_groupoid(), gp.cyclic_groupoid(2)),
+             rg.random_groupoid(rg.rng_from_seed(3), n_objects=3, max_order=3)]
+    checked = 0
+    for g in bases:
+        assert same_verdicts((g.objects, g.arrows, g.identities, g.compose)) is None
+        for table in mutated_tables(g.objects, g.arrows, g.identities, g.compose):
+            expected = same_verdicts(table)
+            objects, arrows, identities, compose = table
+            with pytest.raises(InvalidGroupoid) as raised:
+                gp.FiniteGroupoid(objects, arrows, compose, identities, g.inverses)
+            if expected is not None:
+                assert str(raised.value) == expected[1]
+            checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------
