@@ -12,8 +12,8 @@ spaces are judged by their category's, so every comparison made on a
 category, its functors or its homs uses the one ``tol`` it was built with.
 
 Includes polar unitarization, an exact test for unitary isomorphism,
-spaces of bounded natural transformations (solved as one linear system),
-maximal tensor products via Kronecker blocks, and the exponential law.
+spaces of bounded natural transformations, maximal tensor products via
+Kronecker blocks, and the exponential law.
 
 A natural transformation F -> G is a block-diagonal matrix from the carrier
 of F, the direct sum of the F(x), to that of G. So the full subcategory of
@@ -574,25 +574,82 @@ def carrier_blocks(f: StarFunctor) -> dict[str, slice]:
     return out
 
 
+#: in ``nat_space``'s first round a hom of dimension above this imposes this
+#: many seeded combinations of its stored basis, and a smaller hom its whole
+#: basis
+NAT_COMBINATIONS = 2
+#: the seed of those combinations
+NAT_SEED = 0
+
+
+def _first_combinations(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The ``NAT_COMBINATIONS`` complex Gaussian coefficient vectors, over the
+    stored basis of a hom of dimension ``dim``, that the hom imposes in
+    ``nat_space``'s first round."""
+    shape = (NAT_COMBINATIONS, dim)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _orthonormal_rows(coeffs: np.ndarray, tol: Tolerance) -> np.ndarray | None:
+    """Orthonormal rows that span the rows of ``coeffs``, or None when those
+    span every coordinate, so that the hom imposes its whole basis."""
+    _, svals, vh = np.linalg.svd(coeffs, full_matrices=False)
+    rank = linalg.numerical_rank(svals, tol)
+    return None if rank == coeffs.shape[1] else vh[:rank]
+
+
 def nat_space(f: StarFunctor, g: StarFunctor) -> Subspace:
-    """Solve the finite linear system for all natural transformations F -> G,
-    each returned as the block-diagonal matrix from the carrier of F to the
-    carrier of G (see ``carrier_blocks``).
+    """All natural transformations F -> G, each returned as the
+    block-diagonal matrix from the carrier of F to the carrier of G (see
+    ``carrier_blocks``).
 
     The unknowns are the coordinates c_x of each component alpha_x in the
     stored basis of hom(Fx, Gx), so every component lies in its hom by
-    construction. Each stored basis element a of hom(x, y) contributes the
-    coordinates of alpha_y F(a) - G(a) alpha_x in the basis of hom(Fx, Gy).
-    Precondition: F and G are *-functors into a category closed under
-    composition (``validate_functor``, ``validate_category``), so this defect
-    lies in hom(Fx, Gy) and vanishes exactly when its coordinates do. The
-    kernel rows are orthonormal, the hom bases HS-orthonormal and the blocks
-    disjoint, so the basis is HS-orthonormal, and the operator norm of an
-    element is the sup norm of its components.
+    construction. A stored basis element a of hom(x, y) gives the rows A_a:
+    the coordinates of alpha_y F(a) - G(a) alpha_x in the basis of
+    hom(Fx, Gy). Precondition: F and G are *-functors into a category closed
+    under composition (``validate_functor``, ``validate_category``), so this
+    defect lies in hom(Fx, Gy) and vanishes exactly when its coordinates do.
+    All the A_a together form the full system A, whose kernel is nat(F, G).
+
+    A itself is not built. The solve follows the pattern of ``light.py``:
+    impose a few rows, certify the rest, and grow on a failure.
+
+    * Imposed rows. A hom of dimension at most ``NAT_COMBINATIONS`` imposes
+      its whole basis. A larger hom imposes ``NAT_COMBINATIONS`` seeded
+      combinations sum_k c_k a_k of its basis, with orthonormal coefficient
+      vectors. So the subsystem is S = C A with |C| <= 1, and
+      sigma_max(S) <= sigma_max(A). Its kernel K (``kernel_rows``) holds
+      nat(F, G), because every natural transformation is natural at every
+      combination.
+    * Certificate. For each stored basis element a of a hom that imposed
+      combinations, one element at a time, the defect
+      alpha_y F(a) - G(a) alpha_x is formed for all rows of K at once, and
+      its squared HS norm is added to that of the whole-basis homs' rows of
+      S K*. A defect's HS norm bounds the norm of its coordinates, and a
+      sum of squared HS norms bounds the largest squared singular value, so
+      the sum bounds sigma_max(A K*)^2 (the dim K x dim K Gram would give
+      it exactly, at dim K times the cost). The sum must be at most
+      tol.bound(sigma_max(S))^2. That bound is no looser than the full
+      system's rank cutoff tol.bound(sigma_max(A)), so A has at least dim K
+      singular values within its cutoff, and K, which holds nat(F, G), is
+      the kernel that the full system gives.
+    * Growth. On a failure, the basis elements whose squared defect exceeds
+      an even share of the margin, (bound^2 - the whole-basis homs' part) /
+      (number of elements certified), join their hom's imposed rows; at
+      least one element does. Then the system is solved again. A hom
+      whose imposed rows span its basis imposes the basis itself, and if no
+      hom grows, every hom does. So the loop ends at the full system A at
+      the latest, and a system in which every hom imposes its whole basis is
+      not certified.
+
+    The kernel rows are orthonormal, the hom bases HS-orthonormal and the
+    blocks disjoint, so the basis is HS-orthonormal, and the operator norm of
+    an element is the sup norm of its components.
     """
     if f.source.object_names != g.source.object_names:
         raise NotParallel("functors are not parallel")
-    src, tgt = f.source, f.target
+    src, tgt, tol = f.source, f.target, f.tol
     f_blocks, g_blocks = carrier_blocks(f), carrier_blocks(g)
     carrier_shape = (sum(s.stop - s.start for s in g_blocks.values()),
                      sum(s.stop - s.start for s in f_blocks.values()))
@@ -602,25 +659,69 @@ def nat_space(f: StarFunctor, g: StarFunctor) -> Subspace:
         cols[x] = slice(total, total + comps[x].dim)
         total += comps[x].dim
     defects = {(x, y): tgt.hom(f.object_map[x], g.object_map[y]) for x, y in src.homs}
-    system = np.zeros((sum(space.dim * defects[pair].dim
-                           for pair, space in src.homs.items()), total),
-                      dtype=np.complex128)
-    start = 0
-    for (x, y), defect in defects.items():
-        dual = defect.basis.conj()
-        for fa, ga in zip(f.hom_maps[(x, y)], g.hom_maps[(x, y)]):
-            # column k: the coordinates in hom(Fx, Gy) of basis element k's term
-            block = system[start:start + defect.dim]
-            block[:, cols[y]] = np.tensordot(dual, comps[y].basis @ fa, ([1, 2], [1, 2]))
-            block[:, cols[x]] -= np.tensordot(dual, ga @ comps[x].basis, ([1, 2], [1, 2]))
-            start += defect.dim
+    rng = np.random.default_rng(NAT_SEED)
+    # the orthonormal coefficient rows each hom imposes; None for its whole basis
+    imposed = {pair: None if space.dim <= NAT_COMBINATIONS
+               else _orthonormal_rows(_first_combinations(space.dim, rng), tol)
+               for pair, space in src.homs.items()}
+    while True:
+        # the whole-basis homs first, so that their rows are one leading slice
+        maps = {}
+        for pair in sorted(imposed, key=lambda pair: imposed[pair] is not None):
+            coeffs, fas, gas = imposed[pair], f.hom_maps[pair], g.hom_maps[pair]
+            maps[pair] = ((fas, gas) if coeffs is None else
+                          (np.tensordot(coeffs, fas, 1), np.tensordot(coeffs, gas, 1)))
+        system = np.zeros((sum(len(fas) * defects[pair].dim
+                               for pair, (fas, _gas) in maps.items()), total),
+                          dtype=np.complex128)
+        start = head = 0
+        for (x, y), (fas, gas) in maps.items():
+            defect = defects[(x, y)]
+            dual = defect.basis.conj()
+            for fa, ga in zip(fas, gas):
+                # column k: the coordinates in hom(Fx, Gy) of basis element k's term
+                block = system[start:start + defect.dim]
+                block[:, cols[y]] = np.tensordot(dual, comps[y].basis @ fa, ([1, 2], [1, 2]))
+                block[:, cols[x]] -= np.tensordot(dual, ga @ comps[x].basis, ([1, 2], [1, 2]))
+                start += defect.dim
+            if imposed[(x, y)] is None:
+                head = start
+        kernel = kernel_rows(system, tol)
+        # alpha_x of every kernel row, as matrices
+        alphas = {x: (kernel[:, cols[x]] @ space._rows).reshape(len(kernel), *space.shape)
+                  for x, space in comps.items()}
+        certified = [pair for pair in maps if imposed[pair] is not None]
+        if not certified or not len(kernel):
+            break
 
-    basis = []
-    for row in kernel_rows(system, f.tol):
-        alpha = np.zeros(carrier_shape, dtype=np.complex128)
-        for x, space in comps.items():
-            alpha[g_blocks[x], f_blocks[x]] = space.from_coords(row[cols[x]])
-        basis.append(alpha)
+        limit = tol.bound(linalg.op_norm(system)) ** 2
+        floor = float(np.linalg.norm(system[:head] @ kernel.T)) ** 2
+        squares = {}
+        for x, y in certified:
+            norms = []
+            for fa, ga in zip(f.hom_maps[(x, y)], g.hom_maps[(x, y)]):
+                miss = alphas[y] @ fa
+                miss -= ga @ alphas[x]
+                norms.append(float(np.linalg.norm(miss)) ** 2)
+            squares[(x, y)] = np.array(norms)
+        if floor + sum(norms.sum() for norms in squares.values()) <= limit:
+            break
+        share = (limit - floor) / sum(len(norms) for norms in squares.values())
+        grown = False
+        for pair, norms in squares.items():
+            coeffs = imposed[pair]
+            imposed[pair] = _orthonormal_rows(
+                np.vstack([coeffs, np.eye(len(norms))[norms > share]]), tol)
+            grown |= imposed[pair] is None or len(imposed[pair]) > len(coeffs)
+        if not grown:
+            # every failing element was imposed already, which a rank cutoff
+            # inside a cluster of singular values allows: solve the full system
+            imposed = dict.fromkeys(imposed)
+
+    basis = np.zeros((len(kernel), *carrier_shape), dtype=np.complex128)
+    for x in comps:
+        # popped, so that no component outlives its copy into the basis
+        basis[:, g_blocks[x], f_blocks[x]] = alphas.pop(x)
     return Subspace(*carrier_shape, basis)
 
 

@@ -1,5 +1,6 @@
 """Greedy generating set, certificate, exhaustive fallback: closure under
-composition without forming every product.
+composition without forming every product, and the same pattern for
+linear constraints.
 
 The pattern is Light's test (A. H. Clifford and G. B. Preston, *The
 Algebraic Theory of Semigroups* I, 1961, §1.2): if s.c is good whenever s
@@ -8,7 +9,8 @@ reach everything, then everything is good. S is grown greedily in stored
 order: an element joins S only when the words reached so far do not
 already reach it, and the reached set is then closed under left
 multiplication by S. Only the products s.c are formed, about |S| times the
-size of the whole instead of its square. Two checks use it.
+size of the whole instead of its square. Three parts of the package use
+the pattern.
 
 * ``presentations.check_composition_table`` applies it to composition
   tables. There "good" is associativity and reaching is exact, so no
@@ -27,6 +29,14 @@ size of the whole instead of its square. Two checks use it.
   order and its bytes. A category builds its closure and certificate once
   (``MatCStarCategory.light_certificate``), so validating a functor's
   source and then the functor reuses them.
+* ``categories.nat_space`` applies its three steps, not this module, to
+  the naturality equations alpha_y F(a) = G(a) alpha_x. The small set is
+  two seeded combinations of each larger hom's basis; its kernel always
+  holds nat(F, G), since every natural transformation is natural at every
+  combination. The certificate bounds the defect of every kernel row at
+  every stored basis element within the full system's rank cutoff. The
+  elements that fail join the imposed rows, so growth ends at the latest
+  at the full system.
 """
 
 from __future__ import annotations

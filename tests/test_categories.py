@@ -784,6 +784,65 @@ def test_nat_space_z8_pair_stays_small():
     assert peak < 4 * 2**20
 
 
+def test_nat_space_full_12x12_stays_small():
+    # the full system has 82,944 rows and 288 columns (382 MB) and peaked at
+    # 730 MB; two combinations per hom impose 1,152 of them
+    ident = cat.identity_functor(cat.full_matrix_category([12, 12]))
+    tracemalloc.start()
+    try:
+        dim = cat.nat_space(ident, ident).dim
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dim == 1
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("sectors", [1, 2, 3, 4])
+def test_nat_space_centre_counts_sectors(sectors):
+    # Schur: the centre of a sector category is one scalar per sector that
+    # some object carries
+    for seed in range(5):
+        c, model = rg.random_matcat(rg.rng_from_seed(seed), n_objects=3, max_dim=6,
+                                    n_sectors=sectors)
+        present = sum(any(m[s] for m in model.multiplicities.values())
+                      for s in range(sectors))
+        ident = cat.identity_functor(c)
+        assert cat.nat_space(ident, ident).dim == present, seed
+
+
+def test_nat_space_grows_past_a_failed_certificate(monkeypatch):
+    # every first-round combination is the hom's first basis element, so the
+    # first kernel holds more than nat(F, G): the certificate must fail, the
+    # violating elements join the imposed rows, and the answer stays exact
+    from cstarcat.suites import functor_zoo
+
+    monkeypatch.setattr(cat, "_first_combinations", lambda dim, rng: np.repeat(
+        np.eye(1, dim, dtype=complex), cat.NAT_COMBINATIONS, axis=0))
+    solves = []
+
+    def counted(m, tol):
+        solves.append(m.shape)
+        return kernel_rows(m, tol)
+
+    monkeypatch.setattr(cat, "kernel_rows", counted)
+    full, _ = rg.conjugate_category(rg.rng_from_seed(3), cat.full_matrix_category([3, 3]))
+    cases = [(cat.identity_functor(full),) * 2]
+    cases += [(f, f) for _kind, f in functor_zoo(rg.rng_from_seed(0), 12)]
+    grew = 0
+    for a, b in cases:
+        solves.clear()
+        got, want = cat.nat_space(a, b), dense_nat_space(a, b)
+        assert got.dim == want.dim
+        assert np.linalg.norm(projector(got) - projector(want)) <= 1e-8
+        grew += len(solves) > 1
+    assert grew >= 1
+    # on the full category the first round imposes one element per hom
+    solves.clear()
+    assert cat.nat_space(*cases[0]).dim == 1
+    assert len(solves) > 1 and solves[0][0] < solves[-1][0]
+
+
 # ---------------------------------------------------------------------------
 # tensor products
 
