@@ -17,7 +17,14 @@
 #     size and again with --objects 5 --order 8, whose multi-component
 #     tables of up to 78 arrows exercise the groupoid file's serializer and
 #     the composition-table check;
-#   nerve --dim-cap 3 of that groupoid -> validate -> fundamental-groupoid -> pi;
+#   nerve --dim-cap 3 of the default-size groupoid -> validate ->
+#     fundamental-groupoid -> pi;
+#   nerve --dim-cap 3 of the 5-object groupoid (up to 17,401 3-simplices, so
+#     the nerve's level insertion and the simplicial-set reader run at
+#     scale) -> validate;
+#   pi of the boundary of Delta[2], written by simplicial.standard: a circle,
+#     whose infinite vertex group ends in exit 3 before any coset
+#     enumeration;
 #   generate random_matcat -> tensor with itself.
 # Run both trees on the same machine, so that BLAS rounding is the same on
 # both sides.
@@ -105,6 +112,17 @@ GENERATOR
     cli "$tree" "$dir" "fundamental_groupoid_$seed" fundamental-groupoid \
       "nerve_$seed.json" --output "fp_$seed.json"
     cli "$tree" "$dir" "pi_$seed" pi "nerve_$seed.json" --output "pi_$seed.json"
+    cli "$tree" "$dir" "nerve5_$seed" nerve "groupoid5_$seed.json" --dim-cap 3 \
+      --output "nerve5_$seed.json"
+    cli "$tree" "$dir" "validate_nerve5_$seed" validate "nerve5_$seed.json"
+    (cd "$dir" && PYTHONPATH="$tree/src" python3 - "boundary2_$seed.json" <<'BOUNDARY'
+import json, sys
+from cstarcat.simplicial import standard
+json.dump(standard("boundary", 2).to_json(), open(sys.argv[1], "w"), indent=2)
+BOUNDARY
+    )
+    cli "$tree" "$dir" "pi_boundary2_$seed" pi "boundary2_$seed.json" \
+      --output "pi_boundary2_$seed.json"
 
     cli "$tree" "$dir" "generate_matcat_$seed" generate --kind random_matcat \
       --seed "$seed" --output "matcat_$seed.json"

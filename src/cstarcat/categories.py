@@ -238,25 +238,46 @@ def validate_category(cat: MatCStarCategory) -> list[Violation]:
 
 def _composition_violations(cat: MatCStarCategory) -> list[Violation]:
     """The exhaustive composition check: every product b_j . a_i of basis
-    elements, judged against ``eps_abs * max(1, |b_j . a_i|)``."""
+    elements, judged against ``eps_abs * max(1, |b_j . a_i|)``.
+
+    The failures depend only on the three hom spaces, so each distinct
+    triple of ``Subspace`` objects (first, second, target) is checked once
+    and its (j, i, residual) list is repeated for every object triple that
+    shares it: the homs of a cylinder midway, of ``disjoint_union([c, c])``
+    and of ``build_retract``'s doubled source are shared objects."""
     tol = cat.tol
     out = []
+    checked = {}
     for (x, y), first in cat.homs.items():
         for z in cat.object_names:
             second = cat.homs.get((y, z))
             if second is None:
                 continue
-            target = cat.hom(x, z)._rows
-            target_h = target.conj().T
-            for j, b in enumerate(second.basis):
-                flat = _basis_products(b, first.basis)
-                scales = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
-                residuals = _batch_residuals(flat, target, target_h)
-                for i in np.nonzero(residuals > tol.eps_abs * scales)[0]:
-                    out.append(Violation("composition", (x, y, z, j, int(i)),
-                                         float(residuals[i]),
-                                         "product of basis elements leaves hom(x,z)"))
+            target = cat.homs.get((x, z))
+            key = (id(first), id(second), id(target))
+            failures = checked.get(key)
+            if failures is None:
+                failures = checked[key] = _product_failures(
+                    first, second, cat.hom(x, z)._rows, tol)
+            out += [Violation("composition", (x, y, z, j, i), residual,
+                              "product of basis elements leaves hom(x,z)")
+                    for j, i, residual in failures]
     return out
+
+
+def _product_failures(first: Subspace, second: Subspace, target: np.ndarray,
+                      tol: Tolerance) -> list[tuple[int, int, float]]:
+    """The (j, i, residual) of each product b_j . a_i of basis elements that
+    leaves the span of the orthonormal rows ``target``."""
+    target_h = target.conj().T
+    failures = []
+    for j, b in enumerate(second.basis):
+        flat = _basis_products(b, first.basis)
+        scales = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
+        residuals = _batch_residuals(flat, target, target_h)
+        failures += [(j, int(i), float(residuals[i]))
+                     for i in np.nonzero(residuals > tol.eps_abs * scales)[0]]
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +707,7 @@ def nat_space(f: StarFunctor, g: StarFunctor) -> Subspace:
                 start += defect.dim
             if imposed[(x, y)] is None:
                 head = start
-        kernel = kernel_rows(system, tol)
+        kernel, top = kernel_rows(system, tol)
         # alpha_x of every kernel row, as matrices
         alphas = {x: (kernel[:, cols[x]] @ space._rows).reshape(len(kernel), *space.shape)
                   for x, space in comps.items()}
@@ -694,7 +715,7 @@ def nat_space(f: StarFunctor, g: StarFunctor) -> Subspace:
         if not certified or not len(kernel):
             break
 
-        limit = tol.bound(linalg.op_norm(system)) ** 2
+        limit = tol.bound(top) ** 2
         floor = float(np.linalg.norm(system[:head] @ kernel.T)) ** 2
         squares = {}
         for x, y in certified:

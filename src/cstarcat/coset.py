@@ -165,3 +165,31 @@ class CosetEnumeration:
 
 def invert_word(word) -> tuple[int, ...]:
     return tuple(letter ^ 1 for letter in reversed(word))
+
+
+def exponent_rank(ngens: int, relators) -> int:
+    """The rank over Q of the exponent-sum matrix of ``relators``, whose
+    entry (r, i) is the exponent sum of generator i in relator r.
+
+    It is the rank of the relation module of the abelianization, so when it
+    is below ``ngens`` the group maps onto Z and is infinite (Sims,
+    *Computation with Finitely Presented Groups*, 1994). Rows are
+    reduced against pivot rows in integer arithmetic, and the scan stops
+    once the rank reaches ``ngens``."""
+    pivots: dict[int, list[int]] = {}
+    for rel in relators:
+        if len(pivots) == ngens:
+            break
+        row = [0] * ngens
+        for letter in rel:
+            row[letter >> 1] += -1 if letter & 1 else 1
+        for col in range(ngens):
+            if not row[col]:
+                continue
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            lead, here = pivot[col], row[col]
+            row = [lead * v - here * w for v, w in zip(row, pivot)]
+    return len(pivots)

@@ -28,7 +28,7 @@ from .categories import (
     tensor_max,
     validate_functor,
 )
-from .coset import DEFAULT_BUDGET, CosetEnumeration, invert_word
+from .coset import DEFAULT_BUDGET, CosetEnumeration, exponent_rank, invert_word
 from .errors import InvalidFunctor, InvalidGroupoid, MalformedInput, NotUnitary
 from . import linalg
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_matrix, split_pair_key
@@ -692,6 +692,14 @@ def normalize_fp(pres: FPGroupoid, bound: int = DEFAULT_BUDGET) -> NormalizeResu
     group presentation (tree edges trivialized), enumerate cosets of the
     trivial subgroup, and rebuild the component as objects x fibers of the
     vertex group. Arrows are named "x>h>y" for group elements h.
+
+    Before enumerating, the abelianization is tested: when the exponent-sum
+    matrix of the relators (tree edges and relations) has rational rank
+    below the number of generators (``exponent_rank``), H_1 has a free
+    summand, the vertex group is infinite, and no budget could complete.
+    The verdict is still "not_finite_within_bound", the one the exhausted
+    enumeration gives, so reports do not change; a separate "infinite"
+    verdict would be a new report value.
     """
     comp_payloads = []
     for comp in pres.components():
@@ -733,6 +741,9 @@ def normalize_fp(pres: FPGroupoid, bound: int = DEFAULT_BUDGET) -> NormalizeResu
                 continue
             relators.append(letters(lhs.factors) + invert_word(letters(rhs.factors)))
 
+        if exponent_rank(len(gens), relators) < len(gens):
+            # H_1 has a free summand, so no budget can complete
+            return NormalizeResult("not_finite_within_bound", bound)
         enum = CosetEnumeration(len(gens), relators, budget=bound)
         if not enum.run():
             return NormalizeResult("not_finite_within_bound", bound)
@@ -814,10 +825,14 @@ def nerve(groupoid: FiniteGroupoid, dim_cap: int) -> FiniteSimplicialSet:
     """Composable strings of arrows; nondegenerate simplices are the strings
     with no identity factor, with faces by dropping or composing. A face
     whose middle composite is an identity is the degeneracy of the string
-    with both factors dropped."""
+    with both factors dropped.
+
+    Each dimension is one ``add_level`` call, so its face checks run once
+    per distinct face ref. A string is named by its parent's name (the
+    string without its last arrow), "|" and its last arrow, and each
+    degenerate face is made once and shared by every string that has it."""
     out = FiniteSimplicialSet(dim_cap)
-    for x in groupoid.objects:
-        out.add_simplex(0, x)
+    out.add_level(0, ((x, ()) for x in groupoid.objects))
     if dim_cap == 0:
         return out
 
@@ -832,31 +847,41 @@ def nerve(groupoid: FiniteGroupoid, dim_cap: int) -> FiniteSimplicialSet:
     # chains are tuples (g1, ..., gn) in path order: src(g_{i+1}) == tgt(g_i);
     # refs maps each nondegenerate chain of the level below to its ref, and
     # lower each chain of the level two below
-    refs, lower = {}, {}
-    for a in nonident:
-        src, tgt = arrows[a]
-        out.add_simplex(1, a, (SimplexRef(tgt, 0), SimplexRef(src, 0)))
-        refs[(a,)] = SimplexRef(a, 1)
+    vertices = {x: SimplexRef(x, 0) for x in groupoid.objects}
+
+    def strings(dim, refs, lower, level):
+        """The (name, faces) of each string of ``dim`` arrows, recording its
+        ref in ``level``."""
+        degenerate = {}
+        for parent, parent_ref in refs.items():
+            for a in nonident_from[arrows[parent[-1]][1]]:
+                chain = parent + (a,)
+                faces = [refs[chain[1:]]]
+                for i in range(1, dim):
+                    composite = compose[(chain[i], chain[i - 1])]
+                    if composite in idents:
+                        # g_{i+1} g_i = 1: s_{i-1} of the string without
+                        # both, which for dim 2 is the vertex src(g1)
+                        rest = chain[:i - 1] + chain[i + 1:]
+                        base = lower[rest] if rest else vertices[arrows[chain[0]][0]]
+                        face = degenerate.get((base, i))
+                        if face is None:
+                            face = degenerate[(base, i)] = base.degenerate_by(i - 1)
+                        faces.append(face)
+                    else:
+                        faces.append(refs[chain[:i - 1] + (composite,) + chain[i + 1:]])
+                faces.append(parent_ref)
+                name = parent_ref.base + "|" + a
+                level[chain] = SimplexRef(name, dim)
+                yield name, faces
+
+    out.add_level(1, ((a, (vertices[arrows[a][1]], vertices[arrows[a][0]]))
+                      for a in nonident))
+    refs, lower = {(a,): SimplexRef(a, 1) for a in nonident}, {}
     for dim in range(2, dim_cap + 1):
         if not refs:
             break
         level = {}
-        for chain in (chain + (a,) for chain in refs
-                      for a in nonident_from[arrows[chain[-1]][1]]):
-            faces = [refs[chain[1:]]]
-            for i in range(1, dim):
-                composite = compose[(chain[i], chain[i - 1])]
-                if composite in idents:
-                    # g_{i+1} g_i = 1: s_{i-1} of the string without both,
-                    # which for dim 2 is the vertex src(g1)
-                    rest = chain[:i - 1] + chain[i + 1:]
-                    base = lower[rest] if rest else SimplexRef(arrows[chain[0]][0], 0)
-                    faces.append(base.degenerate_by(i - 1))
-                else:
-                    faces.append(refs[chain[:i - 1] + (composite,) + chain[i + 1:]])
-            faces.append(refs[chain[:-1]])
-            name = "|".join(chain)
-            out.add_simplex(dim, name, faces)
-            level[chain] = SimplexRef(name, dim)
+        out.add_level(dim, strings(dim, refs, lower, level))
         refs, lower = level, refs
     return out

@@ -37,7 +37,15 @@ class Tolerance:
     functor's residual.
 
     Each ``MatCStarCategory`` carries one; a ``StarFunctor`` reads its
-    source's, and hom spaces are judged by their category's."""
+    source's, and hom spaces are judged by their category's.
+
+    Residual first: a comparison passes when its residual is at most
+    ``bound(scales)``, and since ``bound`` is ``eps_abs * max(1, scales)``,
+    a residual at most ``eps_abs`` passes whatever the scales are. So
+    ``close``, ``Subspace.contains`` and the relation check of
+    ``presentations.Evaluation`` compute the residual first and the operand
+    norms only when it exceeds ``eps_abs``; the verdicts are those of the
+    scaled comparison."""
 
     eps_abs: float = 1e-9
 
@@ -58,8 +66,10 @@ class Tolerance:
         a, b = np.asarray(a), np.asarray(b)
         if a.shape != b.shape:
             return False
-        scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-        return float(np.linalg.norm(a - b)) <= self.bound(scale)
+        residual = float(np.linalg.norm(a - b))
+        if residual <= self.eps_abs:
+            return True
+        return residual <= self.bound(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
 
 
 DEFAULT_TOL = Tolerance()
@@ -135,9 +145,10 @@ def numerical_rank(svals: np.ndarray, tol: Tolerance) -> int:
     return int(np.sum(svals > tol.bound(float(svals[0]))))
 
 
-def kernel_rows(m: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis of the null space of ``m``: the conjugated right
-    singular rows past ``numerical_rank``.
+def kernel_rows(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
+    """Orthonormal basis of the null space of ``m``, the conjugated right
+    singular rows past ``numerical_rank``, and the largest singular value
+    of ``m`` (0 when it has no rows).
 
     The SVD is taken of the R factor of a QR decomposition (Chan, ACM TOMS
     8, 1982), which has the singular values and right singular vectors of
@@ -146,7 +157,7 @@ def kernel_rows(m: np.ndarray, tol: Tolerance) -> np.ndarray:
     when ``m`` is, and the kernel then lies in the rows a thin SVD drops.
     """
     _, svals, vh = np.linalg.svd(np.linalg.qr(m, mode="r"), full_matrices=True)
-    return vh[numerical_rank(svals, tol):].conj()
+    return vh[numerical_rank(svals, tol):].conj(), float(svals[0]) if svals.size else 0.0
 
 
 def smallest_singular_value(m) -> float:
@@ -240,7 +251,8 @@ class Subspace:
 
     def contains(self, m, tol: Tolerance) -> bool:
         a = as_matrix(m, self.ambient_rows, self.ambient_cols)
-        return self.residual(a) <= tol.bound(hs_norm(a))
+        residual = self.residual(a)
+        return residual <= tol.eps_abs or residual <= tol.bound(hs_norm(a))
 
     def __repr__(self):
         return f"Subspace({self.ambient_rows}x{self.ambient_cols}, dim={self.dim})"

@@ -375,11 +375,11 @@ class Evaluation:
         return mat
 
     def _check_relations(self):
+        tol = self.category.tol
         for idx, (lhs, rhs) in enumerate(self.presentation.relations):
             left, right = self(lhs), self(rhs)
-            scale = max(op_norm(left), op_norm(right))
             residual = op_norm(left - right)
-            if residual > self.category.tol.bound(scale):
+            if residual > tol.eps_abs and residual > tol.bound(op_norm(left), op_norm(right)):
                 raise RelationFailed(
                     f"relation #{idx} fails with residual {residual:.3e}",
                     witness={"relation": idx, "residual": residual},

@@ -121,7 +121,7 @@ def dense_nat_space(f, g):
     f_blocks, g_blocks = cat.carrier_blocks(f), cat.carrier_blocks(g)
     carrier = (sum(r for r, _c in shapes.values()), sum(c for _r, c in shapes.values()))
     basis = []
-    for row in kernel_rows(np.concatenate(rows), f.tol):
+    for row in kernel_rows(np.concatenate(rows), f.tol)[0]:
         alpha = np.zeros(carrier, dtype=complex)
         for x in names:
             alpha[g_blocks[x], f_blocks[x]] = \
@@ -267,6 +267,59 @@ def test_composition_violations_follow_pair_order():
         assert composition_where(cat.validate_category(broken)) == expected
         several += len(expected) >= 2
     assert several >= 3
+
+
+def composition_violations_uncached(c):
+    """Oracle for ``_composition_violations``: every object triple checked
+    afresh, with the same batched products."""
+    out = []
+    for (x, y), first in c.homs.items():
+        for z in c.object_names:
+            second = c.homs.get((y, z))
+            if second is None:
+                continue
+            target = c.hom(x, z)._rows
+            for j, b in enumerate(second.basis):
+                flat = (b @ first.basis).reshape(first.dim, -1)
+                scales = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
+                residuals = np.linalg.norm(flat - (flat @ target.conj().T) @ target, axis=1)
+                for i in np.nonzero(residuals > c.tol.eps_abs * scales)[0]:
+                    out.append(cat.Violation("composition", (x, y, z, j, int(i)),
+                                             float(residuals[i]),
+                                             "product of basis elements leaves hom(x,z)"))
+    return out
+
+
+def test_shared_hom_triples_are_checked_once_with_the_same_violations(monkeypatch):
+    from cstarcat import model
+
+    tight = Tolerance(1e-15)
+    triples = []
+    real = cat._product_failures
+
+    def counted(*args):
+        triples.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cat, "_product_failures", counted)
+    violated = [0, 0, 0]
+    for seed in range(8):
+        rng = rg.rng_from_seed(seed)
+        a, _ = rg.random_matcat(rng, n_objects=2, max_dim=4, tol=tight)
+        weq = rg.random_weq(rng, a)
+        shared = [model.factor_cylinder(weq).midway,
+                  cat.disjoint_union([a, a], prefixes=["", "pad:"]),
+                  rg.build_retract(weq)[0].source]
+        for k, c in enumerate(shared):
+            triples.clear()
+            got = cat._composition_violations(c)
+            assert got == composition_violations_uncached(c)
+            composable = sum(1 for (_x, y) in c.homs for z in c.object_names
+                             if (y, z) in c.homs)
+            assert len(triples) < composable
+            violated[k] += bool(got)
+    # the cylinder midways often break at 1e-15, the doubled categories once
+    assert violated[0] >= 4 and violated[1] >= 1 and violated[2] >= 1
 
 
 def test_functor_composition_violation_names_the_broken_product():

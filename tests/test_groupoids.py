@@ -21,7 +21,7 @@ from cstarcat.categories import (
 )
 from cstarcat.errors import InvalidFunctor, InvalidGroupoid, MalformedInput, NotUnitary
 from cstarcat.linalg import Tolerance, is_unitary, split_pair_key
-from cstarcat.simplicial import SimplexRef, standard
+from cstarcat.simplicial import FiniteSimplicialSet, SimplexRef, standard
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +409,108 @@ def test_normalize_free_loop_exceeds_budget():
     assert res.status == "not_finite_within_bound"
 
 
+def loops_presentation(objects, loops, relators):
+    """A path of edges e_i: x_{i-1} -> x_i, the given loops at x_0, and one
+    relation w = 1 per relator w, a list of (loop, power)."""
+    root = objects[0]
+    gens = {f"e{i}": (objects[i - 1], objects[i]) for i in range(1, len(objects))}
+    gens.update({loop: (root, root) for loop in loops})
+    rels = [(gp.FPWord(root, root, tuple((g, False) for g, power in rel for _ in range(power))),
+             gp.FPWord(root, root)) for rel in relators]
+    return gp.FPGroupoid(objects, gens, rels)
+
+
+INFINITE_H1 = {
+    "free_loop": gp.FPGroupoid(["v"], {"a": ("v", "v")}),
+    "circle": gp.fundamental_groupoid(standard("boundary", 2)),
+    "wedge_of_two_circles": loops_presentation(["v"], ["a", "b"], []),
+    "circle_on_three_objects": loops_presentation(["u", "v", "w"], ["a"], []),
+}
+FINITE_H1 = {
+    "z2_free_product_z3": loops_presentation(["v"], ["a", "b"], [[("a", 2)], [("b", 3)]]),
+    "cyclic6": loops_presentation(["v"], ["a"], [[("a", 6)]]),
+    "cyclic4_on_two_objects": loops_presentation(["u", "v"], ["a"], [[("a", 4)]]),
+    "dihedral8": loops_presentation(["v"], ["r", "s"],
+                                    [[("r", 4)], [("s", 2)], [("s", 1), ("r", 1)] * 2]),
+    "dihedral6_on_two_objects": loops_presentation(
+        ["u", "v"], ["r", "s"], [[("r", 3)], [("s", 2)], [("s", 1), ("r", 1)] * 2]),
+    "horn2_1": gp.fundamental_groupoid(standard("horn", 2, 1)),
+    "horn3_0": gp.fundamental_groupoid(standard("horn", 3, 0)),
+    "delta2": gp.fundamental_groupoid(standard("delta", 2)),
+}
+
+
+def counted_enumerations(monkeypatch):
+    """Count the ``CosetEnumeration`` objects ``normalize_fp`` builds."""
+    built = []
+
+    class Counted(gp.CosetEnumeration):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "CosetEnumeration", Counted)
+    return built
+
+
+@pytest.mark.parametrize("case", sorted(INFINITE_H1))
+def test_a_free_summand_in_h1_skips_the_coset_enumeration(monkeypatch, case):
+    built = counted_enumerations(monkeypatch)
+    res = gp.normalize_fp(INFINITE_H1[case])
+    assert res == gp.NormalizeResult("not_finite_within_bound", gp.DEFAULT_BUDGET)
+    assert built == []
+
+
+@pytest.mark.parametrize("case", sorted(INFINITE_H1) + sorted(FINITE_H1))
+def test_the_abelianization_test_agrees_with_the_enumeration(monkeypatch, case):
+    pres = {**INFINITE_H1, **FINITE_H1}[case]
+    fast = gp.normalize_fp(pres, bound=500)
+    # without the test every component is enumerated, as before it
+    monkeypatch.setattr(gp, "exponent_rank", lambda ngens, relators: ngens)
+    slow = gp.normalize_fp(pres, bound=500)
+    assert fast.status == slow.status
+    if fast.finite:
+        assert fast.groupoid.to_json() == slow.groupoid.to_json()
+        assert fast.arrow_words == slow.arrow_words
+
+
+def test_infinite_groups_with_finite_h1_are_still_enumerated(monkeypatch):
+    built = counted_enumerations(monkeypatch)
+    # Z/2 * Z/3 is infinite, but H_1 = Z/6 is finite: the budget runs out
+    res = gp.normalize_fp(FINITE_H1["z2_free_product_z3"], bound=500)
+    assert res.status == "not_finite_within_bound" and len(built) == 1
+
+
+@pytest.mark.parametrize("case", sorted(set(FINITE_H1) - {"z2_free_product_z3"}))
+def test_finite_groups_still_come_out_finite(case):
+    assert gp.normalize_fp(FINITE_H1[case]).finite
+
+
+def test_exponent_rank_against_rational_elimination():
+    from fractions import Fraction
+
+    def rank(rows, ngens):
+        rows = [[Fraction(v) for v in row] for row in rows]
+        out = 0
+        for col in range(ngens):
+            pivot = next((r for r in rows if r[col]), None)
+            if pivot is None:
+                continue
+            rows.remove(pivot)
+            rows = [[v - r[col] / pivot[col] * w for v, w in zip(r, pivot)] for r in rows]
+            out += 1
+        return out
+
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        ngens = int(rng.integers(1, 5))
+        relators = [tuple(int(x) for x in rng.integers(0, 2 * ngens, rng.integers(0, 7)))
+                    for _ in range(rng.integers(0, 6))]
+        rows = [[sum((-1 if x & 1 else 1) for x in rel if x >> 1 == i) for i in range(ngens)]
+                for rel in relators]
+        assert gp.exponent_rank(ngens, relators) == rank(rows, ngens)
+
+
 def test_normalize_without_generators_is_discrete():
     pres = gp.FPGroupoid(["p", "q"], {})
     res = gp.normalize_fp(pres)
@@ -552,6 +654,82 @@ def test_nerve_stops_at_the_first_empty_level():
     n = gp.nerve(gp.terminal_groupoid(), 10**7)
     assert time.perf_counter() - started < 2.0
     assert n.dim_cap == 10**7 and list(n.simplices) == [0]
+
+
+def nerve_by_simplex(groupoid, dim_cap):
+    """Oracle for ``nerve``: one ``add_simplex`` per simplex, each name
+    joined from its whole string and each degenerate face made afresh."""
+    out = FiniteSimplicialSet(dim_cap)
+    for x in groupoid.objects:
+        out.add_simplex(0, x)
+    if dim_cap == 0:
+        return out
+    arrows, compose = groupoid.arrows, groupoid.compose
+    idents = set(groupoid.identities.values())
+    nonident = sorted(a for a in arrows if a not in idents)
+    nonident_from = {x: [] for x in groupoid.objects}
+    for a in nonident:
+        nonident_from[arrows[a][0]].append(a)
+    refs, lower = {}, {}
+    for a in nonident:
+        src, tgt = arrows[a]
+        out.add_simplex(1, a, (SimplexRef(tgt, 0), SimplexRef(src, 0)))
+        refs[(a,)] = SimplexRef(a, 1)
+    for dim in range(2, dim_cap + 1):
+        if not refs:
+            break
+        level = {}
+        for chain in (chain + (a,) for chain in refs
+                      for a in nonident_from[arrows[chain[-1]][1]]):
+            faces = [refs[chain[1:]]]
+            for i in range(1, dim):
+                composite = compose[(chain[i], chain[i - 1])]
+                if composite in idents:
+                    rest = chain[:i - 1] + chain[i + 1:]
+                    base = lower[rest] if rest else SimplexRef(arrows[chain[0]][0], 0)
+                    faces.append(base.degenerate_by(i - 1))
+                else:
+                    faces.append(refs[chain[:i - 1] + (composite,) + chain[i + 1:]])
+            faces.append(refs[chain[:-1]])
+            name = "|".join(chain)
+            out.add_simplex(dim, name, faces)
+            level[chain] = SimplexRef(name, dim)
+        refs, lower = level, refs
+    return out
+
+
+def nerve_oracle_instances():
+    rng = rg.rng_from_seed(47)
+    small = [gp.connected_groupoid(objects, relabelled(rg.group_table(kind, order), rng))
+             for objects, kind, order in ((["z"], "cyclic", 4), (["q", "b"], "klein", 4),
+                                          (["x2", "x10", "x1"], "cyclic", 2))]
+    small += [gp.disjoint_groupoid([small[0], gp.interval_groupoid()]),
+              gp.disjoint_groupoid([gp.cyclic_groupoid(3), gp.terminal_groupoid()]),
+              gp.normalize_fp(loops_presentation(["u", "v"], ["a"], [[("a", 3)]])).groupoid,
+              gp.normalize_fp(gp.fundamental_groupoid(standard("horn", 3, 1))).groupoid,
+              gp.terminal_groupoid()]
+    large = [rg.random_groupoid(rg.rng_from_seed(seed), n_objects=5, max_order=8)
+             for seed in range(2)]
+    large.append(gp.connected_groupoid(["s0", "s1"], relabelled(rg.group_table("s3"), rng)))
+    return [(g, cap) for g in small for cap in range(5)] + \
+        [(g, cap) for g in large for cap in range(4)]
+
+
+def test_nerve_matches_the_per_simplex_oracle():
+    for g, cap in nerve_oracle_instances():
+        got, want = gp.nerve(g, cap), nerve_by_simplex(g, cap)
+        assert got.dim_cap == want.dim_cap
+        assert list(got.simplices) == list(want.simplices)
+        for dim, level in want.simplices.items():
+            assert list(got.simplices[dim].items()) == list(level.items())
+        assert got.to_json() == want.to_json()
+
+
+def test_nerve_shares_each_degenerate_face():
+    n = gp.nerve(gp.cyclic_groupoid(5), 3)
+    faces = [face for level in n.simplices.values() for faces in level.values()
+             for face in faces if face.degenerate]
+    assert len(faces) > len({id(face) for face in faces}) == len(set(faces))
 
 
 # ---------------------------------------------------------------------------

@@ -242,8 +242,9 @@ def test_kernel_rows_against_rank_oracle(rng, shape):
     left = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
     right = rng.standard_normal((2, cols)) + 1j * rng.standard_normal((2, cols))
     m = left @ right
-    kernel = linalg.kernel_rows(m, Tolerance())
+    kernel, top = linalg.kernel_rows(m, Tolerance())
     assert kernel.shape == (cols - rank_by_elimination(m), cols)
+    assert abs(top - linalg.op_norm(m)) <= 1e-9 * top
     assert np.allclose(kernel @ kernel.conj().T, np.eye(len(kernel)))
     assert np.linalg.norm(m @ kernel.T) <= 1e-9
 
@@ -361,3 +362,71 @@ def test_subspace_checks_each_element_before_stacking():
         Subspace(2, 2, [np.eye(2), np.ones(2)])
     with pytest.raises(ShapeMismatch):
         Subspace(2, 2, [np.eye(2), np.eye(3)])
+
+
+# ---------------------------------------------------------------------------
+# residual-first comparisons
+
+
+def scaled_pairs(rng, count):
+    """Pairs (a, b) of random matrices with operand norms between 0.1 and
+    1000 and residuals spread from far below ``eps_abs`` to far above
+    ``eps_abs * scale``, half of them in (eps_abs, eps_abs * scale]."""
+    eps = Tolerance().eps_abs
+    pairs = []
+    for k in range(count):
+        a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        a *= 10.0 ** rng.uniform(-1, 3) / np.linalg.norm(a)
+        step = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        scale = max(1.0, float(np.linalg.norm(a)))
+        # even k: a residual between eps and eps * scale; odd k: anywhere
+        size = rng.uniform(eps, eps * scale) if k % 2 == 0 else 10.0 ** rng.uniform(-13, -5)
+        pairs.append((a, a + size * step / np.linalg.norm(step)))
+    return pairs
+
+
+def test_close_agrees_with_the_scale_first_formula(rng):
+    tol = Tolerance()
+    between = 0
+    for a, b in scaled_pairs(rng, 400):
+        residual = float(np.linalg.norm(a - b))
+        scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+        assert tol.close(a, b) == (residual <= tol.bound(scale))
+        between += tol.eps_abs < residual <= tol.bound(scale) and scale > 1
+    assert between >= 150
+    assert not tol.close(np.eye(2), np.eye(3))
+
+
+def test_contains_agrees_with_the_scale_first_formula(rng):
+    tol = Tolerance()
+    space = subspace_span([rng.standard_normal((3, 4)) for _ in range(2)])
+    between = 0
+    for a, b in scaled_pairs(rng, 400):
+        # an element of the norm of a, moved off the space by |b - a|
+        inside, off = space.project(a), (b - a) - space.project(b - a)
+        m = inside * (np.linalg.norm(a) / np.linalg.norm(inside)) + \
+            off * (np.linalg.norm(b - a) / np.linalg.norm(off))
+        residual = space.residual(m)
+        want = residual <= tol.bound(linalg.hs_norm(m))
+        assert space.contains(m, tol) == want
+        between += tol.eps_abs < residual <= tol.bound(linalg.hs_norm(m)) and \
+            linalg.hs_norm(m) > 1
+    assert between >= 150
+
+
+def test_a_residual_within_eps_abs_reads_no_operand_norm(monkeypatch):
+    # a residual at most eps_abs passes whatever the scales are, so the
+    # operands' norms are never taken
+    norms = []
+    real_norm = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        norms.append(x)
+        return real_norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    assert Tolerance().close(np.eye(3), np.eye(3) + 1e-12)
+    assert len(norms) == 1
+    norms.clear()
+    assert Tolerance().close(1e6 * np.eye(3), 1e6 * np.eye(3) + 1e-7)
+    assert len(norms) == 3

@@ -156,6 +156,56 @@ def test_evaluate_rejects_violated_relation():
     assert err.value.witness["residual"] > 1.0
 
 
+def two_loop_relation():
+    """One object x, loops a and b, and the one relation a = b."""
+    q = pr.Quiver(["x"], [("a", "x", "x"), ("b", "x", "x")])
+    p0 = pr.PresentedStarCategory(q)
+    return pr.PresentedStarCategory(q, [(p0.gen("a"), p0.gen("b"))])
+
+
+def test_relation_check_agrees_with_the_scale_first_formula(rng):
+    p, cat = two_loop_relation(), full_matrix_category([3])
+    tol = cat.tol
+    between = failed = 0
+    for k in range(300):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        a *= 10.0 ** rng.uniform(-1, 3) / np.linalg.norm(a, 2)
+        step = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        scale = max(1.0, float(np.linalg.norm(a, 2)))
+        size = (rng.uniform(tol.eps_abs, tol.eps_abs * scale) if k % 2 == 0
+                else 10.0 ** rng.uniform(-13, -5))
+        b = a + size * step / np.linalg.norm(step, 2)
+        residual = float(np.linalg.norm(a - b, 2))
+        bound = tol.bound(max(float(np.linalg.norm(a, 2)), float(np.linalg.norm(b, 2))))
+        if residual <= bound:
+            pr.evaluate(p, cat, {"x": "m0"}, {"a": a, "b": b})
+            between += residual > tol.eps_abs and scale > 1
+        else:
+            with pytest.raises(RelationFailed) as err:
+                pr.evaluate(p, cat, {"x": "m0"}, {"a": a, "b": b})
+            assert err.value.witness == {"relation": 0, "residual": pr.op_norm(a - b)}
+            failed += 1
+    assert between >= 100 and failed >= 50
+
+
+def test_a_passing_relation_takes_one_operator_norm(monkeypatch):
+    g = gp.connected_groupoid(["u", "v"], gp.cyclic_group_table(3))
+    gc = gp.cstar_max(g)
+    p = pr.ism_presentation(pr.FiniteCategory(g.objects, g.arrows, g.identities, g.compose))
+    assert len(p.relations) > 10 and not p.norm_bounds
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return op_norm(m)
+
+    op_norm = pr.op_norm
+    monkeypatch.setattr(pr, "op_norm", counted)
+    pr.evaluate(p, gc.category, {x: x for x in g.objects},
+                {a.name: gc.embed[a.name] for a in p.quiver.arrows})
+    assert len(calls) == len(p.relations)
+
+
 def test_evaluate_checks_norm_bounds():
     q = pr.Quiver(["x"], [("a", "x", "x")])
     p = pr.PresentedStarCategory(q, [], {"a": 1.0})

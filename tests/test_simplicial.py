@@ -152,6 +152,103 @@ def test_from_json_reads_only_the_listed_dimensions_up_to_dim_cap():
         "0": [{"name": "v", "degenerate": False}], "1": [], "2": [], "3": []}}
 
 
+def add_simplex_one_by_one(sset, dim, name, faces=()):
+    """Oracle for ``add_level``: the per-simplex insertion, every check run
+    on every face slot."""
+    if dim > sset.dim_cap or dim < 0:
+        raise InvalidParams(f"dimension {dim} outside 0..{sset.dim_cap}")
+    known = sset.simplices
+    here = known.setdefault(dim, {})
+    if name in here:
+        raise InvalidSimplicialSet(f"duplicate {dim}-simplex {name!r}")
+    faces = tuple(faces)
+    if dim == 0:
+        if faces:
+            raise InvalidSimplicialSet("vertices have no faces")
+    else:
+        if len(faces) != dim + 1:
+            raise InvalidSimplicialSet(f"{dim}-simplex {name!r} needs {dim + 1} faces")
+        for base, base_dim, degens in faces:
+            if base_dim + len(degens) != dim - 1:
+                raise InvalidSimplicialSet(f"face of {name!r} has wrong dimension")
+            if base not in known.get(base_dim, ()):
+                raise InvalidSimplicialSet(f"face of {name!r} references "
+                                           f"unknown simplex {base!r}")
+    here[name] = faces
+
+
+def small_sset():
+    """Vertices a, b and the edge e: a -> b, at dim_cap 3."""
+    sset = FiniteSimplicialSet(3)
+    sset.add_level(0, [("a", ()), ("b", ())])
+    sset.add_level(1, [("e", (SimplexRef("b", 0), SimplexRef("a", 0)))])
+    return sset
+
+
+A, B, E = SimplexRef("a", 0), SimplexRef("b", 0), SimplexRef("e", 1)
+EDGE = (B, A)
+
+# (dim, entries): each level fails, some at a later entry than its first
+# bad one or with a second, different error after it
+FAILING_LEVELS = {
+    "dim_above_cap": (4, [("x", ())]),
+    "dim_negative": (-1, [("x", ())]),
+    "duplicate_of_stored": (1, [("f", EDGE), ("g", EDGE), ("e", EDGE)]),
+    "duplicate_within_level": (1, [("f", EDGE), ("g", EDGE), ("f", EDGE), ("h", (A,))]),
+    "vertex_with_faces": (0, [("c", ()), ("d", (A,)), ("a", ())]),
+    "face_count": (1, [("f", EDGE), ("g", (A,)), ("h", (SimplexRef("z", 0), A))]),
+    "face_dimension": (1, [("f", EDGE), ("g", (A, E)), ("h", (A, A, A))]),
+    "unknown_face": (1, [("f", EDGE), ("g", (SimplexRef("z", 0), A)), ("h", (A,))]),
+    "unknown_before_count": (1, [("f", (A, SimplexRef("z", 0))), ("g", (A,))]),
+    "count_before_unknown": (1, [("f", (A,)), ("g", (A, SimplexRef("z", 0)))]),
+    "dimension_before_unknown": (2, [("t", (E, E, E)), ("u", (E, A, E)),
+                                     ("v", (E, SimplexRef("z", 1), E))]),
+    "unknown_face_slot_before_wrong_dimension": (
+        2, [("t", (E, E, E)), ("u", (E, SimplexRef("z", 1), A))]),
+    "shared_bad_ref_first_met_late": (
+        2, [("t", (E, E, E)), ("u", (E, E, SimplexRef("z", 1))),
+            ("v", (SimplexRef("z", 1), E, E))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_LEVELS))
+def test_level_insertion_raises_the_first_error_in_listing_order(case):
+    dim, entries = FAILING_LEVELS[case]
+    want_set, got_set = small_sset(), small_sset()
+    with pytest.raises((InvalidParams, InvalidSimplicialSet)) as want:
+        for name, faces in entries:
+            add_simplex_one_by_one(want_set, dim, name, faces)
+    with pytest.raises((InvalidParams, InvalidSimplicialSet)) as got:
+        got_set.add_level(dim, iter(entries))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    # the entries before the failing one stay, in order
+    assert {d: list(level.items()) for d, level in got_set.simplices.items() if level} == \
+        {d: list(level.items()) for d, level in want_set.simplices.items() if level}
+    # one entry at a time, add_simplex meets the same error
+    one_set = small_sset()
+    with pytest.raises((InvalidParams, InvalidSimplicialSet)) as one:
+        for name, faces in entries:
+            one_set.add_simplex(dim, name, faces)
+    assert (type(one.value), str(one.value)) == (type(want.value), str(want.value))
+
+
+def test_level_insertion_of_valid_levels_matches_one_by_one():
+    for sset in (standard("delta", 3), standard("horn", 3, 1), gp.nerve(gp.cyclic_groupoid(3), 3)):
+        levels = [(d, list(sset.simplices[d].items())) for d in sorted(sset.simplices)]
+        one, bulk = FiniteSimplicialSet(sset.dim_cap), FiniteSimplicialSet(sset.dim_cap)
+        for dim, entries in levels:
+            for name, faces in entries:
+                add_simplex_one_by_one(one, dim, name, faces)
+            bulk.add_level(dim, (entry for entry in entries))
+        assert bulk.to_json() == one.to_json() == sset.to_json()
+        assert {d: list(level.items()) for d, level in bulk.simplices.items()} == \
+            {d: list(level.items()) for d, level in one.simplices.items()}
+    empty = FiniteSimplicialSet(2)
+    empty.add_level(1, [])
+    assert empty.simplices == {}
+
+
 # ---------------------------------------------------------------------------
 # pi
 
