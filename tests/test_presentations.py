@@ -194,12 +194,12 @@ def test_a_passing_relation_takes_one_operator_norm(monkeypatch):
     p = pr.ism_presentation(pr.FiniteCategory(g.objects, g.arrows, g.identities, g.compose))
     assert len(p.relations) > 10 and not p.norm_bounds
     calls = []
+    real = pr.op_norm
 
     def counted(m):
         calls.append(m)
-        return op_norm(m)
+        return real(m)
 
-    op_norm = pr.op_norm
     monkeypatch.setattr(pr, "op_norm", counted)
     pr.evaluate(p, gc.category, {x: x for x in g.objects},
                 {a.name: gc.embed[a.name] for a in p.quiver.arrows})
