@@ -13,6 +13,8 @@ by construction.
 
 from __future__ import annotations
 
+import math
+
 SENTINEL = -1
 
 #: the default table budget of every coset enumeration and of its callers
@@ -174,8 +176,9 @@ def exponent_rank(ngens: int, relators) -> int:
     It is the rank of the relation module of the abelianization, so when it
     is below ``ngens`` the group maps onto Z and is infinite (Sims,
     *Computation with Finitely Presented Groups*, 1994). Rows are
-    reduced against pivot rows in integer arithmetic, and the scan stops
-    once the rank reaches ``ngens``."""
+    reduced against pivot rows in integer arithmetic, and each reduced row
+    is divided by the gcd of its entries, so its entries stay bounded by
+    minors of the matrix; the scan stops once the rank reaches ``ngens``."""
     pivots: dict[int, list[int]] = {}
     for rel in relators:
         if len(pivots) == ngens:
@@ -192,4 +195,7 @@ def exponent_rank(ngens: int, relators) -> int:
                 break
             lead, here = pivot[col], row[col]
             row = [lead * v - here * w for v, w in zip(row, pivot)]
+            content = math.gcd(*row)
+            if content > 1:
+                row = [v // content for v in row]
     return len(pivots)

@@ -829,8 +829,7 @@ def nerve(groupoid: FiniteGroupoid, dim_cap: int) -> FiniteSimplicialSet:
 
     Each dimension is one ``add_level`` call, so its face checks run once
     per distinct face ref. A string is named by its parent's name (the
-    string without its last arrow), "|" and its last arrow, and each
-    degenerate face is made once and shared by every string that has it."""
+    string without its last arrow), "|" and its last arrow."""
     out = FiniteSimplicialSet(dim_cap)
     out.add_level(0, ((x, ()) for x in groupoid.objects))
     if dim_cap == 0:
@@ -851,28 +850,38 @@ def nerve(groupoid: FiniteGroupoid, dim_cap: int) -> FiniteSimplicialSet:
 
     def strings(dim, refs, lower, level):
         """The (name, faces) of each string of ``dim`` arrows, recording its
-        ref in ``level``."""
-        degenerate = {}
+        ref in ``level``. A string is its parent (the string without its
+        last arrow) and one more arrow a; its faces d_1 .. d_{dim-2} compose
+        two arrows of the parent, so they are read once per parent."""
         for parent, parent_ref in refs.items():
+            head, init = parent[1:], parent[:-1]
+            # (is the composite an identity, the chain of the face without a)
+            middle = []
+            for i in range(1, dim - 1):
+                composite = compose[(parent[i], parent[i - 1])]
+                if composite in idents:
+                    # g_{i+1} g_i = 1: s_{i-1} of the string without both
+                    middle.append((True, parent[:i - 1] + parent[i + 1:]))
+                else:
+                    middle.append((False, parent[:i - 1] + (composite,) + parent[i + 1:]))
             for a in nonident_from[arrows[parent[-1]][1]]:
-                chain = parent + (a,)
-                faces = [refs[chain[1:]]]
-                for i in range(1, dim):
-                    composite = compose[(chain[i], chain[i - 1])]
-                    if composite in idents:
-                        # g_{i+1} g_i = 1: s_{i-1} of the string without
-                        # both, which for dim 2 is the vertex src(g1)
-                        rest = chain[:i - 1] + chain[i + 1:]
-                        base = lower[rest] if rest else vertices[arrows[chain[0]][0]]
-                        face = degenerate.get((base, i))
-                        if face is None:
-                            face = degenerate[(base, i)] = base.degenerate_by(i - 1)
-                        faces.append(face)
+                faces = [refs[head + (a,)]]
+                for j, (degenerate, chain) in enumerate(middle):
+                    if degenerate:
+                        faces.append(lower[chain + (a,)].degenerate_by(j))
                     else:
-                        faces.append(refs[chain[:i - 1] + (composite,) + chain[i + 1:]])
+                        faces.append(refs[chain + (a,)])
+                composite = compose[(a, parent[-1])]
+                if composite in idents:
+                    # a g_{dim-1} = 1: s_{dim-2} of the string without both,
+                    # which for dim 2 is the vertex src(g1)
+                    base = lower[init] if init else vertices[arrows[parent[0]][0]]
+                    faces.append(base.degenerate_by(dim - 2))
+                else:
+                    faces.append(refs[init + (composite,)])
                 faces.append(parent_ref)
                 name = parent_ref.base + "|" + a
-                level[chain] = SimplexRef(name, dim)
+                level[parent + (a,)] = SimplexRef(name, dim)
                 yield name, faces
 
     out.add_level(1, ((a, (vertices[arrows[a][1]], vertices[arrows[a][0]]))

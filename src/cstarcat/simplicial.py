@@ -9,10 +9,9 @@ stored face tables. The exhaustive check of the simplicial identities computes
 the faces of each distinct face ref once per check.
 
 Simplices are inserted a level at a time (``add_level``; ``add_simplex`` is
-its one-entry case). The face checks of a level run once per distinct face
-ref, not once per face slot, and a level that fails any check is inserted
-again one simplex at a time, so the error raised is the first in listing
-order.
+its one-entry case), each entry checked in listing order, so the error raised
+is the first one met. The face checks of a level run once per distinct face
+ref, not once per face slot.
 
 Standard simplices, horns and boundaries are generated from vertex subsets of
 {0..n}; the horn inclusions come out as :class:`SimplicialMap` values.
@@ -87,61 +86,45 @@ class FiniteSimplicialSet:
     def add_level(self, dim: int, entries):
         """Insert the ``dim``-simplices ``entries``, pairs (name, faces), in
         listing order. Each must have a new name and, above dimension 0,
-        dim + 1 face refs of dimension dim - 1 into stored simplices. No
-        entries leave the set as it was.
+        dim + 1 face refs (hashable ``SimplexRef`` values) of dimension
+        dim - 1 into stored simplices.
 
-        The entries go straight into the level, and each distinct face ref
-        is checked once after the last one. If any check fails, the entries
-        this call inserted are taken out and inserted again one at a time,
-        each with all its checks, so the error raised is the one that the
-        first failing entry meets first, and the entries before it stay."""
+        Each entry is checked and inserted in turn, so the first failing
+        entry raises the error it meets first and the entries before it
+        stay. A face ref that passed its checks once in the call is not
+        checked again: the dimension below does not change while a level
+        is filled. A level left empty leaves no key in ``simplices``."""
         if dim > self.dim_cap or dim < 0:
             raise InvalidParams(f"dimension {dim} outside 0..{self.dim_cap}")
         known = self.simplices
         here = known.setdefault(dim, {})
-        start, width = len(here), dim + 1 if dim else 0
-        entries, refs, rest = iter(entries), set(), []
-        for name, faces in entries:
-            try:
+        checked = set()
+        try:
+            for name, faces in entries:
+                if name in here:
+                    raise InvalidSimplicialSet(f"duplicate {dim}-simplex {name!r}")
                 faces = tuple(faces)
-                fresh = len(faces) == width and name not in here
-                refs.update(faces)
-            except TypeError:
-                fresh = False
-            if not fresh:
-                rest.append((name, faces))
-                break
-            here[name] = faces
-        else:
-            try:
-                if all(base_dim + len(degens) == dim - 1 and base in known.get(base_dim, ())
-                       for base, base_dim, degens in refs):
-                    if not here:
-                        del known[dim]
-                    return
-            except (TypeError, ValueError):
-                pass
-        listed = list(itertools.islice(here.items(), start, None))
-        for name, _faces in listed:
-            del here[name]
-        for name, faces in itertools.chain(listed, rest, entries):
-            if name in here:
-                raise InvalidSimplicialSet(f"duplicate {dim}-simplex {name!r}")
-            faces = tuple(faces)
-            if dim == 0:
-                if faces:
-                    raise InvalidSimplicialSet("vertices have no faces")
-            else:
-                if len(faces) != dim + 1:
-                    raise InvalidSimplicialSet(
-                        f"{dim}-simplex {name!r} needs {dim + 1} faces")
-                for base, base_dim, degens in faces:
-                    if base_dim + len(degens) != dim - 1:
-                        raise InvalidSimplicialSet(f"face of {name!r} has wrong dimension")
-                    if base not in known.get(base_dim, ()):
-                        raise InvalidSimplicialSet(f"face of {name!r} references "
-                                                   f"unknown simplex {base!r}")
-            here[name] = faces
+                if dim == 0:
+                    if faces:
+                        raise InvalidSimplicialSet("vertices have no faces")
+                else:
+                    if len(faces) != dim + 1:
+                        raise InvalidSimplicialSet(
+                            f"{dim}-simplex {name!r} needs {dim + 1} faces")
+                    for face in faces:
+                        if face in checked:
+                            continue
+                        base, base_dim, degens = face
+                        if base_dim + len(degens) != dim - 1:
+                            raise InvalidSimplicialSet(f"face of {name!r} has wrong dimension")
+                        if base not in known.get(base_dim, ()):
+                            raise InvalidSimplicialSet(f"face of {name!r} references "
+                                                       f"unknown simplex {base!r}")
+                        checked.add(face)
+                here[name] = faces
+        finally:
+            if not here:
+                del known[dim]
 
     def ref(self, dim: int, name: str) -> SimplexRef:
         if name not in self.simplices.get(dim, {}):

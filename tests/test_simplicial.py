@@ -208,6 +208,9 @@ FAILING_LEVELS = {
     "shared_bad_ref_first_met_late": (
         2, [("t", (E, E, E)), ("u", (E, E, SimplexRef("z", 1))),
             ("v", (SimplexRef("z", 1), E, E))]),
+    # the entry after the failing one is not a (name, faces) pair
+    "bad_face_then_malformed_entry": (
+        1, [("f", EDGE), ("g", (A, SimplexRef("z", 0))), ("h", EDGE, "extra")]),
 }
 
 
