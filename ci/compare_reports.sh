@@ -18,13 +18,16 @@
 #     tables of up to 78 arrows exercise the groupoid file's serializer and
 #     the composition-table check;
 #   nerve --dim-cap 3 of the default-size groupoid -> validate ->
-#     fundamental-groupoid -> pi;
+#     fundamental-groupoid -> validate of its fp-groupoid file, and pi;
 #   nerve --dim-cap 3 of the 5-object groupoid (up to 17,401 3-simplices, so
 #     the nerve's level insertion and the simplicial-set reader run at
 #     scale) -> validate;
 #   pi of the boundary of Delta[2], written by simplicial.standard: a circle,
 #     whose infinite vertex group ends in exit 3 before any coset
 #     enumeration;
+#   validate of two presentation files written below as JSON literals: one
+#     arrow a: x -> y with a* a = 1_x and a norm bound (exit 0), and the same
+#     relation with a right side that is not parallel to its left (exit 1);
 #   generate random_matcat -> tensor with itself.
 # Run both trees on the same machine, so that BLAS rounding is the same on
 # both sides.
@@ -111,6 +114,7 @@ GENERATOR
     cli "$tree" "$dir" "validate_nerve_$seed" validate "nerve_$seed.json"
     cli "$tree" "$dir" "fundamental_groupoid_$seed" fundamental-groupoid \
       "nerve_$seed.json" --output "fp_$seed.json"
+    cli "$tree" "$dir" "validate_fp_$seed" validate "fp_$seed.json"
     cli "$tree" "$dir" "pi_$seed" pi "nerve_$seed.json" --output "pi_$seed.json"
     cli "$tree" "$dir" "nerve5_$seed" nerve "groupoid5_$seed.json" --dim-cap 3 \
       --output "nerve5_$seed.json"
@@ -123,6 +127,26 @@ BOUNDARY
     )
     cli "$tree" "$dir" "pi_boundary2_$seed" pi "boundary2_$seed.json" \
       --output "pi_boundary2_$seed.json"
+
+    cat > "$dir/presentation_$seed.json" <<'PRESENTATION'
+{"objects": ["x", "y"], "arrows": [{"name": "a", "src": "x", "tgt": "y"}],
+ "relations": [[
+   {"src": "x", "tgt": "x", "terms": [{"coeff": [1.0, 0.0],
+     "word": [{"gen": "a", "adj": true}, {"gen": "a", "adj": false}]}]},
+   {"src": "x", "tgt": "x", "terms": [{"coeff": [1.0, 0.0], "word": []}]}]],
+ "bounds": {"a": 1.0}}
+PRESENTATION
+    cli "$tree" "$dir" "validate_presentation_$seed" validate "presentation_$seed.json"
+    cat > "$dir/presentation_bad_$seed.json" <<'PRESENTATION'
+{"objects": ["x", "y"], "arrows": [{"name": "a", "src": "x", "tgt": "y"}],
+ "relations": [[
+   {"src": "x", "tgt": "x", "terms": [{"coeff": [1.0, 0.0],
+     "word": [{"gen": "a", "adj": true}, {"gen": "a", "adj": false}]}]},
+   {"src": "x", "tgt": "y", "terms": []}]],
+ "bounds": {}}
+PRESENTATION
+    cli "$tree" "$dir" "validate_presentation_bad_$seed" validate \
+      "presentation_bad_$seed.json"
 
     cli "$tree" "$dir" "generate_matcat_$seed" generate --kind random_matcat \
       --seed "$seed" --output "matcat_$seed.json"

@@ -11,9 +11,10 @@ A category carries its ``Tolerance``: a functor reads its source's, and hom
 spaces are judged by their category's, so every comparison made on a
 category, its functors or its homs uses the one ``tol`` it was built with.
 
-Includes polar unitarization, an exact test for unitary isomorphism,
-spaces of bounded natural transformations, maximal tensor products via
-Kronecker blocks, and the exponential law.
+Includes polar unitarization, an exact test for unitary isomorphism, the
+space of natural transformations between two functors (``nat_space``) and
+the C*-category of functors they form (``FunctorCategory``), maximal tensor
+products via Kronecker blocks, and the exponential law.
 
 A natural transformation F -> G is a block-diagonal matrix from the carrier
 of F, the direct sum of the F(x), to that of G. So the full subcategory of

@@ -115,35 +115,6 @@ class FiniteGroupoid:
             classes.union(s, t)
         return classes.classes()
 
-    def vertex_group_table(self, x: str):
-        """(element arrow names, multiplication table of index pairs)."""
-        elems = self.hom(x, x)
-        index = {f: i for i, f in enumerate(elems)}
-        table = [[index[self.compose[(g, f)]] for f in elems] for g in elems]
-        return elems, table
-
-    def is_isomorphic_to(self, other: "FiniteGroupoid") -> bool:
-        """Isomorphism of finite groupoids: components match up to a
-        bijection preserving object counts and vertex group isomorphism
-        type (connected groupoids are determined by these two data)."""
-        mine = [(len(comp), self.vertex_group_table(comp[0])[1])
-                for comp in self.components()]
-        theirs = [(len(comp), other.vertex_group_table(comp[0])[1])
-                  for comp in other.components()]
-        if len(mine) != len(theirs):
-            return False
-        used = [False] * len(theirs)
-        for size, table in mine:
-            for j, (osize, otable) in enumerate(theirs):
-                if used[j] or size != osize:
-                    continue
-                if _group_tables_isomorphic(table, otable):
-                    used[j] = True
-                    break
-            else:
-                return False
-        return True
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -191,57 +162,6 @@ class FiniteGroupoid:
 
     def __repr__(self):
         return f"FiniteGroupoid({len(self.objects)} objects, {len(self.arrows)} arrows)"
-
-
-def _element_orders(table) -> list[int]:
-    n = len(table)
-    ident = next(i for i in range(n) if all(table[i][j] == j for j in range(n)))
-    orders = []
-    for i in range(n):
-        k, acc = 1, i
-        while acc != ident:
-            acc = table[acc][i]
-            k += 1
-        orders.append(k)
-    return orders
-
-
-def _group_tables_isomorphic(t1, t2) -> bool:
-    """Backtracking isomorphism test for small multiplication tables."""
-    n = len(t1)
-    if len(t2) != n:
-        return False
-    o1, o2 = _element_orders(t1), _element_orders(t2)
-    if sorted(o1) != sorted(o2):
-        return False
-    ident1 = o1.index(1)
-    ident2 = o2.index(1)
-    mapping = {ident1: ident2}
-    used = {ident2}
-
-    def extend(i):
-        if i == n:
-            return all(
-                mapping[t1[a][b]] == t2[mapping[a]][mapping[b]]
-                for a in range(n) for b in range(n))
-        if i in mapping:
-            return extend(i + 1)
-        for cand in range(n):
-            if cand in used or o2[cand] != o1[i]:
-                continue
-            mapping[i] = cand
-            used.add(cand)
-            consistent = all(
-                mapping[t1[a][b]] == t2[mapping[a]][mapping[b]]
-                for a in mapping for b in mapping
-                if t1[a][b] in mapping)
-            if consistent and extend(i + 1):
-                return True
-            del mapping[i]
-            used.discard(cand)
-        return False
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """Simplicial structure over matrix C*-categories.
 
 pi sends a simplicial set to the C*-category of its normalized fundamental
-groupoid; tensors and cotensors with a simplicial set reduce to the maximal
-tensor product and to the functor category C*(pi K, A) on probe functors.
-A level-n simplex of the mapping space between A and B is a chain of n
-unitary arrows of a ``FunctorCategory`` on n+1 functors A -> B, so
-``validate_functor``, ``Subspace.contains`` and ``linalg.is_unitary`` decide
-membership; the mapping space itself is never materialized.
+groupoid, and pi_map a simplicial map to the induced *-functor. Tensors and
+cotensors with a simplicial set reduce to the maximal tensor product with
+pi(K) and to the ``FunctorCategory`` C*(pi K, A) on the constant probe
+functors.
 """
 
 from __future__ import annotations

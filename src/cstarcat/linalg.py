@@ -50,8 +50,8 @@ class Tolerance:
     eps_abs: float = 1e-9
 
     def __post_init__(self):
-        if not self.eps_abs > 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not 0 < self.eps_abs < np.inf:
+            raise ValueError("tolerances must be finite and strictly positive")
 
     @property
     def composite(self) -> float:

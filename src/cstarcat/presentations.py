@@ -1,16 +1,19 @@
 """Presentations of C*-categories by generators and relations.
 
-The algebraic layer: quivers, the free *-category on a quiver with its normal
-form (adjoints pushed onto generators, units elided, like terms merged),
-and evaluation of presentations in concrete matrix categories.
+Quivers; elements of the free *-category on a quiver, combinations of words
+in which adjoints sit on generators and units are elided, closed under
+composition and the adjoint; presentations, whose relations are pairs of
+such elements; and the evaluation of a presentation in a concrete matrix
+category, which checks its relations and norm bounds there.
 
-Universal objects are never materialized here; a presentation is only ever
-*evaluated* against a supplied representation, or probed through the lifting
-interfaces of the model-structure layer.
+Universal objects are never materialized here: a presentation is only ever
+*evaluated* against a supplied representation. ``ism_presentation`` presents
+the realizations of a finite category by isometries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +29,7 @@ from .errors import (
     RelationFailed,
     ShapeMismatch,
 )
-from .linalg import DEFAULT_TOL, as_matrix, op_norm
-
-#: coefficients with modulus at or below this are dropped from elements. It
-#: is the default tolerance and does not follow ``--tolerance``: equality and
-#: hashing of ``FreeStarElement`` compare pruned terms, so the normal form of
-#: the free algebra must not depend on the caller.
-PRUNE_EPS = DEFAULT_TOL.eps_abs
+from .linalg import as_matrix, op_norm
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,8 @@ def word_of_factors(quiver: Quiver, factors) -> StarWord:
 
 
 class FreeStarElement:
-    """A finite linear combination of parallel words, kept in normal form."""
+    """A finite linear combination of parallel words: ``terms`` maps each
+    word to its coefficient."""
 
     def __init__(self, src: str, tgt: str, terms=None):
         self.src = src
@@ -121,44 +119,10 @@ class FreeStarElement:
         for word, coeff in (terms or {}).items():
             if (word.src, word.tgt) != (src, tgt):
                 raise NotParallel("word endpoints disagree with element endpoints")
-            if abs(coeff) > PRUNE_EPS:
-                self.terms[word] = self.terms.get(word, 0j) + complex(coeff)
-        self.terms = {w: z for w, z in self.terms.items() if abs(z) > PRUNE_EPS}
+            self.terms[word] = self.terms.get(word, 0j) + complex(coeff)
 
-    # -- algebra ----------------------------------------------------------
-
-    def _require_parallel(self, other):
-        if (self.src, self.tgt) != (other.src, other.tgt):
-            raise NotParallel("elements are not parallel")
-
-    def __add__(self, other: "FreeStarElement") -> "FreeStarElement":
-        self._require_parallel(other)
-        terms = dict(self.terms)
-        for w, z in other.terms.items():
-            terms[w] = terms.get(w, 0j) + z
-        return FreeStarElement(self.src, self.tgt, terms)
-
-    def __neg__(self):
-        return FreeStarElement(self.src, self.tgt,
-                               {w: -z for w, z in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, z) -> "FreeStarElement":
-        z = complex(z)
-        return FreeStarElement(self.src, self.tgt,
-                               {w: z * c for w, c in self.terms.items()})
-
-    def __rmul__(self, z):
-        if isinstance(z, (int, float, complex)):
-            return self.scale(z)
-        return NotImplemented
-
-    def __mul__(self, other):
-        """Composition self . other; scalars scale."""
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
+    def __mul__(self, other: "FreeStarElement") -> "FreeStarElement":
+        """Composition self . other."""
         if other.tgt != self.src:
             raise ShapeMismatch(
                 f"elements not composable: {other.tgt} != {self.src}")
@@ -174,14 +138,6 @@ class FreeStarElement:
             self.tgt, self.src,
             {w.star(): z.conjugate() for w, z in self.terms.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, FreeStarElement):
-            return NotImplemented
-        return (self.src, self.tgt) == (other.src, other.tgt) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.src, self.tgt, frozenset(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return f"<0: {self.src}->{self.tgt}>"
@@ -191,18 +147,6 @@ class FreeStarElement:
                 ".".join(g + ("*" if adj else "") for g, adj in w.factors)
             bits.append(f"({self.terms[w]:.3g})*{body}")
         return " + ".join(bits)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        terms = []
-        for w in sorted(self.terms, key=StarWord.sort_key):
-            z = self.terms[w]
-            terms.append({
-                "coeff": [z.real, z.imag],
-                "word": [{"gen": g, "adj": adj} for g, adj in w.factors],
-            })
-        return {"src": self.src, "tgt": self.tgt, "terms": terms}
 
     @classmethod
     def from_json(cls, data, quiver: Quiver) -> "FreeStarElement":
@@ -237,6 +181,8 @@ class PresentedStarCategory:
                 raise InvalidQuiver(f"bound on unknown arrow {name!r}")
             if bound < 0:
                 raise InvalidParams("norm bounds must be nonnegative")
+            if not math.isfinite(bound):
+                raise InvalidParams("norm bounds must be finite")
             self.norm_bounds[name] = float(bound)
 
     # -- element constructors ------------------------------------------------
@@ -254,16 +200,6 @@ class PresentedStarCategory:
         return FreeStarElement(obj, obj, {StarWord(obj, obj): 1.0 + 0j})
 
     # -- serialization --------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "objects": list(self.quiver.objects),
-            "arrows": [{"name": a.name, "src": a.src, "tgt": a.tgt}
-                       for a in self.quiver.arrows],
-            "relations": [[lhs.to_json(), rhs.to_json()]
-                          for lhs, rhs in self.relations],
-            "bounds": {k: self.norm_bounds[k] for k in sorted(self.norm_bounds)},
-        }
 
     @classmethod
     def from_json(cls, data) -> "PresentedStarCategory":

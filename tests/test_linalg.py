@@ -325,8 +325,9 @@ def test_matrix_to_json_matches_entrywise_layout(m):
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(eps_abs=0.0)
+    for eps in (0.0, float("inf")):
+        with pytest.raises(ValueError):
+            Tolerance(eps_abs=eps)
     t = Tolerance()
     assert t.bound(5.0) == 5.0e-9
     assert t.bound(0.5) == 1.0e-9

@@ -18,7 +18,6 @@ from cstarcat.errors import (
     InvalidFunctor,
     InvalidGroupoid,
     InvalidQuiver,
-    NotParallel,
     RelationFailed,
     ShapeMismatch,
 )
@@ -38,35 +37,29 @@ def path_pres():
 
 
 # ---------------------------------------------------------------------------
-# normal form of the free *-category
+# elements of the free *-category
+
+
+def key(e):
+    """What an element is: its endpoints and its map from words to
+    coefficients."""
+    return e.src, e.tgt, e.terms
 
 
 def test_double_adjoint_cancels(loop_pres):
     a = loop_pres.gen("a")
-    assert a.star().star() == a
+    assert key(a.star().star()) == key(a)
 
 
 def test_adjoint_antidistributes_over_composition(path_pres):
     a, b = path_pres.gen("a"), path_pres.gen("b")
-    assert (b * a).star() == a.star() * b.star()
+    assert key((b * a).star()) == key(a.star() * b.star())
 
 
 def test_units_elide(path_pres):
     a = path_pres.gen("a")
-    assert path_pres.unit("y") * a == a
-    assert a * path_pres.unit("x") == a
-
-
-def test_antilinearity_of_star(loop_pres):
-    a, b = loop_pres.gen("a"), loop_pres.gen("b")
-    e = (2 + 1j) * a + (0 - 3j) * b
-    assert e.star() == (2 - 1j) * a.star() + (0 + 3j) * b.star()
-
-
-def test_zero_coefficients_pruned(loop_pres):
-    a = loop_pres.gen("a")
-    assert (a - a) == pr.FreeStarElement("x", "x")
-    assert (a + a).terms and list((a + a).terms.values()) == [2 + 0j]
+    assert key(path_pres.unit("y") * a) == key(a)
+    assert key(a * path_pres.unit("x")) == key(a)
 
 
 def test_composition_shape_checks(path_pres):
@@ -76,41 +69,34 @@ def test_composition_shape_checks(path_pres):
     assert (b * a).src == "x" and (b * a).tgt == "z"
 
 
-def test_addition_requires_parallel(path_pres):
-    with pytest.raises(NotParallel):
-        path_pres.gen("a") + path_pres.gen("b")
-
-
 @st.composite
 def element_pairs(draw):
     """Two random elements of the one-object free category on two loops,
-    built from a shared pool so sums and products stay interesting."""
+    their terms drawn from a shared pool of words so that products merge
+    like terms."""
     q = pr.Quiver(["x"], [("a", "x", "x"), ("b", "x", "x")])
     pres = pr.PresentedStarCategory(q)
-    pool = [pres.gen("a"), pres.gen("b"), pres.unit("x"),
-            pres.gen("a").star(), pres.gen("b") * pres.gen("a")]
+    pool = [next(iter(e.terms)) for e in
+            (pres.gen("a"), pres.gen("b"), pres.unit("x"),
+             pres.gen("a").star(), pres.gen("b") * pres.gen("a"))]
 
     def rand_elem():
-        n = draw(st.integers(1, 3))
-        out = pr.FreeStarElement("x", "x")
-        for _ in range(n):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
             z = complex(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
-            out = out + z * pool[draw(st.integers(0, len(pool) - 1))]
-        return out
+            word = pool[draw(st.integers(0, len(pool) - 1))]
+            terms[word] = terms.get(word, 0j) + z
+        return pr.FreeStarElement("x", "x", terms)
 
     return rand_elem(), rand_elem()
 
 
 @given(element_pairs())
 def test_normal_form_confluence(pair):
-    """Different interleavings of the rewrite moves agree: the normal form
-    computed along any association order is the same term map."""
+    """Composition merges like terms into the same term map along either
+    association order."""
     e1, e2 = pair
-    left = ((e1 + e2) * e1).star()
-    right = e1.star() * (e1.star() + e2.star())
-    assert left == right
-    assert (e1 * (e2 * e1)) == ((e1 * e2) * e1)
-    assert (e1 + e2).star() == e1.star() + e2.star()
+    assert key(e1 * (e2 * e1)) == key((e1 * e2) * e1)
 
 
 def test_quiver_validation():
@@ -234,13 +220,13 @@ def test_evaluated_norms_respect_certificates(rng):
     u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     ev = pr.evaluate(p, cat, {"i0": "m0", "i1": "m0"}, {"u": u})
     gen = p.gen("u")
+    loop = gen * gen.star()
+    words = [next(iter(w.terms)) for w in (gen, loop * gen, loop * loop * gen)]
     for _ in range(25):
-        e = pr.FreeStarElement("i0", "i1")
-        for _ in range(3):
-            z = complex(rng.standard_normal(), rng.standard_normal())
-            e = e + z * (gen * (gen.star() * gen))
-        # triangle inequality over the normal form: with u bounded by 1,
-        # each term z w has norm at most |z|
+        e = pr.FreeStarElement("i0", "i1", {
+            w: complex(rng.standard_normal(), rng.standard_normal()) for w in words})
+        # triangle inequality over the terms: with u bounded by 1, each
+        # term z w has norm at most |z|
         bound = sum(abs(z) for z in e.terms.values())
         assert np.linalg.svd(ev(e), compute_uv=False)[0] <= bound + 1e-9
 
@@ -276,8 +262,8 @@ def test_ism_presentation_single_arrow():
     # exactly the isometry relation c*c = 1_{o0}; cc* is unconstrained
     assert len(p.relations) == 1
     lhs, rhs = p.relations[0]
-    assert lhs == p.gen("c").star() * p.gen("c")
-    assert rhs == p.unit("o0")
+    assert key(lhs) == key(p.gen("c").star() * p.gen("c"))
+    assert key(rhs) == key(p.unit("o0"))
 
 
 def test_ism_presentation_round_trip_with_membership():
@@ -558,9 +544,24 @@ def test_mutated_groupoid_tables_get_the_per_entry_errors_and_messages():
 
 
 def test_presentation_json_round_trip():
-    p = interval_presentation()
-    blob = p.to_json()
+    def element(src, tgt, *words):
+        return {"src": src, "tgt": tgt,
+                "terms": [{"coeff": [1.0, 0.0],
+                           "word": [{"gen": g, "adj": adj} for g, adj in word]}
+                          for word in words]}
+
+    # the file of interval_presentation()
+    blob = {
+        "objects": ["i0", "i1"],
+        "arrows": [{"name": "u", "src": "i0", "tgt": "i1"}],
+        "relations": [
+            [element("i0", "i0", [("u", True), ("u", False)]), element("i0", "i0", [])],
+            [element("i1", "i1", [("u", False), ("u", True)]), element("i1", "i1", [])],
+        ],
+        "bounds": {"u": 1.0},
+    }
     again = pr.PresentedStarCategory.from_json(blob)
-    assert again.to_json() == blob
-    assert len(again.relations) == 2
-    assert again.norm_bounds == {"u": 1.0}
+    expected = interval_presentation()
+    assert [(key(l), key(r)) for l, r in again.relations] == \
+        [(key(l), key(r)) for l, r in expected.relations]
+    assert again.norm_bounds == expected.norm_bounds == {"u": 1.0}

@@ -8,6 +8,7 @@ import pytest
 
 from cstarcat import groupoids as gp
 from cstarcat import homotopy as ho
+from cstarcat import suites
 from cstarcat.categories import (
     FunctorCategory,
     full_matrix_category,
@@ -265,9 +266,29 @@ def test_pi_of_point_is_unit_category():
 def test_pi_of_edge_is_interval_category():
     gc = ho.pi(standard("delta", 1, dim_cap=2))
     interval = gp.cstar_max(gp.interval_groupoid())
-    assert gc.groupoid.is_isomorphic_to(interval.groupoid)
+    # one component of two objects with a trivial vertex group: the interval
+    [[x, _y]] = gc.groupoid.components()
+    assert len(gc.groupoid.hom(x, x)) == 1
     assert sorted(o.dim for o in gc.category.objects) == \
         sorted(o.dim for o in interval.category.objects)
+
+
+def test_the_interval_check_fails_on_a_nontrivial_vertex_group(monkeypatch):
+    def edge_status():
+        return next(entry.status for entry in suites.suite_simplicial()
+                    if entry.name == "pi_edge_is_interval")
+
+    assert edge_status() == "pass"
+    # two objects joined by e and a loop a with a^2 = 1: Z/2 on two objects,
+    # which has the interval's components and object count
+    a = ("a", False)
+    z2_edge = gp.FPGroupoid(["i0", "i1"], {"e": ("i0", "i1"), "a": ("i0", "i0")},
+                            [(gp.FPWord("i0", "i0", (a, a)), gp.FPWord("i0", "i0"))])
+    normalized = gp.normalize_fp(z2_edge).groupoid
+    [[x, _y]] = normalized.components()
+    assert len(normalized.hom(x, x)) == 2
+    monkeypatch.setattr(suites, "fundamental_groupoid", lambda _sset: z2_edge)
+    assert edge_status() == "fail"
 
 
 def test_pi_of_circle_hits_the_budget():
