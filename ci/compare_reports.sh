@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the same CLI commands from two source trees and fail if any report,
-# artifact or exit code differs by a single byte.
+# artifact, exit code or stderr line differs by a single byte.
 #
 #   ci/compare_reports.sh PARENT_TREE CHANGE_TREE [SEED ...]
 #
@@ -25,10 +25,11 @@
 #   pi of the boundary of Delta[2], written by simplicial.standard: a circle,
 #     whose infinite vertex group ends in exit 3 before any coset
 #     enumeration;
-#   validate of two presentation files written below as JSON literals: one
-#     arrow a: x -> y with a* a = 1_x and a norm bound (exit 0), and the same
-#     relation with a right side that is not parallel to its left (exit 1);
 #   generate random_matcat -> tensor with itself.
+# Each command's stdout, exit code and stderr are kept as NAME.out,
+# NAME.code and NAME.err. The timing of the status line on stderr is cut
+# out, so the status lines and the error lines of failing steps are
+# compared too.
 # Run both trees on the same machine, so that BLAS rounding is the same on
 # both sides.
 set -euo pipefail
@@ -44,14 +45,14 @@ seeds=("${@:-0}")
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# cli TREE DIR NAME ARGS...: run the CLI of TREE in DIR, keeping stdout and
-# the exit code under NAME
+# cli TREE DIR NAME ARGS...: run the CLI of TREE in DIR, keeping stdout,
+# stderr without the status line's timing, and the exit code under NAME
 cli() {
   local tree=$1 dir=$2 name=$3
   shift 3
   local code=0
-  (cd "$dir" && PYTHONPATH="$tree/src" python3 -m cstarcat.cli "$@" \
-    > "$name.out" 2> /dev/null) || code=$?
+  (cd "$dir" && PYTHONPATH="$tree/src" python3 -m cstarcat.cli "$@" 2>&1 \
+    > "$name.out" | sed -E 's/, [0-9]+\.[0-9]+s\)$/)/' > "$name.err") || code=$?
   echo "$code" > "$dir/$name.code"
 }
 
@@ -127,26 +128,6 @@ BOUNDARY
     )
     cli "$tree" "$dir" "pi_boundary2_$seed" pi "boundary2_$seed.json" \
       --output "pi_boundary2_$seed.json"
-
-    cat > "$dir/presentation_$seed.json" <<'PRESENTATION'
-{"objects": ["x", "y"], "arrows": [{"name": "a", "src": "x", "tgt": "y"}],
- "relations": [[
-   {"src": "x", "tgt": "x", "terms": [{"coeff": [1.0, 0.0],
-     "word": [{"gen": "a", "adj": true}, {"gen": "a", "adj": false}]}]},
-   {"src": "x", "tgt": "x", "terms": [{"coeff": [1.0, 0.0], "word": []}]}]],
- "bounds": {"a": 1.0}}
-PRESENTATION
-    cli "$tree" "$dir" "validate_presentation_$seed" validate "presentation_$seed.json"
-    cat > "$dir/presentation_bad_$seed.json" <<'PRESENTATION'
-{"objects": ["x", "y"], "arrows": [{"name": "a", "src": "x", "tgt": "y"}],
- "relations": [[
-   {"src": "x", "tgt": "x", "terms": [{"coeff": [1.0, 0.0],
-     "word": [{"gen": "a", "adj": true}, {"gen": "a", "adj": false}]}]},
-   {"src": "x", "tgt": "y", "terms": []}]],
- "bounds": {}}
-PRESENTATION
-    cli "$tree" "$dir" "validate_presentation_bad_$seed" validate \
-      "presentation_bad_$seed.json"
 
     cli "$tree" "$dir" "generate_matcat_$seed" generate --kind random_matcat \
       --seed "$seed" --output "matcat_$seed.json"

@@ -1,5 +1,5 @@
-"""Finite-dimensional C*-categories, groupoid C*-categories, presentations by
-generators and relations, and the executable content of the unitary model
+"""Finite-dimensional C*-categories, groupoid C*-categories and finitely
+presented groupoids, and the executable content of the unitary model
 structure (class predicates, lifting solvers, factorizations, simplicial
 structure), together with a CLI and property-test harnesses."""
 

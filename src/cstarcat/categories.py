@@ -166,7 +166,7 @@ class MatCStarCategory:
                 raise MalformedInput(f"hom key {key!r} names an undeclared object")
             space = Subspace(dims[y], dims[x], [matrix_from_json(m) for m in mats])
             gram = space._rows @ space._rows.conj().T
-            if float(np.linalg.norm(gram - np.eye(space.dim))) > tol.bound(1.0):
+            if not float(np.linalg.norm(gram - np.eye(space.dim))) <= tol.bound(1.0):
                 space = subspace_span(space.basis, ambient_shape=space.shape, tol=tol)
             homs[(x, y)] = space
         return cls(objects, homs, tol=tol)
@@ -223,13 +223,13 @@ def validate_category(cat: MatCStarCategory) -> list[Violation]:
     for x in cat.object_names:
         eye = cat.identity(x)
         res = cat.hom(x, x).residual(eye)
-        if res > tol.bound(hs_norm(eye)):
+        if not res <= tol.bound(hs_norm(eye)):
             out.append(Violation("unitality", (x,), res, "identity not in hom(x,x)"))
     for (x, y), space in cat.homs.items():
         adj = cat.hom(y, x)._rows
         flipped = space.basis.conj().transpose(0, 2, 1).reshape(space.dim, -1)
         for i, res in enumerate(_batch_residuals(flipped, adj, adj.conj().T)):
-            if res > tol.bound(1.0):
+            if not res <= tol.bound(1.0):
                 out.append(Violation("adjoint", (x, y, i), float(res),
                                      "adjoint of basis element leaves hom(y,x)"))
     if not out and worth_certifying(cat) and cat.light_certificate[1] is not None:
@@ -277,7 +277,7 @@ def _product_failures(first: Subspace, second: Subspace, target: np.ndarray,
         scales = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
         residuals = _batch_residuals(flat, target, target_h)
         failures += [(j, int(i), float(residuals[i]))
-                     for i in np.nonzero(residuals > tol.eps_abs * scales)[0]]
+                     for i in np.nonzero(~(residuals <= tol.eps_abs * scales))[0]]
     return failures
 
 
@@ -447,7 +447,7 @@ def validate_functor(functor: StarFunctor) -> list[Violation]:
         space = tgt.hom(fx, fy)
         for i, img in enumerate(images):
             res = space.residual(img)
-            if res > tol.bound(hs_norm(img)):
+            if not res <= tol.bound(hs_norm(img)):
                 out.append(Violation("hom-membership", (x, y, i), res,
                                      "image leaves the target hom space"))
     unit_residuals = {}
@@ -456,7 +456,7 @@ def validate_functor(functor: StarFunctor) -> list[Violation]:
         img = functor.apply(x, x, eye)
         res = float(np.linalg.norm(img - tgt.identity(functor.object_map[x])))
         unit_residuals[x] = res
-        if res > tol.bound(1.0):
+        if not res <= tol.bound(1.0):
             out.append(Violation("unit", (x,), res, "F(1_x) != 1_Fx"))
     if out or not (worth_certifying(src) and functor_certified(functor, unit_residuals)):
         out += _functor_composition_violations(functor)
@@ -466,7 +466,7 @@ def validate_functor(functor: StarFunctor) -> list[Violation]:
             lhs = functor.apply(y, x, a.conj().T)
             rhs = images[i].conj().T
             res = float(np.linalg.norm(lhs - rhs))
-            if res > tol.bound(hs_norm(rhs)):
+            if not res <= tol.bound(hs_norm(rhs)):
                 out.append(Violation("involution", (x, y, i), res, "F(a*) != F(a)*"))
     return out
 
@@ -496,7 +496,7 @@ def _functor_composition_violations(functor: StarFunctor) -> list[Violation]:
                     diffs = coords @ f_target - rhs
                 residuals = np.linalg.norm(diffs, axis=1)
                 scales = np.maximum(np.linalg.norm(rhs, axis=1), 1.0)
-                for i in np.nonzero(residuals > tol.eps_abs * scales)[0]:
+                for i in np.nonzero(~(residuals <= tol.eps_abs * scales))[0]:
                     out.append(Violation("composition", (x, y, z, j, int(i)),
                                          float(residuals[i]), "F(b.a) != F(b).F(a)"))
     return out

@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Commands operate on JSON files (categories, functors, groupoids, presented
-groupoids, *-category presentations, simplicial sets, lifting squares) and
-emit a JSON report with a fixed field order; timing goes to stderr so
-reports stay byte-reproducible.
+groupoids, simplicial sets, lifting squares) and emit a JSON report with a
+fixed field order; timing goes to stderr so reports stay byte-reproducible.
 
 Each command takes ``--output`` and only the shared flags it reads:
 ``--seed`` (factorize, lift, verify-axioms, generate), ``--tolerance``
@@ -18,8 +17,9 @@ no byte of their output.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or parse
 error, 3 unknown-only (a coset enumeration ran out of budget), 4 internal
-error (any other exception, such as running out of memory, reported on one
-stderr line).
+error (any other exception, such as running out of memory). stderr holds
+one line: the status line, or the error. Commands run with numpy's
+floating-point warnings off, so an overflow shows only in the verdicts.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .errors import CStarCatError, InvalidParams, MalformedInput, NotFiniteWithi
 from .groupoids import FPGroupoid, FiniteGroupoid, cstar_max, fundamental_groupoid, nerve
 from .homotopy import pi
 from .linalg import DEFAULT_TOL, Tolerance, is_unitary, matrix_from_json
-from .presentations import PresentedStarCategory
 from .reports import Report
 from .simplicial import FiniteSimplicialSet
 
@@ -71,8 +70,6 @@ def detect_kind(data: dict) -> str:
         return "fp-groupoid"
     if "simplices" in data:
         return "sset"
-    if "arrows" in data and ("relations" in data or "bounds" in data):
-        return "presentation"
     raise InvalidParams("could not detect the input kind")
 
 
@@ -116,7 +113,6 @@ def _tol(args) -> Tolerance:
 STRUCTURE_LOADERS = {
     "groupoid": FiniteGroupoid.from_json,
     "fp-groupoid": FPGroupoid.from_json,
-    "presentation": PresentedStarCategory.from_json,
     "sset": FiniteSimplicialSet.from_json,
 }
 
@@ -401,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("validate", cmd_validate, ["--tolerance"],
-                help="validate a category, functor, groupoid, presented groupoid, "
-                     "presentation or simplicial-set file")
+                help="validate a category, functor, groupoid, presented groupoid "
+                     "or simplicial-set file")
     p.add_argument("file")
     p.add_argument("--kind", choices=["auto", "category", "functor", *STRUCTURE_LOADERS],
                    default="auto")
@@ -472,7 +468,8 @@ def main(argv=None) -> int:
         budget = getattr(args, "coset_budget", None)
         if budget is not None and budget < 1:
             raise InvalidParams(f"--coset-budget {budget}: budget must be >= 1")
-        report = globals()[args.run](args)
+        with np.errstate(all="ignore"):
+            report = globals()[args.run](args)
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

@@ -53,15 +53,6 @@ class RelationFailed(CStarCatError):
         self.witness = witness
 
 
-class BoundFailed(CStarCatError):
-    """A representation violates one of the presentation's norm bounds."""
-
-    def __init__(self, message, arrow=None, value=None):
-        super().__init__(message)
-        self.arrow = arrow
-        self.value = value
-
-
 class InvalidCategory(CStarCatError):
     """A (C*- or plain finite) category fails its structural checks."""
 

@@ -10,6 +10,9 @@ honest completion.
 Finitely presented groupoids (e.g. fundamental groupoids of simplicial sets)
 are normalized to finite groupoids by choosing a spanning tree per component
 and running a bounded coset enumeration on the vertex group presentation.
+
+The package's one union-find and one composition-table check live here too;
+``model`` and ``presentations`` import them.
 """
 
 from __future__ import annotations
@@ -32,8 +35,134 @@ from .coset import DEFAULT_BUDGET, CosetEnumeration, exponent_rank, invert_word
 from .errors import InvalidFunctor, InvalidGroupoid, MalformedInput, NotUnitary
 from . import linalg
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_matrix, split_pair_key
-from .presentations import UnionFind, check_composition_table
 from .simplicial import FiniteSimplicialSet, SimplexRef
+
+
+# ---------------------------------------------------------------------------
+# union-find and the composition-table check
+
+
+class UnionFind:
+    """Disjoint classes of a fixed set of comparable items. The root of each
+    class is its least member, so representatives are deterministic."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        """The least member of x's class (path halving on the way)."""
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        lo, hi = (ra, rb) if ra < rb else (rb, ra)
+        self.parent[hi] = lo
+
+    def classes(self) -> list[list]:
+        """The classes, each sorted, in the order of their least members."""
+        groups: dict = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return [sorted(groups[root]) for root in sorted(groups)]
+
+
+def check_composition_table(objects, arrows, identities, compose, error):
+    """Raise ``error`` unless the tables form a category: arrow endpoints are
+    declared, exactly the composable pairs have a composite, with the right
+    endpoints, each identity is a loop neutral on both sides, and
+    composition is associative.
+
+    ``arrows`` maps names to ``(src, tgt)``, ``identities`` objects to arrow
+    names and ``compose`` pairs ``(g, f)`` (g after f) to arrow names.
+
+    ``compose`` is read once, g by g in ``arrows`` order, while the
+    composable pairs are checked; each g's composites are kept as an integer
+    row, the indices (positions in ``arrows``) of g.f for f over the arrows
+    into src(g) in ``arrows`` order. Identity neutrality, the closure and
+    the associativity test below run on these rows.
+
+    Associativity is decided by Light's test (A. H. Clifford and G. B.
+    Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2): call g
+    good when (h.g).f = h.(g.f) for every composable h and f. Neutral
+    identities are good, and s.c is good whenever s and c are, so the
+    table is associative exactly when a set S of arrows is good whose
+    left products, starting from the identities, reach every arrow. S is
+    grown greedily in ``arrows`` order, and only its members are tested as
+    middle arrows, one row comparison per (g, h). The matrix validators of
+    ``categories`` use the same pattern; ``cstarcat.light`` describes it
+    once ("Greedy generating set, certificate, exhaustive fallback").
+    """
+    into = {x: [] for x in objects}          # arrow names by target
+    outof = {x: [] for x in objects}         # arrow indices by source
+    index, place, targets = {}, [], []       # place: position in into[target]
+    for name, (src, tgt) in arrows.items():
+        if src not in into or tgt not in into:
+            raise error(f"arrow {name!r} has undeclared endpoints")
+        outof[src].append(len(place))
+        index[name] = len(place)
+        place.append(len(into[tgt]))
+        into[tgt].append(name)
+        targets.append(tgt)
+    rows = []                                # rows[g][place[f]] = index of g.f
+    composable = 0
+    for g, (gs, gt) in arrows.items():
+        row = []
+        for f in into[gs]:
+            h = compose.get((g, f))
+            if h is None or arrows.get(h) != (arrows[f][0], gt):
+                raise error(f"bad composite {g!r}.{f!r}")
+            row.append(index[h])
+        rows.append(row)
+        composable += len(row)
+    # every composable pair has its own key, so any further key is a
+    # composite stored for a pair that is not composable
+    if len(compose) != composable:
+        raise error("composite stored for a pair that is not composable")
+    for x in objects:
+        if arrows.get(identities.get(x)) != (x, x):
+            raise error(f"object {x!r} lacks an identity loop")
+    ident = {x: index[identities[x]] for x in objects}
+    for f, (name, (fs, ft)) in enumerate(arrows.items()):
+        if rows[ident[ft]][place[f]] != f or rows[f][place[ident[fs]]] != f:
+            raise error(f"identities are not neutral on {name!r}")
+    reached = [False] * len(rows)
+    reached_into = {x: [ident[x]] for x in objects}
+    for e in ident.values():
+        reached[e] = True
+    generators = []
+    generators_outof = {x: [] for x in objects}
+    for a, (a_src, _a_tgt) in enumerate(arrows.values()):
+        if reached[a]:
+            continue
+        generators.append(a)
+        generators_outof[a_src].append(a)
+        row = rows[a]
+        pending = [row[place[r]] for r in reached_into[a_src]]
+        while pending:
+            c = pending.pop()
+            if reached[c]:
+                continue
+            reached[c] = True
+            c_tgt, c_place = targets[c], place[c]
+            reached_into[c_tgt].append(c)
+            pending.extend(rows[s][c_place] for s in generators_outof[c_tgt])
+    for g in generators:
+        # the place of each g.f among the arrows into tgt(g)
+        through = list(map(place.__getitem__, rows[g]))
+        g_place = place[g]
+        for h in outof[targets[g]]:
+            row = rows[h]
+            if rows[row[g_place]] != list(map(row.__getitem__, through)):
+                raise error("composition is not associative")
+
+
+# ---------------------------------------------------------------------------
+# finite groupoids
 
 
 class FiniteGroupoid:

@@ -12,7 +12,7 @@ multiplication by S. Only the products s.c are formed, about |S| times the
 size of the whole instead of its square. Three parts of the package use
 the pattern.
 
-* ``presentations.check_composition_table`` applies it to composition
+* ``groupoids.check_composition_table`` applies it to composition
   tables. There "good" is associativity and reaching is exact, so no
   certificate is needed. It runs on arrow indices: the table is read once
   into one integer row of composites per arrow, and each test of a middle
@@ -275,7 +275,7 @@ class LightClosure:
         deltas = [group.deltas for group in self.groups]
         bounds = self.row_bounds(self.identity_residuals, self.own_bounds(deltas),
                                  self.generator_norms, deltas)
-        if float(np.linalg.norm(bounds)) > self.tol.eps_abs / 2:
+        if not float(np.linalg.norm(bounds)) <= self.tol.eps_abs / 2:
             return None
         return bounds
 

@@ -110,7 +110,7 @@ def matrix_from_json(data) -> np.ndarray:
         for row in data:
             rows.append([complex(re, im) for re, im in row])
         stacked = np.array(rows, dtype=np.complex128)
-    except (TypeError, ValueError) as err:
+    except (OverflowError, TypeError, ValueError) as err:
         raise MalformedInput(f"matrix entries must be [re, im] pairs: {err}") from None
     if not rows:
         return np.zeros((0, 0), dtype=np.complex128)

@@ -68,8 +68,8 @@ from .errors import (
     SquareMismatch,
 )
 from . import linalg
+from .groupoids import UnionFind
 from .linalg import as_matrix
-from .presentations import UnionFind
 
 
 # ---------------------------------------------------------------------------

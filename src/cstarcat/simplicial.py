@@ -8,10 +8,10 @@ through degeneracies with the simplicial identities, bottoming out in the
 stored face tables. The exhaustive check of the simplicial identities computes
 the faces of each distinct face ref once per check.
 
-Simplices are inserted a level at a time (``add_level``; ``add_simplex`` is
-its one-entry case), each entry checked in listing order, so the error raised
-is the first one met. The face checks of a level run once per distinct face
-ref, not once per face slot.
+Simplices are inserted a level at a time (``add_level``, the one insertion
+path), each entry checked in listing order, so the error raised is the first
+one met. The face checks of a level run once per distinct face ref, not once
+per face slot.
 
 Standard simplices, horns and boundaries are generated from vertex subsets of
 {0..n}; the horn inclusions come out as :class:`SimplicialMap` values.
@@ -79,9 +79,6 @@ class FiniteSimplicialSet:
         self.simplices: dict[int, dict[str, tuple]] = {}
 
     # -- construction --------------------------------------------------------
-
-    def add_simplex(self, dim: int, name: str, faces=()):
-        self.add_level(dim, ((name, faces),))
 
     def add_level(self, dim: int, entries):
         """Insert the ``dim``-simplices ``entries``, pairs (name, faces), in
@@ -211,17 +208,22 @@ class FiniteSimplicialSet:
             blob = data["simplices"]
             if not isinstance(blob, dict):
                 raise TypeError(f"simplices must be an object, not {type(blob).__name__}")
-            listed = [(dim, entry, [_face_from_json(raw, dim) for raw in entry.get("faces", [])])
-                      for dim in _listed_dims(blob, dim_cap) for entry in blob[str(dim)]]
-            if not all(isinstance(entry["name"], str) for _dim, entry, _faces in listed):
+            levels = [(dim, [(entry, [_face_from_json(raw, dim) for raw in entry.get("faces", [])])
+                             for entry in blob[str(dim)]])
+                      for dim in _listed_dims(blob, dim_cap)]
+            if not all(isinstance(entry["name"], str)
+                       for _dim, level in levels for entry, _faces in level):
                 raise TypeError("simplex names must be strings")
         except (AttributeError, KeyError, TypeError) as err:
             raise MalformedInput(f"simplicial-set file: {type(err).__name__}: {err}") from None
         out = cls(dim_cap)
-        for dim, entry, faces in listed:
-            if entry.get("degenerate"):
+        for dim, level in levels:
+            # the entries before the first degenerate one go in as one level,
+            # so an error among them is still met before the degenerate one
+            clean = list(itertools.takewhile(lambda item: not item[0].get("degenerate"), level))
+            out.add_level(dim, [(entry["name"], faces) for entry, faces in clean])
+            if len(clean) < len(level):
                 raise InvalidSimplicialSet("only nondegenerate simplices may be listed")
-            out.add_simplex(dim, entry["name"], faces)
         bad = out.identity_violations()
         if bad:
             raise InvalidSimplicialSet("; ".join(bad[:3]))
@@ -308,13 +310,14 @@ def _subset_name(verts) -> str:
 def _build_from_subsets(n: int, subsets, dim_cap: int) -> FiniteSimplicialSet:
     out = FiniteSimplicialSet(dim_cap)
     chosen = sorted(subsets, key=lambda s: (len(s), s))
-    for verts in chosen:
-        dim = len(verts) - 1
+    for size, level in itertools.groupby(chosen, key=len):
+        dim = size - 1
         if dim > dim_cap:
-            continue
-        faces = [SimplexRef(_subset_name(verts[:i] + verts[i + 1:]), dim - 1)
-                 for i in range(dim + 1)] if dim > 0 else ()
-        out.add_simplex(dim, _subset_name(verts), faces)
+            break
+        out.add_level(dim, [(_subset_name(verts),
+                             [SimplexRef(_subset_name(verts[:i] + verts[i + 1:]), dim - 1)
+                              for i in range(dim + 1)] if dim > 0 else ())
+                            for verts in level])
     return out
 
 

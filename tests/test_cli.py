@@ -28,9 +28,9 @@ def write(path, data):
     return str(path)
 
 
-def isometry_presentation(bounds):
-    """The presentation file of one arrow a: x -> y and the relation
-    a* a = 1_x, with the given norm bounds."""
+def isometry_presentation():
+    """The former presentation file format: one arrow a: x -> y, the
+    relation a* a = 1_x and a norm bound on a."""
     def element(*word):
         return {"src": "x", "tgt": "x",
                 "terms": [{"coeff": [1.0, 0.0],
@@ -39,7 +39,7 @@ def isometry_presentation(bounds):
     return {"objects": ["x", "y"],
             "arrows": [{"name": "a", "src": "x", "tgt": "y"}],
             "relations": [[element(True, False), element()]],
-            "bounds": bounds}
+            "bounds": {"a": 1.0}}
 
 
 @pytest.fixture
@@ -223,36 +223,23 @@ def test_malformed_groupoid_and_sset_files_exit_2(tmp_path, case, command):
     assert "file:" in done.stderr
 
 
-def malformed_fp_or_presentation(case):
-    """An fp-groupoid or presentation file with one shape or value error."""
-    if case.startswith("fp"):
-        data = FPGroupoid(["x"], {"a": ("x", "x")}).to_json()
-        if case == "fp_generators_is_a_number":
-            data["generators"] = 5
-        else:
-            data["relations"] = [[{"src": "x", "tgt": "x", "word": [{"gen": ["a"], "inv": False}]},
-                                  {"src": "x", "tgt": "x", "word": []}]]
-        return data
-    data = {"objects": ["x"], "arrows": [{"name": "a", "src": "x", "tgt": "x"}],
-            "relations": [], "bounds": {}}
-    data["bounds"] = {"a": {"presentation_negative_bound": -1,
-                            "presentation_nan_bound": float("nan"),
-                            "presentation_infinite_bound": float("inf"),
-                            "presentation_bound_is_a_string": "big"}[case]}
+def malformed_fp(case):
+    """An fp-groupoid file with one shape or value error."""
+    data = FPGroupoid(["x"], {"a": ("x", "x")}).to_json()
+    if case == "fp_generators_is_a_number":
+        data["generators"] = 5
+    else:
+        data["relations"] = [[{"src": "x", "tgt": "x", "word": [{"gen": ["a"], "inv": False}]},
+                              {"src": "x", "tgt": "x", "word": []}]]
     return data
 
 
 @pytest.mark.parametrize("case, message", [
     ("fp_generators_is_a_number", "fp-groupoid file: TypeError"),
     ("fp_generator_name_is_a_list", "names must be strings"),
-    ("presentation_negative_bound", "norm bounds must be nonnegative"),
-    ("presentation_nan_bound", "norm bounds must be finite"),
-    ("presentation_infinite_bound", "norm bounds must be finite"),
-    ("presentation_bound_is_a_string", "presentation file: TypeError"),
 ])
 def test_malformed_fp_groupoid_and_presentation_files_exit_2(tmp_path, case, message):
-    done = run_process("validate", write(tmp_path / "bad.json",
-                                         malformed_fp_or_presentation(case)))
+    done = run_process("validate", write(tmp_path / "bad.json", malformed_fp(case)))
     assert done.returncode == 2
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert message in done.stderr
@@ -298,6 +285,36 @@ def test_malformed_category_and_functor_files_exit_2(tmp_path, case, message):
     assert done.returncode == 2
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert message in done.stderr
+
+
+def category_with_entry(value, row, col):
+    """The file of full_matrix_category([2]) with entry (row, col) of its
+    first basis matrix set to [value, 0]."""
+    from cstarcat.categories import full_matrix_category
+
+    data = full_matrix_category([2]).to_json()
+    data["homs"]["m0|m0"][0][row][col] = [value, 0]
+    return data
+
+
+@pytest.mark.parametrize("row, col", [(0, 0), (0, 1)])
+def test_category_file_with_an_overflowing_entry_fails(tmp_path, row, col):
+    # its Gram distance from the identity is NaN, which must count as above
+    # the tolerance, and numpy's overflow warnings must not reach stderr
+    done = run_process("validate", write(tmp_path / "huge.json",
+                                         category_with_entry(1e308, row, col)))
+    assert done.returncode == 1
+    assert done.stderr.startswith("validate: fail (") and done.stderr.count("\n") == 1
+    assert json.loads(done.stdout)["status"] == "fail"
+
+
+def test_matrix_entry_too_large_for_a_float_exits_2(tmp_path):
+    done = run_process("validate", write(tmp_path / "huge.json",
+                                         category_with_entry(10**400, 0, 0)))
+    assert done.returncode == 2
+    assert done.stderr.startswith("invalid parameters: matrix entries must be "
+                                  "[re, im] pairs: ")
+    assert done.stderr.count("\n") == 1
 
 
 def malformed_lift(case, tmp_path):
@@ -427,14 +444,17 @@ def test_validate_fp_groupoid_file(tmp_path, capsys):
 
 
 def test_validate_presentation_file(tmp_path, capsys):
-    data = isometry_presentation({})
-    assert run("validate", write(tmp_path / "ok.json", data)) == 0
-    assert json.loads(capsys.readouterr().out)["checks"] == \
-        [{"name": "structure", "status": "pass"}]
-    data["relations"][0][1] = {"src": "x", "tgt": "y", "terms": []}
-    assert run("validate", write(tmp_path / "bad.json", data)) == 1
-    assert capsys.readouterr().err == \
-        "check failed: NotParallel: relation sides are not parallel\n"
+    # *-category presentations have no file format: such a file is of no
+    # kind that validate reads, and "presentation" is no --kind
+    path = write(tmp_path / "presentation.json", isometry_presentation())
+    assert run("validate", path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid parameters: could not detect the input kind\n"
+    with pytest.raises(SystemExit) as usage:
+        run("validate", path, "--kind", "presentation")
+    assert usage.value.code == 2
+    assert "argument --kind: invalid choice: 'presentation'" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -779,7 +799,6 @@ def valid_input_files():
         "functor": (validate, ident),
         "groupoid": (validate, cyclic_groupoid(2).to_json()),
         "fp-groupoid": (validate, fundamental_groupoid(edge).to_json()),
-        "presentation": (validate, isometry_presentation({"a": 1.0})),
         "sset": (validate, edge.to_json()),
         "lift-square": (("lift", "--mode", "tcof-fib"), square),
     }
@@ -797,7 +816,7 @@ def json_paths(value, path=()):
 
 
 DELETE = "<delete>"
-MUTATIONS = [None, 0, -1, 2, 0.5, "x", [], ["x"], {}, {"x": 1}, DELETE]
+MUTATIONS = [None, 0, -1, 2, 0.5, 1e308, 10**400, "x", [], ["x"], {}, {"x": 1}, DELETE]
 
 
 def mutate(data, path, new):

@@ -686,11 +686,11 @@ def test_nerve_stops_at_the_first_empty_level():
 
 
 def nerve_by_simplex(groupoid, dim_cap):
-    """Oracle for ``nerve``: one ``add_simplex`` per simplex, each name
+    """Oracle for ``nerve``: one ``add_level`` call per simplex, each name
     joined from its whole string and each degenerate face made afresh."""
     out = FiniteSimplicialSet(dim_cap)
     for x in groupoid.objects:
-        out.add_simplex(0, x)
+        out.add_level(0, [(x, ())])
     if dim_cap == 0:
         return out
     arrows, compose = groupoid.arrows, groupoid.compose
@@ -702,7 +702,7 @@ def nerve_by_simplex(groupoid, dim_cap):
     refs, lower = {}, {}
     for a in nonident:
         src, tgt = arrows[a]
-        out.add_simplex(1, a, (SimplexRef(tgt, 0), SimplexRef(src, 0)))
+        out.add_level(1, [(a, (SimplexRef(tgt, 0), SimplexRef(src, 0)))])
         refs[(a,)] = SimplexRef(a, 1)
     for dim in range(2, dim_cap + 1):
         if not refs:
@@ -721,7 +721,7 @@ def nerve_by_simplex(groupoid, dim_cap):
                     faces.append(refs[chain[:i - 1] + (composite,) + chain[i + 1:]])
             faces.append(refs[chain[:-1]])
             name = "|".join(chain)
-            out.add_simplex(dim, name, faces)
+            out.add_level(dim, [(name, faces)])
             level[chain] = SimplexRef(name, dim)
         refs, lower = level, refs
     return out

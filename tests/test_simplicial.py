@@ -108,7 +108,7 @@ def perturbed(sset, seed, changes):
         faces[(dim, name)][rng.randrange(dim + 1)] = rng.choice(refs_of_dim(sset, dim - 1))
     out = FiniteSimplicialSet(sset.dim_cap)
     for (dim, name), listed in faces.items():
-        out.add_simplex(dim, name, listed)
+        out.add_level(dim, [(name, listed)])
     return out
 
 
@@ -132,11 +132,10 @@ def test_face_ref_with_inapplicable_degeneracy_raises_as_face_by_face():
     # s_3 e and s_5 s_4 a do not apply: the first fails only at its face 2,
     # the second at its face 0, which the face-by-face order reaches first
     sset = FiniteSimplicialSet(3)
-    sset.add_simplex(0, "a")
-    sset.add_simplex(0, "b")
-    sset.add_simplex(1, "e", (SimplexRef("b", 0), SimplexRef("a", 0)))
-    sset.add_simplex(3, "w", (SimplexRef("e", 1, (3,)), SimplexRef("a", 0, (5, 4)),
-                              SimplexRef("e", 1, (1,)), SimplexRef("e", 1, (0,))))
+    sset.add_level(0, [("a", ()), ("b", ())])
+    sset.add_level(1, [("e", (SimplexRef("b", 0), SimplexRef("a", 0)))])
+    sset.add_level(3, [("w", (SimplexRef("e", 1, (3,)), SimplexRef("a", 0, (5, 4)),
+                              SimplexRef("e", 1, (1,)), SimplexRef("e", 1, (0,))))])
     with pytest.raises(InvalidParams) as want:
         violations_face_by_face(sset)
     with pytest.raises(InvalidParams) as got:
@@ -153,7 +152,7 @@ def test_from_json_reads_only_the_listed_dimensions_up_to_dim_cap():
         "0": [{"name": "v", "degenerate": False}], "1": [], "2": [], "3": []}}
 
 
-def add_simplex_one_by_one(sset, dim, name, faces=()):
+def insert_one_by_one(sset, dim, name, faces=()):
     """Oracle for ``add_level``: the per-simplex insertion, every check run
     on every face slot."""
     if dim > sset.dim_cap or dim < 0:
@@ -221,7 +220,7 @@ def test_level_insertion_raises_the_first_error_in_listing_order(case):
     want_set, got_set = small_sset(), small_sset()
     with pytest.raises((InvalidParams, InvalidSimplicialSet)) as want:
         for name, faces in entries:
-            add_simplex_one_by_one(want_set, dim, name, faces)
+            insert_one_by_one(want_set, dim, name, faces)
     with pytest.raises((InvalidParams, InvalidSimplicialSet)) as got:
         got_set.add_level(dim, iter(entries))
     assert type(got.value) is type(want.value)
@@ -229,11 +228,11 @@ def test_level_insertion_raises_the_first_error_in_listing_order(case):
     # the entries before the failing one stay, in order
     assert {d: list(level.items()) for d, level in got_set.simplices.items() if level} == \
         {d: list(level.items()) for d, level in want_set.simplices.items() if level}
-    # one entry at a time, add_simplex meets the same error
+    # one entry per add_level call meets the same error
     one_set = small_sset()
     with pytest.raises((InvalidParams, InvalidSimplicialSet)) as one:
         for name, faces in entries:
-            one_set.add_simplex(dim, name, faces)
+            one_set.add_level(dim, [(name, faces)])
     assert (type(one.value), str(one.value)) == (type(want.value), str(want.value))
 
 
@@ -243,7 +242,7 @@ def test_level_insertion_of_valid_levels_matches_one_by_one():
         one, bulk = FiniteSimplicialSet(sset.dim_cap), FiniteSimplicialSet(sset.dim_cap)
         for dim, entries in levels:
             for name, faces in entries:
-                add_simplex_one_by_one(one, dim, name, faces)
+                insert_one_by_one(one, dim, name, faces)
             bulk.add_level(dim, (entry for entry in entries))
         assert bulk.to_json() == one.to_json() == sset.to_json()
         assert {d: list(level.items()) for d, level in bulk.simplices.items()} == \
