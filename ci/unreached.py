@@ -16,10 +16,16 @@ and a subclass's ``super().__init__(...)`` for the constructor of class
 every keyword. A default that no caller overrides is a constant, not a
 setting.
 
+A function or method parameter counts as read when the function's body,
+nested definitions included, loads its name. ``self``, ``cls`` and names
+that start with ``_`` are exempt; any other parameter that is never read
+is an argument every caller passes for nothing.
+
     python3 ci/unreached.py [REPO_ROOT]
 
-Exit 0 when every definition is reached and every defaulted parameter is
-set, 1 otherwise, listing each offender as ``file:line name``.
+Exit 0 when every definition is reached, every defaulted parameter is set
+and every parameter is read, 1 otherwise, listing each offender as
+``file:line name``.
 """
 
 from __future__ import annotations
@@ -87,6 +93,30 @@ def defaulted_parameters(tree: ast.Module):
                 yield from walk(child, None, f"{prefix}{child.name}.")
             else:
                 yield from walk(child, cls, prefix)
+    yield from walk(tree)
+
+
+def unread_parameters(tree: ast.Module):
+    """Yield (line, qualified name) for every parameter of a function or
+    method that its body never loads, bar ``self``, ``cls`` and names
+    starting with ``_``."""
+    def walk(node, prefix=""):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          *filter(None, (args.vararg, args.kwarg))]
+                loaded = {n.id for stmt in child.body for n in ast.walk(stmt)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                for arg in params:
+                    if arg.arg not in loaded and arg.arg not in ("self", "cls") \
+                            and not arg.arg.startswith("_"):
+                        yield arg.lineno, f"{prefix}{child.name}({arg.arg})"
+                yield from walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.")
+            else:
+                yield from walk(child, prefix)
     yield from walk(tree)
 
 
@@ -163,11 +193,14 @@ def main(argv: list[str]) -> int:
             if not is_passed(passed[callee], position, keyword):
                 problems.append(f"{where}:{line} {qualname} has a default that no "
                                 "call in src/cstarcat or perfbench overrides")
+        for line, qualname in unread_parameters(trees[path]):
+            problems.append(f"{where}:{line} {qualname} is never read")
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         return 1
-    print(f"{len(defined)} defined names reached, {settings} defaulted parameters set")
+    print(f"{len(defined)} defined names reached, {settings} defaulted parameters set, "
+          "every parameter read")
     return 0
 
 

@@ -16,8 +16,10 @@ verdicts and witnesses sample nothing the seed reaches, so the flag changes
 no byte of their output.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or parse
-error, 3 unknown-only (a coset enumeration ran out of budget), 4 internal
-error (any other exception, such as running out of memory). stderr holds
+error, 3 unknown-only (a coset enumeration ran out of budget, or a vertex
+group was shown infinite by its abelianization before any enumeration, as
+for pi of the circle), 4 internal error (any other exception, such as
+running out of memory). stderr holds
 one line: the status line, or the error. Commands run with numpy's
 floating-point warnings off, so an overflow shows only in the verdicts.
 """

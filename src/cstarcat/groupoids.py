@@ -167,9 +167,9 @@ def check_composition_table(objects, arrows, identities, compose, error):
 
 class FiniteGroupoid:
     """Fully enumerated groupoid: arrows, composition table, inverses and
-    identities, checked at construction by ``check_composition_table`` (whose
-    Light's test runs on arrow indices, not names) and the two-sided inverse
-    law.
+    identities, checked at construction for distinct object names, by
+    ``check_composition_table`` (whose Light's test runs on arrow indices,
+    not names) and by the two-sided inverse law.
 
     Construction also builds the endpoint index ``_ends``: (src, tgt) to the
     sorted names of the arrows src -> tgt. ``hom``, ``arrows_into``, the
@@ -192,32 +192,22 @@ class FiniteGroupoid:
             self._validate()
 
     def _find_identities(self):
-        out = {}
-        for x in self.objects:
-            into = [f for (_s, t), names in self._ends.items() if t == x for f in names]
-            outof = [f for (s, _t), names in self._ends.items() if s == x for f in names]
-            for e in self.hom(x, x):
-                if all(self.compose.get((e, f)) == f for f in into) and \
-                        all(self.compose.get((f, e)) == f for f in outof):
-                    out[x] = e
-                    break
-            else:
-                raise InvalidGroupoid(f"object {x!r} has no identity arrow")
-        return out
+        """The first idempotent loop at each object in name order, or None:
+        a groupoid has no other idempotent, and ``_validate`` checks it."""
+        return {x: next((e for e in self.hom(x, x) if self.compose.get((e, e)) == e), None)
+                for x in self.objects}
 
     def _find_inverses(self):
-        out = {}
-        for f, (src, tgt) in self.arrows.items():
-            for g in self.hom(tgt, src):
-                if self.compose.get((g, f)) == self.identities[src] and \
-                        self.compose.get((f, g)) == self.identities[tgt]:
-                    out[f] = g
-                    break
-            else:
-                raise InvalidGroupoid(f"arrow {f!r} has no two-sided inverse")
-        return out
+        """The first left inverse of each arrow f in name order, g with g.f
+        the identity at src(f), or None; ``_validate`` checks the two-sided
+        law."""
+        return {f: next((g for g in self.hom(tgt, src)
+                         if self.compose.get((g, f)) == self.identities.get(src)), None)
+                for f, (src, tgt) in self.arrows.items()}
 
     def _validate(self):
+        if len(set(self.objects)) != len(self.objects):
+            raise InvalidGroupoid("duplicate object names")
         check_composition_table(self.objects, self.arrows, self.identities,
                                 self.compose, InvalidGroupoid)
         if self.inverses.keys() != self.arrows.keys():
@@ -287,6 +277,8 @@ class FiniteGroupoid:
                  *(end for ends in arrows.values() for end in ends)]
         if not all(map(isinstance, names, repeat(str))):
             raise MalformedInput("groupoid file: object and arrow names must be strings")
+        if len(arrows) != len(data["arrows"]):
+            raise InvalidGroupoid("duplicate arrow names")
         return cls(objects, arrows, compose, inverses=inverses)
 
     def __repr__(self):
@@ -451,10 +443,6 @@ def cstar_max(groupoid: FiniteGroupoid, tol: Tolerance = DEFAULT_TOL) -> Groupoi
     """
     carrier = {x: groupoid.arrows_into(x) for x in groupoid.objects}
     index = {x: {f: i for i, f in enumerate(carrier[x])} for x in groupoid.objects}
-    for x in groupoid.objects:
-        if not carrier[x]:
-            raise InvalidGroupoid(f"object {x!r} has no identity arrow")
-
     embed = {}
     for g, (x, y) in groupoid.arrows.items():
         mat = np.zeros((len(carrier[y]), len(carrier[x])), dtype=np.complex128)
@@ -608,6 +596,8 @@ class FPGroupoid:
 
     def __init__(self, objects, generators, relations=()):
         self.objects = list(objects)
+        if len(set(self.objects)) != len(self.objects):
+            raise InvalidGroupoid("duplicate object names")
         self.generators = {name: (src, tgt) for name, (src, tgt) in generators.items()}
         for name, (src, tgt) in self.generators.items():
             if src not in self.objects or tgt not in self.objects:
@@ -655,7 +645,8 @@ class FPGroupoid:
     @classmethod
     def from_json(cls, data) -> "FPGroupoid":
         """Read a presented-groupoid file; a JSON shape error raises
-        ``MalformedInput``, a word that does not compose ``InvalidGroupoid``."""
+        ``MalformedInput``, a repeated name or a word that does not compose
+        ``InvalidGroupoid``."""
         def word(w):
             return FPWord(w["src"], w["tgt"],
                           tuple((f["gen"], f["inv"]) for f in w["word"]))
@@ -671,6 +662,8 @@ class FPGroupoid:
                    for name in (w.src, w.tgt, *(gen for gen, _inv in w.factors)))]
         if not all(isinstance(name, str) for name in names):
             raise MalformedInput("fp-groupoid file: object and generator names must be strings")
+        if len(gens) != len(data["generators"]):
+            raise InvalidGroupoid("duplicate generator names")
         return cls(objects, gens, rels)
 
     def __repr__(self):
@@ -720,18 +713,12 @@ def fundamental_groupoid(sset: FiniteSimplicialSet) -> FPGroupoid:
 @dataclass
 class NormalizeResult:
     status: str                      # "finite" | "not_finite_within_bound"
-    bound: int
     groupoid: FiniteGroupoid | None = None
     gen_arrow: dict | None = None    # FP generator -> arrow of the groupoid
-    arrow_words: dict | None = None  # arrow -> FPWord over the presentation
 
     @property
     def finite(self) -> bool:
         return self.status == "finite"
-
-
-def _invert_factors(factors):
-    return tuple((g, not inv) for g, inv in reversed(factors))
 
 
 def normalize_fp(pres: FPGroupoid, bound: int = DEFAULT_BUDGET) -> NormalizeResult:
@@ -740,7 +727,9 @@ def normalize_fp(pres: FPGroupoid, bound: int = DEFAULT_BUDGET) -> NormalizeResu
     Per component: pick a spanning tree, translate relations into the vertex
     group presentation (tree edges trivialized), enumerate cosets of the
     trivial subgroup, and rebuild the component as objects x fibers of the
-    vertex group. Arrows are named "x>h>y" for group elements h.
+    vertex group. Arrows are named "x>h>y" for group elements h. ``gen_arrow``
+    sends each generator g: x -> y to x>h>y, h the coset of g's letter;
+    these arrows generate the groupoid (see ``induced_functor``).
 
     Before enumerating, the abelianization is tested: when the exponent-sum
     matrix of the relators (tree edges and relations) has rational rank
@@ -750,7 +739,7 @@ def normalize_fp(pres: FPGroupoid, bound: int = DEFAULT_BUDGET) -> NormalizeResu
     enumeration gives, so reports do not change; a separate "infinite"
     verdict would be a new report value.
     """
-    comp_payloads = []
+    enumerated = []
     for comp in pres.components():
         comp_set = set(comp)
         root = comp[0]
@@ -758,7 +747,7 @@ def normalize_fp(pres: FPGroupoid, bound: int = DEFAULT_BUDGET) -> NormalizeResu
         gen_index = {g: i for i, g in enumerate(gens)}
 
         # spanning tree: breadth-first, generators in name order, both directions
-        path = {root: ()}
+        seen = {root}
         tree = set()
         frontier = [root]
         while frontier:
@@ -766,17 +755,15 @@ def normalize_fp(pres: FPGroupoid, bound: int = DEFAULT_BUDGET) -> NormalizeResu
             for x in frontier:
                 for g in gens:
                     src, tgt = pres.generators[g]
-                    if src == x and tgt not in path:
-                        path[tgt] = ((g, False),) + path[x]
+                    if src == x and tgt not in seen:
+                        seen.add(tgt)
                         tree.add(g)
                         nxt.append(tgt)
-                    elif tgt == x and src not in path:
-                        path[src] = ((g, True),) + path[x]
+                    elif tgt == x and src not in seen:
+                        seen.add(src)
                         tree.add(g)
                         nxt.append(src)
             frontier = nxt
-        if set(path) != comp_set:
-            raise InvalidGroupoid("component connectivity bookkeeping failed")
 
         def letters(factors):
             out = []
@@ -792,54 +779,22 @@ def normalize_fp(pres: FPGroupoid, bound: int = DEFAULT_BUDGET) -> NormalizeResu
 
         if exponent_rank(len(gens), relators) < len(gens):
             # H_1 has a free summand, so no budget can complete
-            return NormalizeResult("not_finite_within_bound", bound)
+            return NormalizeResult("not_finite_within_bound")
         enum = CosetEnumeration(len(gens), relators, budget=bound)
         if not enum.run():
-            return NormalizeResult("not_finite_within_bound", bound)
-        comp_payloads.append((comp, gens, gen_index, path, enum))
+            return NormalizeResult("not_finite_within_bound")
+        enumerated.append((comp, gens, enum))
 
-    parts, gen_arrow, arrow_words = [], {}, {}
-    for comp, gens, gen_index, path, enum in comp_payloads:
+    parts, gen_arrow = [], {}
+    for comp, gens, enum in enumerated:
         order = enum.order()
-        words = enum.words()
         product = [[enum.multiply(h2, h1) for h1 in range(order)]
                    for h2 in range(order)]
         parts.append(connected_groupoid(comp, product, check=False))
-        for g in gens:
+        for i, g in enumerate(gens):
             src, tgt = pres.generators[g]
-            h = enum.act(0, (2 * gen_index[g],))
-            gen_arrow[g] = _arrow_name(src, h, tgt)
-
-        # expansion of group letters into presentation words, for transport
-        def letter_factors(letter):
-            g = gens[letter // 2]
-            src, tgt = pres.generators[g]
-            if letter % 2 == 0:
-                return _invert_factors(path[tgt]) + ((g, False),) + path[src]
-            return _invert_factors(path[src]) + ((g, True),) + path[tgt]
-
-        for x in comp:
-            for y in comp:
-                for h in range(order):
-                    factors = path[y]
-                    for letter in words[h]:
-                        factors = factors + letter_factors(letter)
-                    factors = factors + _invert_factors(path[x])
-                    arrow_words[_arrow_name(x, h, y)] = FPWord(x, y, factors)
-    return NormalizeResult("finite", bound, disjoint_groupoid(parts), gen_arrow, arrow_words)
-
-
-def eval_fp_word(groupoid: FiniteGroupoid, gen_arrow: dict, word: FPWord,
-                 start: str) -> str:
-    """Evaluate a presentation word in a finite groupoid along a generator
-    assignment, starting from the identity at ``start``."""
-    current = groupoid.identities[start]
-    for g, inverted in reversed(word.factors):
-        arrow = gen_arrow[g]
-        if inverted:
-            arrow = groupoid.inverses[arrow]
-        current = groupoid.compose[(arrow, current)]
-    return current
+            gen_arrow[g] = _arrow_name(src, enum.act(0, (2 * i,)), tgt)
+    return NormalizeResult("finite", disjoint_groupoid(parts), gen_arrow)
 
 
 def induced_functor(src: NormalizeResult, tgt: NormalizeResult,
@@ -849,21 +804,35 @@ def induced_functor(src: NormalizeResult, tgt: NormalizeResult,
     the normalized finite groupoids.
 
     ``gen_map[g]`` is a target generator name, or None for identity images.
+    A functor out of a groupoid is fixed by its images of generating arrows
+    (P. J. Higgins, *Categories and Groupoids*, 1971): each generator arrow
+    goes to its image, and its inverse to the inverse image. Every arrow is
+    reached from the identities by composing with these steps, and its
+    image is the composite of the images. Every step out of every arrow is
+    checked, so a ``gen_map`` that breaks a relation raises
+    ``InvalidFunctor``; ``GroupoidFunctor`` checks the functor laws.
     """
-    target_gen_arrow = dict(tgt.gen_arrow)
-    arrow_map = {}
-    for arrow, word in src.arrow_words.items():
-        x = word.src
-        factors = []
-        for g, inverted in word.factors:
-            image = gen_map.get(g)
-            if image is None:
-                continue
-            factors.append((image, inverted))
-        mapped = FPWord(object_map[x], object_map[word.tgt], tuple(factors))
-        arrow_map[arrow] = eval_fp_word(tgt.groupoid, target_gen_arrow, mapped,
-                                        object_map[x])
-    return GroupoidFunctor(src.groupoid, tgt.groupoid, object_map, arrow_map)
+    source, target = src.groupoid, tgt.groupoid
+    steps = {x: [] for x in source.objects}   # (step arrow, its image) by source
+    for g, arrow in src.gen_arrow.items():
+        x, y = source.arrows[arrow]
+        image = gen_map.get(g)
+        image = target.identities[object_map[x]] if image is None else tgt.gen_arrow[image]
+        steps[x].append((arrow, image))
+        steps[y].append((source.inverses[arrow], target.inverses[image]))
+    arrow_map = {e: target.identities[object_map[x]] for x, e in source.identities.items()}
+    pending = list(arrow_map)
+    while pending:
+        f = pending.pop()
+        for step, image in steps[source.arrows[f][1]]:
+            h = source.compose[(step, f)]
+            value = target.compose.get((image, arrow_map[f]))
+            if h not in arrow_map:
+                arrow_map[h] = value
+                pending.append(h)
+            elif arrow_map[h] != value:
+                raise InvalidFunctor(f"the generator images break a relation at {h!r}")
+    return GroupoidFunctor(source, target, object_map, arrow_map)
 
 
 # ---------------------------------------------------------------------------

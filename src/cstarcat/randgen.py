@@ -174,7 +174,7 @@ def random_weq(rng: np.random.Generator, cat: MatCStarCategory,
     return _conjugation_functor(cat, target, dict(zip(base, names)))
 
 
-def fattening_functor(cat: MatCStarCategory, model: SectorModel) -> StarFunctor:
+def fattening_functor(cat: MatCStarCategory) -> StarFunctor:
     """The inclusion of a sector-built category into the full matrix
     category on the same carriers: faithful, object-surjective, and full
     exactly when the category already had full homs."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -161,6 +162,10 @@ def json_text(obj) -> str:
 
 @dataclass
 class CheckEntry:
+    """One verdict of a report. A residual that overflowed to an infinity
+    or a NaN is written as ``null``, so reports stay standard JSON (RFC
+    8259 has no such numbers); the entry keeps its status and detail."""
+
     name: str
     status: str                 # "pass" | "fail" | "unknown"
     residual: float | None = None
@@ -170,7 +175,7 @@ class CheckEntry:
     def to_json(self) -> dict:
         out = {"name": self.name, "status": self.status}
         if self.residual is not None:
-            out["residual"] = self.residual
+            out["residual"] = self.residual if math.isfinite(self.residual) else None
         if self.witness is not None:
             out["witness"] = self.witness
         if self.detail:

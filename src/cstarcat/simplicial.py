@@ -307,7 +307,7 @@ def _subset_name(verts) -> str:
     return ".".join(str(v) for v in verts)
 
 
-def _build_from_subsets(n: int, subsets, dim_cap: int) -> FiniteSimplicialSet:
+def _build_from_subsets(subsets, dim_cap: int) -> FiniteSimplicialSet:
     out = FiniteSimplicialSet(dim_cap)
     chosen = sorted(subsets, key=lambda s: (len(s), s))
     for size, level in itertools.groupby(chosen, key=len):
@@ -346,7 +346,7 @@ def standard(kind: str, n: int, k: int | None = None, dim_cap: int = 3) -> Finit
         subsets = [s for s in allsets if s not in (full, omitted)]
     else:
         raise InvalidParams(f"unknown kind {kind!r}")
-    return _build_from_subsets(n, subsets, dim_cap)
+    return _build_from_subsets(subsets, dim_cap)
 
 
 def horn_inclusion(n: int, k: int, dim_cap: int = 3) -> SimplicialMap:

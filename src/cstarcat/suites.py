@@ -72,8 +72,8 @@ def functor_zoo(rng: np.random.Generator, count: int, tol: Tolerance = DEFAULT_T
             cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
             out.append((kind, rg.padding_functor(rng, cat)))
         elif kind == "fattening":
-            cat, model = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
-            out.append((kind, rg.fattening_functor(cat, model)))
+            cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3, tol=tol)
+            out.append((kind, rg.fattening_functor(cat)))
         elif kind == "projection":
             cat, model = rg.random_matcat(rng, n_objects=2, max_dim=4,
                                           n_sectors=2, tol=tol)

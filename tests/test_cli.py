@@ -317,6 +317,53 @@ def test_matrix_entry_too_large_for_a_float_exits_2(tmp_path):
     assert done.stderr.count("\n") == 1
 
 
+def repeated_names(case):
+    """A groupoid or fp-groupoid file with one name repeated."""
+    from cstarcat.groupoids import fundamental_groupoid
+
+    groupoid = cyclic_groupoid(2).to_json()
+    fp = fundamental_groupoid(standard("delta", 2)).to_json()
+    if case == "groupoid_object":
+        groupoid["objects"] = ["z", "z"]
+    elif case == "groupoid_arrow":
+        groupoid["arrows"].append(dict(groupoid["arrows"][0]))
+    elif case == "groupoid_arrow_with_another_src":
+        groupoid["objects"].append("w")
+        groupoid["arrows"].append(dict(groupoid["arrows"][0], src="w"))
+    elif case == "fp_object":
+        fp["objects"].insert(0, fp["objects"][0])
+    else:
+        fp["generators"].insert(0, dict(fp["generators"][0]))
+    return fp if case.startswith("fp_") else groupoid
+
+
+@pytest.mark.parametrize("case, command, message", [
+    ("groupoid_object", "validate", "duplicate object names"),
+    ("groupoid_object", "groupoid-cstar", "duplicate object names"),
+    ("groupoid_object", "nerve", "duplicate object names"),
+    ("groupoid_arrow", "validate", "duplicate arrow names"),
+    ("groupoid_arrow_with_another_src", "validate", "duplicate arrow names"),
+    ("fp_object", "validate", "duplicate object names"),
+    ("fp_generator", "validate", "duplicate generator names"),
+])
+def test_repeated_names_in_groupoid_files_exit_1(tmp_path, capsys, case, command, message):
+    assert run(command, write(tmp_path / "repeated.json", repeated_names(case))) == 1
+    assert capsys.readouterr().err == f"check failed: InvalidGroupoid: {message}\n"
+
+
+def test_an_overflowing_residual_is_written_as_null(tmp_path, capsys):
+    _command, data = valid_input_files()["functor"]
+    data["hom_maps"]["m1|m1"][3][1][1][0] = 1e155
+    assert run("validate", write(tmp_path / "huge.json", data)) == 1
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    nulls = [c for c in report["checks"] if "residual" in c and c["residual"] is None]
+    assert nulls and all(c["status"] == "fail" and c["detail"] for c in nulls)
+
+
 def malformed_lift(case, tmp_path):
     """A lift file with one defect: for the square modes a missing leg or a
     file that is not an object; for the generator mode a missing key, a

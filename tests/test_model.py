@@ -139,15 +139,15 @@ def test_hom_map_ranks_characterizations():
 def test_fibration_predicate_on_hand_built_functors():
     unit = full_matrix_category([1], ["pt"])
     rng = rg.rng_from_seed(3)
-    cat, model = rg.random_matcat(rng, n_objects=2, max_dim=3)
+    cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3)
     _target, conj = rg.conjugate_category(rng, cat)
     for functor in (identity_functor(unit), identity_functor(cat), conj,
                     collapse_with_kernel()):
         assert md.is_fibration(functor)
     # a fattening that is not full on End fails (i)
     while all(cat.hom(x, x).dim == cat.obj(x).dim ** 2 for x in cat.object_names):
-        cat, model = rg.random_matcat(rng, n_objects=2, max_dim=3)
-    fattening = rg.fattening_functor(cat, model)
+        cat, _ = rg.random_matcat(rng, n_objects=2, max_dim=3)
+    fattening = rg.fattening_functor(cat)
     assert not full_and_faithful(fattening)[0] and not md.is_fibration(fattening)
     # C -> M_2 is faithful and object-surjective but not onto on End
     assert not md.is_fibration(scalar_into_m2())

@@ -23,6 +23,7 @@ from cstarcat.linalg import is_unitary
 from cstarcat.simplicial import (
     FiniteSimplicialSet,
     SimplexRef,
+    SimplicialMap,
     canon_degens,
     horn_inclusion,
     standard,
@@ -306,6 +307,29 @@ def test_pi_sends_higher_horn_inclusions_to_isomorphisms():
             for x, y in functor.source.pairs():
                 assert functor.source.hom(x, y).dim == functor.target.hom(
                     functor.object_map[x], functor.object_map[y]).dim
+
+
+def degeneracy_of_the_edge():
+    """The simplicial map Delta[1] -> Delta[0] collapsing the edge."""
+    edge, point = standard("delta", 1, dim_cap=2), standard("delta", 0, dim_cap=2)
+    vertex = point.ref(0, "0")
+    return SimplicialMap(edge, point, {0: {"0": vertex, "1": vertex},
+                                       1: {"0.1": vertex.degenerate_by(0)}})
+
+
+@pytest.mark.parametrize("smap", [horn_inclusion(n, k, dim_cap=3)
+                                  for n in (2, 3) for k in range(n + 1)]
+                         + [degeneracy_of_the_edge()])
+def test_pi_map_sends_each_generator_arrow_to_its_image(smap):
+    _functor, gfunctor = ho.pi_map(smap)
+    src = gp.normalize_fp(gp.fundamental_groupoid(smap.source))
+    tgt = gp.normalize_fp(gp.fundamental_groupoid(smap.target))
+    assert src.gen_arrow
+    for edge, arrow in src.gen_arrow.items():
+        image = smap.apply(smap.source.ref(1, edge))
+        expected = tgt.groupoid.identities[image.base] if image.degenerate \
+            else tgt.gen_arrow[image.base]
+        assert gfunctor.arrow_map[arrow] == expected
 
 
 def test_pi_of_edge_horn_matches_unit_inclusion():
