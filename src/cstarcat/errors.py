@@ -37,12 +37,8 @@ class NotSquare(CStarCatError):
 
 # --- presentations ----------------------------------------------------------
 
-class InvalidQuiver(CStarCatError):
-    """Quiver references undeclared objects or repeats arrow names."""
-
-
 class NotParallel(CStarCatError):
-    """Two functors (or relation sides) do not share source and target."""
+    """Two functors do not share source and target."""
 
 
 class RelationFailed(CStarCatError):

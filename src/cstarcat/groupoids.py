@@ -584,7 +584,9 @@ def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
 @dataclass(frozen=True)
 class FPWord:
     """Composable word of generator factors (gen, inverted), listed in
-    composition order (leftmost applied last); empty = identity at src."""
+    composition order (leftmost applied last); empty = identity at src.
+    ``presentations`` reads the flag as the adjoint, which for a unitary is
+    the inverse."""
 
     src: str
     tgt: str
@@ -647,9 +649,13 @@ class FPGroupoid:
         """Read a presented-groupoid file; a JSON shape error raises
         ``MalformedInput``, a repeated name or a word that does not compose
         ``InvalidGroupoid``."""
+        def letter(f):
+            if type(f["inv"]) is not bool:
+                raise TypeError(f"inv of {f!r} must be true or false")
+            return f["gen"], f["inv"]
+
         def word(w):
-            return FPWord(w["src"], w["tgt"],
-                          tuple((f["gen"], f["inv"]) for f in w["word"]))
+            return FPWord(w["src"], w["tgt"], tuple(letter(f) for f in w["word"]))
 
         try:
             objects = list(data["objects"])

@@ -43,7 +43,7 @@ class Tolerance:
     ``bound(scales)``, and since ``bound`` is ``eps_abs * max(1, scales)``,
     a residual at most ``eps_abs`` passes whatever the scales are. So
     ``close``, ``Subspace.contains`` and the relation check of
-    ``presentations.Evaluation`` compute the residual first and the operand
+    ``presentations.evaluate`` compute the residual first and the operand
     norms only when it exceeds ``eps_abs``; the verdicts are those of the
     scaled comparison."""
 

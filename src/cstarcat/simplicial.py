@@ -84,7 +84,9 @@ class FiniteSimplicialSet:
         """Insert the ``dim``-simplices ``entries``, pairs (name, faces), in
         listing order. Each must have a new name and, above dimension 0,
         dim + 1 face refs (hashable ``SimplexRef`` values) of dimension
-        dim - 1 into stored simplices.
+        dim - 1 into stored simplices, each with a degeneracy word that
+        applies: strictly decreasing, every index >= 0 and the outermost
+        <= dim - 2.
 
         Each entry is checked and inserted in turn, so the first failing
         entry raises the error it meets first and the entries before it
@@ -114,6 +116,12 @@ class FiniteSimplicialSet:
                         base, base_dim, degens = face
                         if base_dim + len(degens) != dim - 1:
                             raise InvalidSimplicialSet(f"face of {name!r} has wrong dimension")
+                        top = dim - 1
+                        for j in degens:
+                            if not 0 <= j < top:
+                                raise InvalidSimplicialSet(
+                                    f"face of {name!r} has a degeneracy word that does not apply")
+                            top = j
                         if base not in known.get(base_dim, ()):
                             raise InvalidSimplicialSet(f"face of {name!r} references "
                                                        f"unknown simplex {base!r}")
@@ -163,19 +171,9 @@ class FiniteSimplicialSet:
         for dim in sorted(d for d in self.simplices if d >= 2):
             pairs = [(i, j) for j in range(1, dim + 1) for i in range(j)]
             for name, faces in self.simplices[dim].items():
-                try:
-                    lower = [face_tuples[f] if f in face_tuples else
-                             face_tuples.setdefault(f, tuple(self.face(f, k) for k in range(dim)))
-                             for f in faces]
-                except InvalidParams:
-                    # a face ref whose degeneracy word does not apply: redo the
-                    # check face by face, so the error the face-by-face order
-                    # meets first is the one raised
-                    ref = SimplexRef(name, dim)
-                    for i, j in pairs:
-                        self.face(self.face(ref, j), i)
-                        self.face(self.face(ref, i), j - 1)
-                    raise
+                lower = [face_tuples[f] if f in face_tuples else
+                         face_tuples.setdefault(f, tuple(self.face(f, k) for k in range(dim)))
+                         for f in faces]
                 for i, j in pairs:
                     if lower[j][i] != lower[i][j - 1]:
                         out.append(f"d_{i} d_{j} != d_{j-1} d_{i} at {name!r}")
@@ -214,6 +212,9 @@ class FiniteSimplicialSet:
             if not all(isinstance(entry["name"], str)
                        for _dim, level in levels for entry, _faces in level):
                 raise TypeError("simplex names must be strings")
+            if not all(type(entry.get("degenerate", False)) is bool
+                       for _dim, level in levels for entry, _faces in level):
+                raise TypeError("degenerate must be true or false")
         except (AttributeError, KeyError, TypeError) as err:
             raise MalformedInput(f"simplicial-set file: {type(err).__name__}: {err}") from None
         out = cls(dim_cap)

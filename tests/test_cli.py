@@ -245,6 +245,48 @@ def test_malformed_fp_groupoid_and_presentation_files_exit_2(tmp_path, case, mes
     assert message in done.stderr
 
 
+def non_boolean_flag(case, value):
+    """An fp-groupoid file whose one relation letter has ``inv`` = value, or
+    a simplicial-set file (Delta[1]) whose first edge has ``degenerate`` =
+    value."""
+    if case == "inv":
+        data = FPGroupoid(["x"], {"a": ("x", "x")}).to_json()
+        data["relations"] = [[{"src": "x", "tgt": "x", "word": [{"gen": "a", "inv": value}]},
+                              {"src": "x", "tgt": "x", "word": []}]]
+        return data
+    data = standard("delta", 1).to_json()
+    data["simplices"]["1"][0]["degenerate"] = value
+    return data
+
+
+@pytest.mark.parametrize("case, value", [
+    ("inv", "no"), ("inv", None), ("inv", 1), ("inv", "false"),
+    ("degenerate", 0), ("degenerate", None), ("degenerate", "false"), ("degenerate", 1),
+])
+def test_non_boolean_flags_exit_2(tmp_path, capsys, case, value):
+    assert run("validate", write(tmp_path / "flag.json", non_boolean_flag(case, value))) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be true or false" in err
+
+
+def triangle_with_degenerate_face(degens):
+    """Vertices v, w, an edge e: v -> w and a triangle with faces e, e and
+    the degeneracy word ``degens`` on v."""
+    return {"dim_cap": 2, "simplices": {
+        "0": [{"name": "v"}, {"name": "w"}],
+        "1": [{"name": "e", "faces": ["w", "v"]}],
+        "2": [{"name": "t", "faces": ["e", "e", {"of": "v", "degens": degens}]}]}}
+
+
+@pytest.mark.parametrize("degens", [[-1], [1], [5]])
+def test_inapplicable_degeneracy_word_exits_1(tmp_path, capsys, degens):
+    assert run("validate", write(tmp_path / "t.json", triangle_with_degenerate_face([0]))) == 0
+    capsys.readouterr()
+    assert run("validate", write(tmp_path / "t.json", triangle_with_degenerate_face(degens))) == 1
+    assert capsys.readouterr().err == ("check failed: InvalidSimplicialSet: face of 't' "
+                                       "has a degeneracy word that does not apply\n")
+
+
 def malformed_category_or_functor(case):
     """A category or functor file with one JSON shape error."""
     rng = rg.rng_from_seed(3)

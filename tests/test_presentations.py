@@ -1,112 +1,32 @@
-"""Tests for quivers, free *-categories, presentations and their evaluation,
-and for the composition-table check."""
+"""Tests for the isometry presentation of a finite category and its
+evaluation, and for the composition-table check."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cstarcat import groupoids as gp
 from cstarcat import presentations as pr
 from cstarcat import randgen as rg
 from cstarcat.categories import MatCStarCategory, full_matrix_category
-from cstarcat.groupoids import check_composition_table
+from cstarcat.groupoids import FPWord, check_composition_table
 from cstarcat.errors import (
     CStarCatError,
     InvalidCategory,
     InvalidFunctor,
     InvalidGroupoid,
-    InvalidQuiver,
     RelationFailed,
-    ShapeMismatch,
 )
 from cstarcat.linalg import Tolerance
 
 
-@pytest.fixture
-def loop_pres():
-    q = pr.Quiver(["x"], [("a", "x", "x"), ("b", "x", "x")])
-    return pr.PresentedStarCategory(q)
+def word(src, tgt, *factors):
+    """The word of ``(generator, adjoint)`` factors, in composition order."""
+    return FPWord(src, tgt, tuple(factors))
 
 
-@pytest.fixture
-def path_pres():
-    q = pr.Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "y", "z")])
-    return pr.PresentedStarCategory(q)
-
-
-# ---------------------------------------------------------------------------
-# elements of the free *-category
-
-
-def key(e):
-    """What an element is: its endpoints and its map from words to
-    coefficients."""
-    return e.src, e.tgt, e.terms
-
-
-def test_double_adjoint_cancels(loop_pres):
-    a = loop_pres.gen("a")
-    assert key(a.star().star()) == key(a)
-
-
-def test_adjoint_antidistributes_over_composition(path_pres):
-    a, b = path_pres.gen("a"), path_pres.gen("b")
-    assert key((b * a).star()) == key(a.star() * b.star())
-
-
-def test_units_elide(path_pres):
-    a = path_pres.gen("a")
-    assert key(path_pres.unit("y") * a) == key(a)
-    assert key(a * path_pres.unit("x")) == key(a)
-
-
-def test_composition_shape_checks(path_pres):
-    a, b = path_pres.gen("a"), path_pres.gen("b")
-    with pytest.raises(ShapeMismatch):
-        a * b  # a.b needs tgt(b) == src(a); here it is b.a that exists
-    assert (b * a).src == "x" and (b * a).tgt == "z"
-
-
-@st.composite
-def element_pairs(draw):
-    """Two random elements of the one-object free category on two loops,
-    their terms drawn from a shared pool of words so that products merge
-    like terms."""
-    q = pr.Quiver(["x"], [("a", "x", "x"), ("b", "x", "x")])
-    pres = pr.PresentedStarCategory(q)
-    pool = [next(iter(e.terms)) for e in
-            (pres.gen("a"), pres.gen("b"), pres.unit("x"),
-             pres.gen("a").star(), pres.gen("b") * pres.gen("a"))]
-
-    def rand_elem():
-        terms = {}
-        for _ in range(draw(st.integers(1, 3))):
-            z = complex(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
-            word = pool[draw(st.integers(0, len(pool) - 1))]
-            terms[word] = terms.get(word, 0j) + z
-        return pr.FreeStarElement("x", "x", terms)
-
-    return rand_elem(), rand_elem()
-
-
-@given(element_pairs())
-def test_normal_form_confluence(pair):
-    """Composition merges like terms into the same term map along either
-    association order."""
-    e1, e2 = pair
-    assert key(e1 * (e2 * e1)) == key((e1 * e2) * e1)
-
-
-def test_quiver_validation():
-    with pytest.raises(InvalidQuiver):
-        pr.Quiver(["x"], [("a", "x", "nope")])
-    with pytest.raises(InvalidQuiver):
-        pr.Quiver(["x"], [("a", "x", "x"), ("a", "x", "x")])
-    with pytest.raises(InvalidQuiver):
-        pr.Quiver(["x", "x"], [])
+U, U_STAR = ("u", False), ("u", True)
 
 
 # ---------------------------------------------------------------------------
@@ -115,39 +35,47 @@ def test_quiver_validation():
 
 def interval_presentation():
     """Two objects and one generating unitary: u*u = 1_0 and uu* = 1_1."""
-    q = pr.Quiver(["i0", "i1"], [("u", "i0", "i1")])
-    p = pr.PresentedStarCategory(q)
-    u = p.gen("u")
-    rels = [(u.star() * u, p.unit("i0")), (u * u.star(), p.unit("i1"))]
-    return pr.PresentedStarCategory(q, rels)
+    return pr.Presentation(["i0", "i1"], {"u": ("i0", "i1")}, [
+        (word("i0", "i0", U_STAR, U), word("i0", "i0")),
+        (word("i1", "i1", U, U_STAR), word("i1", "i1"))])
 
 
 def test_evaluate_accepts_unitary():
     p = interval_presentation()
     cat = full_matrix_category([2])
-    u = np.array([[0, 1], [1, 0]], dtype=complex)
+    u = np.array([[0, 1j], [1, 0]], dtype=complex)
     # oracle: u really is unitary
     assert np.allclose(u.conj().T @ u, np.eye(2)) and np.allclose(u @ u.conj().T, np.eye(2))
     ev = pr.evaluate(p, cat, {"i0": "m0", "i1": "m0"}, {"u": u})
-    e = p.gen("u").star() * p.gen("u")
-    assert np.allclose(ev(e), np.eye(2))
+    assert np.array_equal(ev(p.gen("u")), u)
+    assert np.array_equal(ev(word("i1", "i0", U_STAR)), u.conj().T)
+    assert np.array_equal(ev(word("i1", "i1", U, U, U_STAR)), u @ u @ u.conj().T)
+    assert np.array_equal(ev(word("i0", "i0")), np.eye(2))
+
+
+def test_evaluate_needs_every_assignment():
+    p, cat = interval_presentation(), full_matrix_category([2])
+    u = np.eye(2, dtype=complex)
+    with pytest.raises(InvalidFunctor, match="^object 'i1' has no assignment$"):
+        pr.evaluate(p, cat, {"i0": "m0"}, {"u": u})
+    with pytest.raises(InvalidFunctor, match="^arrow 'u' has no assignment$"):
+        pr.evaluate(p, cat, {"i0": "m0", "i1": "m0"}, {})
 
 
 def test_evaluate_rejects_violated_relation():
-    q = pr.Quiver(["x"], [("a", "x", "x")])
-    p0 = pr.PresentedStarCategory(q)
-    p = pr.PresentedStarCategory(q, [(p0.gen("a").star() * p0.gen("a"), p0.unit("x"))])
+    p = pr.Presentation(["x"], {"a": ("x", "x")},
+                        [(word("x", "x", ("a", True), ("a", False)), word("x", "x"))])
     cat = full_matrix_category([1])
-    with pytest.raises(RelationFailed) as err:
+    with pytest.raises(RelationFailed, match=r"^relation #0 fails with residual 3\.000e\+00$") \
+            as err:
         pr.evaluate(p, cat, {"x": "m0"}, {"a": np.array([[2.0]])})
-    assert err.value.witness["residual"] > 1.0
+    assert err.value.witness == {"relation": 0, "residual": 3.0}
 
 
 def two_loop_relation():
     """One object x, loops a and b, and the one relation a = b."""
-    q = pr.Quiver(["x"], [("a", "x", "x"), ("b", "x", "x")])
-    p0 = pr.PresentedStarCategory(q)
-    return pr.PresentedStarCategory(q, [(p0.gen("a"), p0.gen("b"))])
+    p = pr.Presentation(["x"], {"a": ("x", "x"), "b": ("x", "x")}, [])
+    return pr.Presentation(p.objects, p.generators, [(p.gen("a"), p.gen("b"))])
 
 
 def test_relation_check_agrees_with_the_scale_first_formula(rng):
@@ -189,37 +117,20 @@ def test_a_passing_relation_takes_one_operator_norm(monkeypatch):
 
     monkeypatch.setattr(pr, "op_norm", counted)
     pr.evaluate(p, gc.category, {x: x for x in g.objects},
-                {a.name: gc.embed[a.name] for a in p.quiver.arrows})
+                {name: gc.embed[name] for name in p.generators})
     assert len(calls) == len(p.relations)
 
 
 def test_evaluate_rejects_images_outside_homs():
-    p = pr.PresentedStarCategory(pr.Quiver(["x"], [("a", "x", "x")]))
+    p = pr.Presentation(["x"], {"a": ("x", "x")}, [])
     diag = MatCStarCategory(
         [("d", 2)],
         {("d", "d"): [np.diag([1.0, 0]).astype(complex),
                       np.diag([0, 1.0]).astype(complex)]},
     )
     off_diagonal = np.array([[0, 1.0], [0, 0]], dtype=complex)
-    with pytest.raises(InvalidFunctor):
+    with pytest.raises(InvalidFunctor, match="^image of 'a' is not in the target hom space$"):
         pr.evaluate(p, diag, {"x": "d"}, {"a": off_diagonal})
-
-
-def test_evaluated_norms_respect_certificates(rng):
-    p = interval_presentation()
-    cat = full_matrix_category([2])
-    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-    ev = pr.evaluate(p, cat, {"i0": "m0", "i1": "m0"}, {"u": u})
-    gen = p.gen("u")
-    loop = gen * gen.star()
-    words = [next(iter(w.terms)) for w in (gen, loop * gen, loop * loop * gen)]
-    for _ in range(25):
-        e = pr.FreeStarElement("i0", "i1", {
-            w: complex(rng.standard_normal(), rng.standard_normal()) for w in words})
-        # triangle inequality over the terms: with u unitary, each
-        # term z w has norm at most |z|
-        bound = sum(abs(z) for z in e.terms.values())
-        assert np.linalg.svd(ev(e), compute_uv=False)[0] <= bound + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +154,43 @@ def arrow_category():
 
 def test_ism_presentation_terminal():
     p = pr.ism_presentation(terminal_category())
-    assert p.quiver.objects == ["t"]
-    assert not p.quiver.arrows and not p.relations
+    assert p.objects == ["t"]
+    assert not p.generators and not p.relations
 
 
 def test_ism_presentation_single_arrow():
     p = pr.ism_presentation(arrow_category())
-    assert sorted(a.name for a in p.quiver.arrows) == ["c"]
+    assert p.generators == {"c": ("o0", "o1")}
     # exactly the isometry relation c*c = 1_{o0}; cc* is unconstrained
-    assert len(p.relations) == 1
-    lhs, rhs = p.relations[0]
-    assert key(lhs) == key(p.gen("c").star() * p.gen("c"))
-    assert key(rhs) == key(p.unit("o0"))
+    assert p.relations == [(word("o0", "o0", ("c", True), ("c", False)), word("o0", "o0"))]
+
+
+def groupoid_category(objects, table):
+    g = gp.connected_groupoid(objects, table)
+    return pr.FiniteCategory(g.objects, g.arrows, g.identities, g.compose)
+
+
+@pytest.mark.parametrize("cat", [
+    groupoid_category(["u", "v"], gp.cyclic_group_table(3)),
+    groupoid_category(["s"], rg.group_table("s3")),
+    arrow_category(),
+], ids=["z3_on_2_objects", "s3", "arrow"])
+def test_ism_relations_are_the_composable_pairs_then_the_isometries(cat):
+    identities = {cat.identities[x] for x in cat.objects}
+    gens = sorted(set(cat.arrows) - identities)
+    pairs = [(g, f) for (g, f) in cat.compose if g not in identities and f not in identities]
+    p = pr.ism_presentation(cat)
+    assert len(p.relations) == len(pairs) + len(gens)
+    assert list(p.generators) == gens
+    products = []
+    for g, f in sorted(pairs):
+        (fs, _ft), (_gs, gt) = cat.arrows[f], cat.arrows[g]
+        h = cat.compose[(g, f)]
+        products.append((word(fs, gt, (g, False), (f, False)),
+                         word(fs, fs) if h in identities else word(fs, gt, (h, False))))
+    isometries = [(word(cat.arrows[g][0], cat.arrows[g][0], (g, True), (g, False)),
+                   word(cat.arrows[g][0], cat.arrows[g][0])) for g in gens]
+    assert p.relations == products + isometries
 
 
 def test_ism_presentation_round_trip_with_membership():

@@ -129,19 +129,24 @@ def test_memoized_identity_check_matches_face_by_face_oracle(shape):
     assert broken >= 8
 
 
-def test_face_ref_with_inapplicable_degeneracy_raises_as_face_by_face():
-    # s_3 e and s_5 s_4 a do not apply: the first fails only at its face 2,
-    # the second at its face 0, which the face-by-face order reaches first
+def test_face_ref_with_inapplicable_degeneracy_is_rejected_at_insertion():
+    # a face of a 3-simplex needs a strictly decreasing word with indices
+    # >= 0 and the outermost at most 1: s_3 e, s_5 s_4 a, s_1 s_1 a, s_-1 e
+    # and s_0 s_1 a fail, and each rejected level stores nothing
     sset = FiniteSimplicialSet(3)
     sset.add_level(0, [("a", ()), ("b", ())])
     sset.add_level(1, [("e", (SimplexRef("b", 0), SimplexRef("a", 0)))])
-    sset.add_level(3, [("w", (SimplexRef("e", 1, (3,)), SimplexRef("a", 0, (5, 4)),
-                              SimplexRef("e", 1, (1,)), SimplexRef("e", 1, (0,))))])
-    with pytest.raises(InvalidParams) as want:
-        violations_face_by_face(sset)
-    with pytest.raises(InvalidParams) as got:
-        sset.identity_violations()
-    assert str(got.value) == str(want.value) == "vertices have no faces"
+    good = (SimplexRef("e", 1, (1,)), SimplexRef("e", 1, (0,)),
+            SimplexRef("a", 0, (1, 0)), SimplexRef("e", 1, (1,)))
+    for bad in (SimplexRef("e", 1, (3,)), SimplexRef("a", 0, (5, 4)),
+                SimplexRef("a", 0, (1, 1)), SimplexRef("e", 1, (-1,)),
+                SimplexRef("a", 0, (0, 1))):
+        with pytest.raises(InvalidSimplicialSet,
+                           match="^face of 'w' has a degeneracy word that does not apply$"):
+            sset.add_level(3, [("w", (bad,) + good[1:])])
+        assert 3 not in sset.simplices
+    sset.add_level(3, [("w", good)])
+    assert sset.identity_violations() == violations_face_by_face(sset)
 
 
 def test_from_json_reads_only_the_listed_dimensions_up_to_dim_cap():
@@ -172,6 +177,10 @@ def insert_one_by_one(sset, dim, name, faces=()):
         for base, base_dim, degens in faces:
             if base_dim + len(degens) != dim - 1:
                 raise InvalidSimplicialSet(f"face of {name!r} has wrong dimension")
+            if degens != tuple(sorted(set(degens), reverse=True)) or \
+                    any(j < 0 or j > dim - 2 for j in degens):
+                raise InvalidSimplicialSet(
+                    f"face of {name!r} has a degeneracy word that does not apply")
             if base not in known.get(base_dim, ()):
                 raise InvalidSimplicialSet(f"face of {name!r} references "
                                            f"unknown simplex {base!r}")
@@ -209,6 +218,11 @@ FAILING_LEVELS = {
     "shared_bad_ref_first_met_late": (
         2, [("t", (E, E, E)), ("u", (E, E, SimplexRef("z", 1))),
             ("v", (SimplexRef("z", 1), E, E))]),
+    "inapplicable_degeneracy": (2, [("t", (E, E, E)), ("u", (E, E, A.degenerate_by(0))),
+                                    ("v", (E, E, SimplexRef("a", 0, (1,))))]),
+    "inapplicable_before_unknown": (2, [("t", (E, SimplexRef("z", 0, (-1,)), E))]),
+    "unknown_face_slot_before_inapplicable": (
+        2, [("t", (SimplexRef("z", 1), SimplexRef("a", 0, (2,)), E))]),
     # the entry after the failing one is not a (name, faces) pair
     "bad_face_then_malformed_entry": (
         1, [("f", EDGE), ("g", (A, SimplexRef("z", 0))), ("h", EDGE, "extra")]),
