@@ -524,6 +524,14 @@ def hom_map_rank(functor: StarFunctor, x: str, y: str) -> tuple[int, int, int]:
     return sdim, tdim, rank
 
 
+def is_fully_faithful(functor: StarFunctor):
+    """(verdict, witness pair or None): every hom map bijective, by ranks."""
+    for x, y, sdim, tdim, rank in hom_map_ranks(functor):
+        if rank != sdim or rank != tdim:
+            return False, (x, y)
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # unitarization and unitary isomorphism
 

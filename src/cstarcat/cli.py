@@ -16,12 +16,13 @@ verdicts and witnesses sample nothing the seed reaches, so the flag changes
 no byte of their output.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or parse
-error, 3 unknown-only (a coset enumeration ran out of budget, or a vertex
-group was shown infinite by its abelianization before any enumeration, as
-for pi of the circle), 4 internal error (any other exception, such as
-running out of memory). stderr holds
-one line: the status line, or the error. Commands run with numpy's
-floating-point warnings off, so an overflow shows only in the verdicts.
+error, or an --output that cannot be written, 3 unknown-only (a coset
+enumeration ran out of budget, or a vertex group was shown infinite by its
+abelianization before any enumeration, as for pi of the circle), 4
+internal error (any other exception, such as running out of memory).
+stderr holds one line: the status line, or the error. Commands run with
+numpy's floating-point warnings off, so an overflow shows only in the
+verdicts.
 """
 
 from __future__ import annotations
@@ -449,9 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
                 help="emit a random instance file", artifact=True)
     p.add_argument("--kind", choices=["random_groupoid", "random_matcat",
                                       "random_weq"], required=True)
-    p.add_argument("--objects", type=int, default=2)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--dims", type=str, default=None)
+    p.add_argument("--objects", type=int, default=2,
+                   help="number of objects of a random_groupoid or random_weq "
+                        "(1 to 5)")
+    p.add_argument("--order", type=int, default=2,
+                   help="largest vertex-group order of a random_groupoid (1 to 8)")
+    p.add_argument("--dims", type=str, default=None,
+                   help="comma-separated integers for random_matcat (default "
+                        "2,3): their count sets the number of objects (at most "
+                        "5) and their largest (at most 6) the largest carrier; "
+                        "each carrier is drawn up to that cap, so --dims 6,6 "
+                        "and --dims 1,6 ask for the same")
 
     return parser
 
@@ -484,7 +493,11 @@ def main(argv=None) -> int:
     except Exception as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 4
-    return _emit(report, args, started)
+    try:
+        return _emit(report, args, started)
+    except OSError as err:
+        print(f"cannot write the output: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -37,10 +37,6 @@ class NotSquare(CStarCatError):
 
 # --- presentations ----------------------------------------------------------
 
-class NotParallel(CStarCatError):
-    """Two functors do not share source and target."""
-
-
 class RelationFailed(CStarCatError):
     """A representation violates one of the presentation's relations."""
 
@@ -49,11 +45,15 @@ class RelationFailed(CStarCatError):
         self.witness = witness
 
 
+# --- matrix categories ------------------------------------------------------
+
 class InvalidCategory(CStarCatError):
     """A (C*- or plain finite) category fails its structural checks."""
 
 
-# --- matrix categories ------------------------------------------------------
+class NotParallel(CStarCatError):
+    """Two functors do not share source and target."""
+
 
 class InvalidFunctor(CStarCatError):
     """Functor data violates the *-functor laws."""

@@ -26,7 +26,7 @@ import numpy as np
 from .categories import (
     MatCStarCategory,
     StarFunctor,
-    hom_map_ranks,
+    is_fully_faithful,
     pair_name,
     tensor_max,
     validate_functor,
@@ -69,6 +69,14 @@ class UnionFind:
         for x in self.parent:
             groups.setdefault(self.find(x), []).append(x)
         return [sorted(groups[root]) for root in sorted(groups)]
+
+
+def _components(objects, ends) -> list[list[str]]:
+    """The classes of ``objects`` joined by the (src, tgt) pairs ``ends``."""
+    classes = UnionFind(objects)
+    for s, t in ends:
+        classes.union(s, t)
+    return classes.classes()
 
 
 def check_composition_table(objects, arrows, identities, compose, error):
@@ -171,14 +179,18 @@ class FiniteGroupoid:
     ``check_composition_table`` (whose Light's test runs on arrow indices,
     not names) and by the two-sided inverse law.
 
+    ``inverses`` is required: each constructor builds it with its tables,
+    and the groupoid file names each arrow's ``inv``. Left out,
+    ``identities`` is the first idempotent loop at each object.
+
     Construction also builds the endpoint index ``_ends``: (src, tgt) to the
     sorted names of the arrows src -> tgt. ``hom``, ``arrows_into``, the
-    identity and inverse searches and ``nerve`` read it instead of scanning
-    every arrow. ``to_json`` walks the sorted arrows, and for each g the
-    sorted arrows into src(g), so it writes ``compose`` in sorted order
-    without sorting the pairs."""
+    identity search and ``nerve`` read it instead of scanning every arrow.
+    ``to_json`` walks the sorted arrows, and for each g the sorted arrows
+    into src(g), so it writes ``compose`` in sorted order without sorting
+    the pairs."""
 
-    def __init__(self, objects, arrows, compose, identities=None, inverses=None,
+    def __init__(self, objects, arrows, compose, inverses, identities=None,
                  check: bool = True):
         self.objects = list(objects)
         self.arrows = {name: (src, tgt) for name, (src, tgt) in arrows.items()}
@@ -187,7 +199,7 @@ class FiniteGroupoid:
         for name in sorted(self.arrows):
             self._ends.setdefault(self.arrows[name], []).append(name)
         self.identities = identities if identities is not None else self._find_identities()
-        self.inverses = inverses if inverses is not None else self._find_inverses()
+        self.inverses = inverses
         if check:
             self._validate()
 
@@ -196,14 +208,6 @@ class FiniteGroupoid:
         a groupoid has no other idempotent, and ``_validate`` checks it."""
         return {x: next((e for e in self.hom(x, x) if self.compose.get((e, e)) == e), None)
                 for x in self.objects}
-
-    def _find_inverses(self):
-        """The first left inverse of each arrow f in name order, g with g.f
-        the identity at src(f), or None; ``_validate`` checks the two-sided
-        law."""
-        return {f: next((g for g in self.hom(tgt, src)
-                         if self.compose.get((g, f)) == self.identities.get(src)), None)
-                for f, (src, tgt) in self.arrows.items()}
 
     def _validate(self):
         if len(set(self.objects)) != len(self.objects):
@@ -229,10 +233,7 @@ class FiniteGroupoid:
         return [f for s, t in sorted(self._ends) if t == x for f in self._ends[(s, t)]]
 
     def components(self) -> list[list[str]]:
-        classes = UnionFind(self.objects)
-        for s, t in self.arrows.values():
-            classes.union(s, t)
-        return classes.classes()
+        return _components(self.objects, self.arrows.values())
 
     # -- serialization ----------------------------------------------------------
 
@@ -260,7 +261,9 @@ class FiniteGroupoid:
         keys are split in one pass; the first that does not split in two
         raises ``split_pair_key``'s error."""
         try:
-            objects = list(data["objects"])
+            objects = data["objects"]
+            if not isinstance(objects, list):
+                raise TypeError("objects must be a list")
             arrows = {a["name"]: (a["src"], a["tgt"]) for a in data["arrows"]}
             inverses = {a["name"]: a["inv"] for a in data["arrows"]}
             items = data["compose"].items()
@@ -279,7 +282,7 @@ class FiniteGroupoid:
             raise MalformedInput("groupoid file: object and arrow names must be strings")
         if len(arrows) != len(data["arrows"]):
             raise InvalidGroupoid("duplicate arrow names")
-        return cls(objects, arrows, compose, inverses=inverses)
+        return cls(objects, arrows, compose, inverses)
 
     def __repr__(self):
         return f"FiniteGroupoid({len(self.objects)} objects, {len(self.arrows)} arrows)"
@@ -321,7 +324,7 @@ def connected_groupoid(objects, group_table, check: bool = True) -> FiniteGroupo
     identities = {x: names[(x, x)][ident] for x in objects}
     inverses = {name: names[(y, x)][inv[h]]
                 for (x, y), row in names.items() for h, name in enumerate(row)}
-    return FiniteGroupoid(objects, arrows, compose, identities, inverses, check=check)
+    return FiniteGroupoid(objects, arrows, compose, inverses, identities, check=check)
 
 
 def disjoint_groupoid(parts) -> FiniteGroupoid:
@@ -334,7 +337,7 @@ def disjoint_groupoid(parts) -> FiniteGroupoid:
         compose.update(part.compose)
         identities.update(part.identities)
         inverses.update(part.inverses)
-    return FiniteGroupoid(objects, arrows, compose, identities, inverses, check=False)
+    return FiniteGroupoid(objects, arrows, compose, inverses, identities, check=False)
 
 
 def cyclic_group_table(n: int):
@@ -342,28 +345,19 @@ def cyclic_group_table(n: int):
 
 
 def terminal_groupoid() -> FiniteGroupoid:
-    return FiniteGroupoid(["pt"], {"id": ("pt", "pt")}, {("id", "id"): "id"})
+    """One object pt and its identity pt>0>pt."""
+    return connected_groupoid(["pt"], [[0]])
 
 
 def interval_groupoid() -> FiniteGroupoid:
-    """Two objects i0, i1 and a single isomorphism u between them."""
-    arrows = {"e0": ("i0", "i0"), "e1": ("i1", "i1"),
-              "u": ("i0", "i1"), "u_inv": ("i1", "i0")}
-    compose = {
-        ("e0", "e0"): "e0", ("e1", "e1"): "e1",
-        ("u", "e0"): "u", ("e1", "u"): "u",
-        ("u_inv", "e1"): "u_inv", ("e0", "u_inv"): "u_inv",
-        ("u_inv", "u"): "e0", ("u", "u_inv"): "e1",
-    }
-    return FiniteGroupoid(["i0", "i1"], arrows, compose)
+    """Objects i0, i1 and one isomorphism i0>0>i1, with inverse i1>0>i0: the
+    connected groupoid with trivial vertex group."""
+    return connected_groupoid(["i0", "i1"], [[0]])
 
 
 def cyclic_groupoid(n: int) -> FiniteGroupoid:
-    """The group Z/n as a one-object groupoid with arrows g0..g(n-1)."""
-    arrows = {f"g{i}": ("z", "z") for i in range(n)}
-    compose = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}"
-               for i in range(n) for j in range(n)}
-    return FiniteGroupoid(["z"], arrows, compose)
+    """The group Z/n as a one-object groupoid, z>h>z standing for h."""
+    return connected_groupoid(["z"], cyclic_group_table(n))
 
 
 def product_groupoid(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
@@ -379,37 +373,18 @@ def product_groupoid(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
                   for x in g1.objects for y in g2.objects}
     inverses = {pair_name(a, b): pair_name(g1.inverses[a], g2.inverses[b])
                 for a in g1.arrows for b in g2.arrows}
-    return FiniteGroupoid(objects, arrows, compose, identities, inverses, check=False)
+    return FiniteGroupoid(objects, arrows, compose, inverses, identities, check=False)
 
 
+@dataclass
 class GroupoidFunctor:
-    """Object and arrow maps preserving sources, targets, identities and
-    composition; all laws checked exhaustively."""
+    """The object and arrow maps of a functor between finite groupoids.
+    ``induced_functor`` builds it and proves the functor laws."""
 
-    def __init__(self, source: FiniteGroupoid, target: FiniteGroupoid,
-                 object_map: dict, arrow_map: dict):
-        self.source = source
-        self.target = target
-        self.object_map = dict(object_map)
-        self.arrow_map = dict(arrow_map)
-        self._validate()
-
-    def _validate(self):
-        for x in self.source.objects:
-            if self.object_map.get(x) not in self.target.objects:
-                raise InvalidFunctor(f"object {x!r} unmapped")
-        for f, (s, t) in self.source.arrows.items():
-            img = self.arrow_map.get(f)
-            if img is None or self.target.arrows.get(img) != \
-                    (self.object_map[s], self.object_map[t]):
-                raise InvalidFunctor(f"arrow {f!r} unmapped or endpoint-breaking")
-        for x, e in self.source.identities.items():
-            if self.arrow_map[e] != self.target.identities[self.object_map[x]]:
-                raise InvalidFunctor(f"identity at {x!r} not preserved")
-        for (g, f), h in self.source.compose.items():
-            if self.target.compose[(self.arrow_map[g], self.arrow_map[f])] != \
-                    self.arrow_map[h]:
-                raise InvalidFunctor(f"composition {g!r}.{f!r} not preserved")
+    source: FiniteGroupoid
+    target: FiniteGroupoid
+    object_map: dict
+    arrow_map: dict
 
     def is_isomorphism(self) -> bool:
         objs = set(self.object_map.values())
@@ -571,8 +546,7 @@ def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
 
     objects_ok = len(gc.category.objects) == len(tensor.objects) and \
         set(object_map.values()) == set(tensor.object_names)
-    fully_faithful = all(rank == sdim == tdim
-                         for _x, _y, sdim, tdim, rank in hom_map_ranks(functor))
+    fully_faithful = is_fully_faithful(functor)[0]
     residual = max((v.residual for v in validate_functor(functor)), default=0.0)
     return functor, ComparisonVerdict(objects_ok, fully_faithful, residual, tol.composite)
 
@@ -627,10 +601,7 @@ class FPGroupoid:
             raise InvalidGroupoid("word endpoints disagree")
 
     def components(self) -> list[list[str]]:
-        classes = UnionFind(self.objects)
-        for s, t in self.generators.values():
-            classes.union(s, t)
-        return classes.classes()
+        return _components(self.objects, self.generators.values())
 
     def to_json(self) -> dict:
         def word_json(w):
@@ -658,7 +629,9 @@ class FPGroupoid:
             return FPWord(w["src"], w["tgt"], tuple(letter(f) for f in w["word"]))
 
         try:
-            objects = list(data["objects"])
+            objects = data["objects"]
+            if not isinstance(objects, list):
+                raise TypeError("objects must be a list")
             gens = {g["name"]: (g["src"], g["tgt"]) for g in data["generators"]}
             rels = [(word(l), word(r)) for l, r in data.get("relations", [])]
         except (AttributeError, KeyError, TypeError, ValueError) as err:
@@ -814,11 +787,20 @@ def induced_functor(src: NormalizeResult, tgt: NormalizeResult,
     (P. J. Higgins, *Categories and Groupoids*, 1971): each generator arrow
     goes to its image, and its inverse to the inverse image. Every arrow is
     reached from the identities by composing with these steps, and its
-    image is the composite of the images. Every step out of every arrow is
-    checked, so a ``gen_map`` that breaks a relation raises
-    ``InvalidFunctor``; ``GroupoidFunctor`` checks the functor laws.
+    image is the composite of the images. An object map that misses the
+    target, a ``gen_map`` that breaks a relation and an image with the
+    wrong endpoints raise ``InvalidFunctor``.
+
+    That proves the functor laws. Identities go to identities by
+    construction. Every arrow g is a word of steps applied to the identity
+    at its source, and F(s.f) = F(s).F(f) is checked for every step s out
+    of every arrow f, so F(g.f) = F(g).F(f) by induction on the word:
+    F(s.g'.f) = F(s).F(g'.f) = F(s).F(g').F(f) = F(s.g').F(f).
     """
     source, target = src.groupoid, tgt.groupoid
+    for x in source.objects:
+        if object_map.get(x) not in target.objects:
+            raise InvalidFunctor(f"object {x!r} unmapped")
     steps = {x: [] for x in source.objects}   # (step arrow, its image) by source
     for g, arrow in src.gen_arrow.items():
         x, y = source.arrows[arrow]
@@ -838,7 +820,11 @@ def induced_functor(src: NormalizeResult, tgt: NormalizeResult,
                 pending.append(h)
             elif arrow_map[h] != value:
                 raise InvalidFunctor(f"the generator images break a relation at {h!r}")
-    return GroupoidFunctor(source, target, object_map, arrow_map)
+    for f, (s, t) in source.arrows.items():
+        image = arrow_map.get(f)
+        if image is None or target.arrows.get(image) != (object_map[s], object_map[t]):
+            raise InvalidFunctor(f"arrow {f!r} unmapped or endpoint-breaking")
+    return GroupoidFunctor(source, target, dict(object_map), arrow_map)
 
 
 # ---------------------------------------------------------------------------

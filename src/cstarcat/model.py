@@ -54,9 +54,9 @@ from .categories import (
     functor_distance,
     functors_agree,
     hom_map_rank,
-    hom_map_ranks,
     identity_functor,
     inclusion_functor,
+    is_fully_faithful,
     iso_exists,
     isomorphic,
     unitarize,
@@ -80,14 +80,6 @@ def is_cofibration(functor: StarFunctor) -> bool:
     """Injective on objects, checked exactly."""
     images = list(functor.object_map.values())
     return len(set(images)) == len(images)
-
-
-def is_fully_faithful(functor: StarFunctor):
-    """(verdict, witness pair or None): every hom map bijective, by ranks."""
-    for x, y, sdim, tdim, rank in hom_map_ranks(functor):
-        if rank != sdim or rank != tdim:
-            return False, (x, y)
-    return True, None
 
 
 @dataclass

@@ -59,12 +59,12 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_process(*argv):
+def run_process(*argv, cwd=None):
     """The CLI in a fresh interpreter, so anything escaping main is seen on
     stderr as it would be from the shell."""
     env = dict(os.environ, PYTHONPATH=str(Path(cstarcat.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "cstarcat.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, cwd=cwd)
 
 
 def test_main_runs_the_command_bound_in_the_module(monkeypatch, z2_file):
@@ -109,6 +109,21 @@ def test_parse_error_exits_2(tmp_path, capsys):
     garbled.write_text("{not json", encoding="utf-8")
     assert run("validate", str(garbled)) == 2
     assert run("validate", str(tmp_path / "missing.json")) == 2
+
+
+@pytest.mark.parametrize("argv, output", [
+    (("generate", "--kind", "random_matcat"), "missing/dir/x.json"),
+    (("verify-axioms", "--suite", "simplicial"), "."),
+])
+def test_an_unwritable_output_exits_2(tmp_path, argv, output):
+    """An --output in a missing directory, or naming a directory, is a usage
+    error: one stderr line, no traceback, and nothing on stdout."""
+    done = run_process(*argv, "--output", output, cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("cannot write the output: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_only_exits_3(tmp_path, capsys):
@@ -170,7 +185,7 @@ def test_pair_key_without_bar_exits_2(tmp_path, kind):
         command = "validate"
     else:
         data = cyclic_groupoid(2).to_json()
-        data["compose"]["g1g1"] = data["compose"].pop("g1|g1")
+        data["compose"]["z>1>zz>1>z"] = data["compose"].pop("z>1>z|z>1>z")
         command = "groupoid-cstar"
     done = run_process(command, write(tmp_path / "bad.json", data))
     assert done.returncode == 2
@@ -197,6 +212,12 @@ def malformed(case):
     """A groupoid or simplicial-set file with one JSON shape error."""
     groupoid = cyclic_groupoid(2).to_json()
     sset = standard("delta", 2).to_json()
+    if case == "objects_is_a_string":
+        groupoid["objects"] = "z"
+        return groupoid
+    if case == "objects_is_an_object":
+        groupoid["objects"] = {"z": 5}
+        return groupoid
     if case == "compose_is_a_list":
         groupoid["compose"] = list(groupoid["compose"].items())
         return groupoid
@@ -211,6 +232,8 @@ def malformed(case):
 
 
 @pytest.mark.parametrize("case, command", [
+    ("objects_is_a_string", "validate"),
+    ("objects_is_an_object", "groupoid-cstar"),
     ("compose_is_a_list", "validate"),
     ("arrow_entry_is_a_number", "groupoid-cstar"),
     ("dim_cap_is_a_string", "validate"),
@@ -228,6 +251,10 @@ def malformed_fp(case):
     data = FPGroupoid(["x"], {"a": ("x", "x")}).to_json()
     if case == "fp_generators_is_a_number":
         data["generators"] = 5
+    elif case == "fp_objects_is_a_string":
+        data["objects"] = "x"
+    elif case == "fp_objects_is_an_object":
+        data["objects"] = {"x": 5}
     else:
         data["relations"] = [[{"src": "x", "tgt": "x", "word": [{"gen": ["a"], "inv": False}]},
                               {"src": "x", "tgt": "x", "word": []}]]
@@ -236,6 +263,8 @@ def malformed_fp(case):
 
 @pytest.mark.parametrize("case, message", [
     ("fp_generators_is_a_number", "fp-groupoid file: TypeError"),
+    ("fp_objects_is_a_string", "fp-groupoid file: TypeError: objects must be a list"),
+    ("fp_objects_is_an_object", "fp-groupoid file: TypeError: objects must be a list"),
     ("fp_generator_name_is_a_list", "names must be strings"),
 ])
 def test_malformed_fp_groupoid_and_presentation_files_exit_2(tmp_path, case, message):

@@ -30,7 +30,9 @@ from cstarcat.simplicial import FiniteSimplicialSet, SimplexRef, standard
 
 def test_interval_groupoid_shape():
     interval = gp.interval_groupoid()
-    assert interval.hom("i0", "i1") == ["u"]
+    assert interval.hom("i0", "i1") == ["i0>0>i1"]
+    assert interval.inverses["i0>0>i1"] == "i1>0>i0"
+    assert interval.identities == {"i0": "i0>0>i0", "i1": "i1>0>i1"}
     assert len(interval.arrows) == 4
 
 
@@ -46,16 +48,20 @@ def test_product_with_terminal_and_counting():
 
 
 def test_groupoid_validation_catches_bad_tables():
-    with pytest.raises(InvalidGroupoid):
-        gp.FiniteGroupoid(["x"], {"e": ("x", "x"), "g": ("x", "x")},
-                          {("e", "e"): "e", ("e", "g"): "g",
-                           ("g", "e"): "g", ("g", "g"): "g"})  # g has no inverse
+    for g_inverse in ("e", "g"):  # g has no inverse, whichever arrow is named
+        with pytest.raises(InvalidGroupoid, match="inverse of 'g'"):
+            gp.FiniteGroupoid(["x"], {"e": ("x", "x"), "g": ("x", "x")},
+                              {("e", "e"): "e", ("e", "g"): "g",
+                               ("g", "e"): "g", ("g", "g"): "g"},
+                              {"e": "e", "g": g_inverse})
     z2 = gp.cyclic_groupoid(2)
-    with pytest.raises(InvalidGroupoid):  # g1 is a loop but not neutral
-        gp.FiniteGroupoid(z2.objects, z2.arrows, z2.compose, identities={"z": "g1"})
-    for inverses in ({}, {"g0": "g0"}):  # no arrow has an inverse, or g1 lacks one
+    with pytest.raises(InvalidGroupoid):  # z>1>z is a loop but not neutral
+        gp.FiniteGroupoid(z2.objects, z2.arrows, z2.compose, z2.inverses,
+                          identities={"z": "z>1>z"})
+    # no arrow has an inverse, or z>1>z lacks one
+    for inverses in ({}, {"z>0>z": "z>0>z"}):
         with pytest.raises(InvalidGroupoid):
-            gp.FiniteGroupoid(z2.objects, z2.arrows, z2.compose, inverses=inverses)
+            gp.FiniteGroupoid(z2.objects, z2.arrows, z2.compose, inverses)
 
 
 @pytest.mark.parametrize("unit, p", [("e", "p"), ("e", "a")])
@@ -66,7 +72,7 @@ def test_an_idempotent_that_is_not_an_identity_is_rejected(unit, p):
     compose = {(unit, unit): unit, (unit, p): p, (p, unit): p, (p, p): p}
     arrows = {unit: ("x", "x"), p: ("x", "x")}
     with pytest.raises(InvalidGroupoid):
-        gp.FiniteGroupoid(["x"], arrows, compose)
+        gp.FiniteGroupoid(["x"], arrows, compose, {f: f for f in arrows})
     data = {"objects": ["x"],
             "arrows": [{"name": f, "src": "x", "tgt": "x", "inv": f} for f in arrows],
             "compose": {f"{g}|{f}": h for (g, f), h in compose.items()}}
@@ -76,22 +82,23 @@ def test_an_idempotent_that_is_not_an_identity_is_rejected(unit, p):
 
 def test_a_file_whose_inverse_names_the_wrong_arrow_is_rejected():
     data = gp.cyclic_groupoid(3).to_json()
-    assert data["arrows"][1] == {"name": "g1", "src": "z", "tgt": "z", "inv": "g2"}
-    data["arrows"][1]["inv"] = "g1"
-    with pytest.raises(InvalidGroupoid, match="inverse of 'g1'"):
+    assert data["arrows"][1] == {"name": "z>1>z", "src": "z", "tgt": "z", "inv": "z>2>z"}
+    data["arrows"][1]["inv"] = "z>1>z"
+    with pytest.raises(InvalidGroupoid, match="inverse of 'z>1>z'"):
         gp.FiniteGroupoid.from_json(data)
 
 
 def test_components_are_ordered_by_least_member():
     # three components, declared out of sorted order
     objects = ["q", "p", "r", "b", "a"]
-    arrows, compose = {}, {}
+    arrows, compose, inverses = {}, {}, {}
     for part in (["q", "b"], ["p"], ["r", "a"]):
         piece = gp.connected_groupoid(part, [[0]])
         arrows.update(piece.arrows)
         compose.update(piece.compose)
+        inverses.update(piece.inverses)
     expected = [["a", "r"], ["b", "q"], ["p"]]
-    assert gp.FiniteGroupoid(objects, arrows, compose).components() == expected
+    assert gp.FiniteGroupoid(objects, arrows, compose, inverses).components() == expected
     pres = gp.FPGroupoid(objects, {"u": ("q", "b"), "v": ("r", "a")})
     assert pres.components() == expected
 
@@ -169,7 +176,7 @@ def test_from_json_rejects_a_key_without_exactly_one_bar(bad):
     pairs = list(blob["compose"].items())
     # the malformed key comes second, after a well-formed one and before a
     # second malformed one: the first malformed key is the one named
-    blob["compose"] = dict([pairs[0], (bad, "g0"), ("x|y|z|w", "g0"), *pairs[1:]])
+    blob["compose"] = dict([pairs[0], (bad, "z>0>z"), ("x|y|z|w", "z>0>z"), *pairs[1:]])
     with pytest.raises(MalformedInput) as raised:
         gp.FiniteGroupoid.from_json(json.loads(json.dumps(blob)))
     assert str(raised.value) == f"key {bad!r} is not of the form 'a|b'"
@@ -215,9 +222,9 @@ def test_endpoint_index_agrees_with_brute_force_scans():
             assert len(two_sided) == 1
             inverses[f] = two_sided[0]
         assert g.identities == identities and g.inverses == inverses
-        # the searches run again when neither table is given
-        again = gp.FiniteGroupoid(g.objects, g.arrows, g.compose)
-        assert again.identities == identities and again.inverses == inverses
+        # the identity search runs again when no identity table is given
+        again = gp.FiniteGroupoid(g.objects, g.arrows, g.compose, inverses)
+        assert again.identities == identities
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +235,7 @@ def test_cstar_max_z2_is_the_swap_matrix():
     # oracle, by hand: the regular representation of Z/2 sends the generator
     # to the permutation swapping the basis {e, g}
     gc = gp.cstar_max(gp.cyclic_groupoid(2))
-    assert np.array_equal(gc.embed["g1"], np.array([[0, 1], [1, 0]], dtype=complex))
+    assert np.array_equal(gc.embed["z>1>z"], np.array([[0, 1], [1, 0]], dtype=complex))
     assert gc.category.hom("z", "z").dim == 2
     assert validate_category(gc.category) == []
 
@@ -300,11 +307,11 @@ def test_sign_character_of_z2():
     gc = gp.cstar_max(z2)
     unit = full_matrix_category([1], ["pt"])
     rep = gp.UnitaryRep(z2, unit, {"z": "pt"},
-                        {"g0": np.eye(1), "g1": -np.eye(1)})
+                        {"z>0>z": np.eye(1), "z>1>z": -np.eye(1)})
     functor = gp.adjunction_extend(gc, rep)
     assert validate_functor(functor) == []
     # the linear extension respects g^2 = e through the character values
-    img = functor.apply("z", "z", gc.embed["g1"] @ gc.embed["g1"])
+    img = functor.apply("z", "z", gc.embed["z>1>z"] @ gc.embed["z>1>z"])
     assert np.allclose(img, np.eye(1))
 
 
@@ -330,18 +337,18 @@ def test_unitary_rep_rejects_non_unitary_images():
     unit = full_matrix_category([1], ["pt"])
     with pytest.raises(NotUnitary):
         gp.UnitaryRep(z2, unit, {"z": "pt"},
-                      {"g0": np.eye(1), "g1": 2 * np.eye(1)})
+                      {"z>0>z": np.eye(1), "z>1>z": 2 * np.eye(1)})
     with pytest.raises(InvalidFunctor):
         gp.UnitaryRep(z2, unit, {"z": "pt"},
-                      {"g0": np.eye(1), "g1": 1j * np.eye(1)})  # breaks g^2 = e
+                      {"z>0>z": np.eye(1), "z>1>z": 1j * np.eye(1)})  # breaks g^2 = e
 
 
 def test_unitary_rep_is_judged_by_its_categorys_tolerance():
     z2 = gp.cyclic_groupoid(2)
-    arrows = {"g0": np.eye(1), "g1": -(1 + 1e-5) * np.eye(1)}
+    arrows = {"z>0>z": np.eye(1), "z>1>z": -(1 + 1e-5) * np.eye(1)}
     loose = full_matrix_category([1], names=["pt"], tol=Tolerance(1e-3))
     rep = gp.UnitaryRep(z2, loose, {"z": "pt"}, arrows)
-    assert np.allclose(rep.arrow_map["g1"], arrows["g1"])
+    assert np.allclose(rep.arrow_map["z>1>z"], arrows["z>1>z"])
     with pytest.raises(NotUnitary):
         gp.UnitaryRep(z2, full_matrix_category([1], ["pt"]), {"z": "pt"}, arrows)
 
@@ -357,8 +364,8 @@ def test_naturality_detected_on_generators_suffices():
     f1 = gp.adjunction_extend(gc, rep1)
     f2 = gp.adjunction_extend(
         gc, gp.UnitaryRep(z2, rep1.category, rep1.object_map,
-                          {g: rep1.arrow_map["g1"] @ rep1.arrow_map[g]
-                           @ rep1.arrow_map["g1"].conj().T for g in z2.arrows}))
+                          {g: rep1.arrow_map["z>1>z"] @ rep1.arrow_map[g]
+                           @ rep1.arrow_map["z>1>z"].conj().T for g in z2.arrows}))
     space = nat_space(f1, f2)
     # one object, so each transformation is its one component
     for alpha in space.basis:
@@ -601,9 +608,10 @@ def cyclic_presentation(obj, gen, n, extra=None):
     return gp.normalize_fp(gp.FPGroupoid([obj], gens, rels))
 
 
-def test_induced_functor_follows_the_generator_images():
+def test_induced_functor_follows_the_generator_images(functor_law_violations):
     z6, z3 = cyclic_presentation("x", "a", 6), cyclic_presentation("y", "t", 3)
     functor = gp.induced_functor(z6, z3, {"x": "y"}, {"a": "t"})
+    assert functor_law_violations(functor) == []
     # a^k goes to t^(k mod 3)
     power, image = z6.groupoid.identities["x"], z3.groupoid.identities["y"]
     for _ in range(6):
@@ -611,6 +619,7 @@ def test_induced_functor_follows_the_generator_images():
         power = z6.groupoid.compose[(z6.gen_arrow["a"], power)]
         image = z3.groupoid.compose[(z3.gen_arrow["t"], image)]
     trivial = gp.induced_functor(z6, z3, {"x": "y"}, {"a": None})
+    assert functor_law_violations(trivial) == []
     assert set(trivial.arrow_map.values()) == {z3.groupoid.identities["y"]}
 
 
@@ -624,6 +633,37 @@ def test_a_gen_map_that_breaks_a_relation_raises(source, gen_map):
     z2 = cyclic_presentation("y", "t", 2)
     with pytest.raises(InvalidFunctor):
         gp.induced_functor(source, z2, {"x": "y"}, gen_map)
+
+
+@pytest.mark.parametrize("object_map", [{"x0": "y0"}, {"x0": "y0", "x1": "q"}])
+def test_an_object_map_that_misses_the_target_raises(object_map):
+    edge = gp.normalize_fp(gp.FPGroupoid(["x0", "x1"], {"e": ("x0", "x1")}))
+    target = gp.normalize_fp(gp.FPGroupoid(["y0", "y1"], {"t": ("y0", "y1")}))
+    with pytest.raises(InvalidFunctor, match="object 'x1' unmapped"):
+        gp.induced_functor(edge, target, object_map, {"e": "t"})
+
+
+def test_the_functor_law_oracle_sees_each_broken_law(functor_law_violations):
+    """The oracle is not vacuous: it names each arrow that loses its
+    endpoints, each identity and each composite that is not preserved."""
+    interval = gp.interval_groupoid()
+    collapsed = gp.GroupoidFunctor(interval, interval, {"i0": "i0", "i1": "i0"},
+                                   {f: f for f in interval.arrows})
+    assert [bad for bad in functor_law_violations(collapsed) if bad[0] != "compose"] == [
+        ("endpoints", "i0>0>i1"), ("endpoints", "i1>0>i0"), ("endpoints", "i1>0>i1"),
+        ("identity", "i1")]
+    z2 = gp.cyclic_groupoid(2)
+    broken = gp.GroupoidFunctor(z2, z2, {"z": "z"}, {f: "z>1>z" for f in z2.arrows})
+    # 1 goes to g, and every composite breaks: its image is g while g.g = 1
+    assert functor_law_violations(broken) == [("identity", "z")] + [
+        ("compose", g, f) for g, f in z2.compose]
+    # on Z/3, 1 -> 1, g -> g and g^2 -> g: each composite of two
+    # non-identity arrows breaks
+    z3 = gp.cyclic_groupoid(3)
+    arrow_map = {"z>0>z": "z>0>z", "z>1>z": "z>1>z", "z>2>z": "z>1>z"}
+    broken = gp.GroupoidFunctor(z3, z3, {"z": "z"}, arrow_map)
+    assert functor_law_violations(broken) == [
+        ("compose", g, f) for g, f in z3.compose if "z>0>z" not in (g, f)]
 
 
 def test_fp_groupoid_json_round_trip():

@@ -459,7 +459,7 @@ def test_mutated_groupoid_tables_get_the_per_entry_errors_and_messages():
             expected = same_verdicts(table)
             objects, arrows, identities, compose = table
             with pytest.raises(InvalidGroupoid) as raised:
-                gp.FiniteGroupoid(objects, arrows, compose, identities, g.inverses)
+                gp.FiniteGroupoid(objects, arrows, compose, g.inverses, identities)
             if expected is not None:
                 assert str(raised.value) == expected[1]
             checked += 1

@@ -334,8 +334,9 @@ def degeneracy_of_the_edge():
 @pytest.mark.parametrize("smap", [horn_inclusion(n, k, dim_cap=3)
                                   for n in (2, 3) for k in range(n + 1)]
                          + [degeneracy_of_the_edge()])
-def test_pi_map_sends_each_generator_arrow_to_its_image(smap):
+def test_pi_map_sends_each_generator_arrow_to_its_image(smap, functor_law_violations):
     _functor, gfunctor = ho.pi_map(smap)
+    assert functor_law_violations(gfunctor) == []
     src = gp.normalize_fp(gp.fundamental_groupoid(smap.source))
     tgt = gp.normalize_fp(gp.fundamental_groupoid(smap.target))
     assert src.gen_arrow
