@@ -51,6 +51,7 @@ from .linalg import (
     herm_funcalc,
     hs_norm,
     kernel_rows,
+    kron_stack,
     matrix_from_json,
     matrix_to_json,
     smallest_singular_value,
@@ -822,9 +823,8 @@ def tensor_max(a: MatCStarCategory, b: MatCStarCategory, check: bool = True) -> 
     homs = {}
     for (x1, y1), s1 in a.homs.items():
         for (x2, y2), s2 in b.homs.items():
-            basis = [np.kron(m1, m2) for m1 in s1.basis for m2 in s2.basis]
-            key = (pair_name(x1, x2), pair_name(y1, y2))
-            homs[key] = Subspace(*basis[0].shape, basis)
+            basis = kron_stack(s1.basis, s2.basis)
+            homs[(pair_name(x1, x2), pair_name(y1, y2))] = Subspace(*basis.shape[1:], basis)
     return MatCStarCategory(objects, homs, tol=a.tol)
 
 
@@ -841,7 +841,7 @@ def tensor_functor(f: StarFunctor, g: StarFunctor) -> StarFunctor:
     for (x1, y1), imgs1 in f.hom_maps.items():
         for (x2, y2), imgs2 in g.hom_maps.items():
             key = (pair_name(x1, x2), pair_name(y1, y2))
-            hom_maps[key] = [np.kron(m1, m2) for m1 in imgs1 for m2 in imgs2]
+            hom_maps[key] = kron_stack(imgs1, imgs2)
     return StarFunctor(source, target, object_map, hom_maps)
 
 
@@ -885,24 +885,23 @@ def curry(f: StarFunctor, a: MatCStarCategory, b: MatCStarCategory) -> StarFunct
     for x in a.objects:
         object_map = {y.name: f.object_map[pair_name(x.name, y.name)] for y in b.objects}
         hom_maps = {}
+        eye = np.eye(x.dim, dtype=np.complex128)[None]
         for (y, y2), space in b.homs.items():
-            eye = np.eye(x.dim, dtype=np.complex128)
             pair = (pair_name(x.name, y), pair_name(x.name, y2))
-            hom_maps[(y, y2)] = [f.apply(pair[0], pair[1], np.kron(eye, m))
-                                 for m in space.basis]
+            hom_maps[(y, y2)] = [f.apply(pair[0], pair[1], k)
+                                 for k in kron_stack(eye, space.basis)]
         functors[x.name] = StarFunctor(b, f.target, object_map, hom_maps)
     target = FunctorCategory(functors)
     hom_maps = {}
     for (x, x2), space in a.homs.items():
         rows, cols = carrier_blocks(functors[x2]), carrier_blocks(functors[x])
-        images = []
-        for m in space.basis:
-            alpha = np.zeros((target.obj(x2).dim, target.obj(x).dim), dtype=np.complex128)
-            for y in b.objects:
-                eye = np.eye(y.dim, dtype=np.complex128)
-                pair = (pair_name(x, y.name), pair_name(x2, y.name))
-                alpha[rows[y.name], cols[y.name]] = f.apply(pair[0], pair[1], np.kron(m, eye))
-            images.append(alpha)
+        images = np.zeros((space.dim, target.obj(x2).dim, target.obj(x).dim),
+                          dtype=np.complex128)
+        for y in b.objects:
+            eye = np.eye(y.dim, dtype=np.complex128)[None]
+            pair = (pair_name(x, y.name), pair_name(x2, y.name))
+            for alpha, k in zip(images, kron_stack(space.basis, eye)):
+                alpha[rows[y.name], cols[y.name]] = f.apply(pair[0], pair[1], k)
         hom_maps[(x, x2)] = images
     return StarFunctor(a, target, {x: x for x in a.object_names}, hom_maps)
 

@@ -34,7 +34,8 @@ from .categories import (
 from .coset import DEFAULT_BUDGET, CosetEnumeration, exponent_rank, invert_word
 from .errors import InvalidFunctor, InvalidGroupoid, MalformedInput, NotUnitary
 from . import linalg
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, as_matrix, split_pair_key
+from .linalg import (DEFAULT_TOL, Subspace, Tolerance, as_matrix, kron_stack,
+                     split_pair_key)
 from .simplicial import FiniteSimplicialSet, SimplexRef
 
 
@@ -77,6 +78,14 @@ def _components(objects, ends) -> list[list[str]]:
     for s, t in ends:
         classes.union(s, t)
     return classes.classes()
+
+
+def _listed(value, what: str) -> list:
+    """``value`` if it is a JSON list; else the ``TypeError`` that the file
+    readers turn into ``MalformedInput``."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list")
+    return value
 
 
 def check_composition_table(objects, arrows, identities, compose, error):
@@ -261,9 +270,7 @@ class FiniteGroupoid:
         keys are split in one pass; the first that does not split in two
         raises ``split_pair_key``'s error."""
         try:
-            objects = data["objects"]
-            if not isinstance(objects, list):
-                raise TypeError("objects must be a list")
+            objects = _listed(data["objects"], "objects")
             arrows = {a["name"]: (a["src"], a["tgt"]) for a in data["arrows"]}
             inverses = {a["name"]: a["inv"] for a in data["arrows"]}
             items = data["compose"].items()
@@ -538,7 +545,7 @@ def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
 
     def image(a):
         a1, a2 = factors[a]
-        return np.kron(c1.embed[a1], c2.embed[a2])
+        return kron_stack(c1.embed[a1][None], c2.embed[a2][None])[0]
 
     object_map = {x: x for x in gc.category.object_names}
     hom_maps = dict(_regular_hom_maps(product, gc.carrier, image))
@@ -626,14 +633,17 @@ class FPGroupoid:
             return f["gen"], f["inv"]
 
         def word(w):
-            return FPWord(w["src"], w["tgt"], tuple(letter(f) for f in w["word"]))
+            return FPWord(w["src"], w["tgt"],
+                          tuple(letter(f) for f in _listed(w["word"], "word")))
+
+        def relation(pair):
+            lhs, rhs = _listed(pair, "relation")
+            return word(lhs), word(rhs)
 
         try:
-            objects = data["objects"]
-            if not isinstance(objects, list):
-                raise TypeError("objects must be a list")
+            objects = _listed(data["objects"], "objects")
             gens = {g["name"]: (g["src"], g["tgt"]) for g in data["generators"]}
-            rels = [(word(l), word(r)) for l, r in data.get("relations", [])]
+            rels = [relation(pair) for pair in _listed(data.get("relations", []), "relations")]
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise MalformedInput(f"fp-groupoid file: {type(err).__name__}: {err}") from None
         names = [*objects, *gens, *(end for ends in gens.values() for end in ends),

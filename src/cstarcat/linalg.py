@@ -2,12 +2,18 @@
 inverse square root, Hilbert-Schmidt subspaces of matrix spaces, and seeded
 search for invertible elements.
 
-All values are immutable after construction (stacked matrices are read-only)
-and all routines are pure given explicit seeds. Matrices are numpy
-``complex128`` arrays throughout; equality is tolerance-based, with residuals
-compared against ``eps_abs * max(1, operand norms)``. A ``Subspace`` holds
-no tolerance: a category carries the ``Tolerance``, and its functors and hom
-spaces are judged by it (``Subspace.contains`` takes it as an argument).
+All values are immutable after construction and all routines are pure given
+explicit seeds. Matrices are numpy ``complex128`` arrays throughout; equality
+is tolerance-based, with residuals compared against
+``eps_abs * max(1, operand norms)``. A ``Subspace`` holds no tolerance: a
+category carries the ``Tolerance``, and its functors and hom spaces are
+judged by it (``Subspace.contains`` takes it as an argument).
+
+A stack of matrices (a hom basis, or a functor's images of one) is one
+read-only ``(n, rows, cols)`` array, checked once and stored once:
+``stack_matrices`` checks shape and finiteness for the whole stack at once,
+returns a stack that is already read-only shared, and copies any other input
+once. ``kron_stack`` is the one Kronecker kernel of the package.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise InvalidMatrix(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidMatrix("matrix has non-finite entries")
     if rows is not None and a.shape != (rows, cols):
         raise ShapeMismatch(f"expected shape {(rows, cols)}, got {a.shape}")
@@ -88,13 +94,43 @@ def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray
 
 
 def stack_matrices(mats, rows: int, cols: int) -> np.ndarray:
-    """One read-only ``(n, rows, cols)`` complex128 array of ``n`` matrices,
-    each checked by ``as_matrix``: the one storage of a hom basis and of a
-    functor's images of it."""
-    mats = [as_matrix(m, rows, cols) for m in mats]
-    stacked = np.stack(mats) if mats else np.zeros((0, rows, cols), dtype=np.complex128)
-    stacked.flags.writeable = False
-    return stacked
+    """One read-only ``(n, rows, cols)`` complex128 array of ``n`` matrices:
+    the one storage of a hom basis and of a functor's images of it.
+
+    The stack is checked once: one conversion and one finiteness test for
+    all ``n`` matrices. A complex128 array of that shape that is already
+    read-only is returned shared, and any other input is copied once. When
+    the check fails, each matrix is checked by ``as_matrix`` in turn, so the
+    error names the first bad one."""
+    if isinstance(mats, np.ndarray) and mats.dtype == np.complex128 \
+            and not mats.flags.writeable:
+        stack = mats
+    else:
+        if not isinstance(mats, np.ndarray):
+            mats = list(mats)
+        try:
+            stack = np.array(mats, dtype=np.complex128)
+        except (OverflowError, TypeError, ValueError):
+            stack = None
+    if stack is None or stack.ndim != 3 or stack.shape[1:] != (rows, cols) \
+            or not np.isfinite(stack).all():
+        checked = [as_matrix(m, rows, cols) for m in mats]
+        stack = np.stack(checked) if checked else np.zeros((0, rows, cols), dtype=np.complex128)
+    stack.flags.writeable = False
+    return stack
+
+
+def kron_stack(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The Kronecker products of a stack of ``n1`` matrices with a stack of
+    ``n2``, first-major: entry ``i * n2 + j`` is ``np.kron(first[i],
+    second[j])``, each entry the same one product, formed for all pairs by
+    one broadcast multiply. Read-only, like every stack."""
+    n1, r1, c1 = first.shape
+    n2, r2, c2 = second.shape
+    out = first[:, None, :, None, :, None] * second[None, :, None, :, None, :]
+    out = out.reshape(n1 * n2, r1 * r2, c1 * c2)
+    out.flags.writeable = False
+    return out
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -230,7 +266,9 @@ class Subspace:
 
     def coords(self, m) -> np.ndarray:
         """HS coordinates of ``m`` with respect to the stored basis."""
-        a = as_matrix(m, self.ambient_rows, self.ambient_cols)
+        return self._coords(as_matrix(m, self.ambient_rows, self.ambient_cols))
+
+    def _coords(self, a: np.ndarray) -> np.ndarray:
         # conj(R) a = conj(R conj(a)): conjugates one vector, not the basis
         return (self._rows @ a.ravel().conj()).conj()
 
@@ -241,17 +279,17 @@ class Subspace:
         flat = c @ self._rows
         return flat.reshape(self.ambient_rows, self.ambient_cols)
 
-    def project(self, m) -> np.ndarray:
-        return self.from_coords(self.coords(m))
-
     def residual(self, m) -> float:
         """HS distance from ``m`` to the subspace."""
-        a = as_matrix(m, self.ambient_rows, self.ambient_cols)
-        return hs_norm(a - self.project(a))
+        return self._residual(as_matrix(m, self.ambient_rows, self.ambient_cols))
+
+    def _residual(self, a: np.ndarray) -> float:
+        """``residual`` of a matrix already checked by ``as_matrix``."""
+        return hs_norm(a - (self._coords(a) @ self._rows).reshape(a.shape))
 
     def contains(self, m, tol: Tolerance) -> bool:
         a = as_matrix(m, self.ambient_rows, self.ambient_cols)
-        residual = self.residual(a)
+        residual = self._residual(a)
         return residual <= tol.eps_abs or residual <= tol.bound(hs_norm(a))
 
     def __repr__(self):

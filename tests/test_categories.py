@@ -563,6 +563,14 @@ def test_identity_functor_validates():
     assert cat.validate_functor(cat.identity_functor(full)) == []
 
 
+def test_identity_functor_shares_the_stored_bases(rng):
+    source, _ = rg.random_matcat(rng, n_objects=2, max_dim=3)
+    ident = cat.identity_functor(source)
+    assert ident.hom_maps.keys() == source.homs.keys()
+    for pair, maps in ident.hom_maps.items():
+        assert np.shares_memory(maps, source.homs[pair].basis)
+
+
 def test_functor_holds_each_hom_map_as_one_read_only_array():
     full = cat.full_matrix_category([2, 3])
     ident = cat.identity_functor(full)

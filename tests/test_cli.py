@@ -249,15 +249,22 @@ def test_malformed_groupoid_and_sset_files_exit_2(tmp_path, case, command):
 def malformed_fp(case):
     """An fp-groupoid file with one shape or value error."""
     data = FPGroupoid(["x"], {"a": ("x", "x")}).to_json()
+    empty = {"src": "x", "tgt": "x", "word": []}
     if case == "fp_generators_is_a_number":
         data["generators"] = 5
     elif case == "fp_objects_is_a_string":
         data["objects"] = "x"
     elif case == "fp_objects_is_an_object":
         data["objects"] = {"x": 5}
+    elif case == "fp_relations_is_a_string":
+        data["relations"] = ""
+    elif case == "fp_relation_is_an_object":
+        data["relations"] = [{"lhs": empty, "rhs": empty}]
+    elif case == "fp_word_is_an_object":
+        data["relations"] = [[dict(empty, word={}), empty]]
     else:
         data["relations"] = [[{"src": "x", "tgt": "x", "word": [{"gen": ["a"], "inv": False}]},
-                              {"src": "x", "tgt": "x", "word": []}]]
+                              empty]]
     return data
 
 
@@ -265,6 +272,9 @@ def malformed_fp(case):
     ("fp_generators_is_a_number", "fp-groupoid file: TypeError"),
     ("fp_objects_is_a_string", "fp-groupoid file: TypeError: objects must be a list"),
     ("fp_objects_is_an_object", "fp-groupoid file: TypeError: objects must be a list"),
+    ("fp_relations_is_a_string", "fp-groupoid file: TypeError: relations must be a list"),
+    ("fp_relation_is_an_object", "fp-groupoid file: TypeError: relation must be a list"),
+    ("fp_word_is_an_object", "fp-groupoid file: TypeError: word must be a list"),
     ("fp_generator_name_is_a_list", "names must be strings"),
 ])
 def test_malformed_fp_groupoid_and_presentation_files_exit_2(tmp_path, case, message):

@@ -26,11 +26,14 @@ from cstarcat.errors import (
 from cstarcat.linalg import (
     Subspace,
     Tolerance,
+    as_matrix,
     find_invertible,
     herm_funcalc,
+    kron_stack,
     matrix_from_json,
     matrix_to_json,
     op_norm,
+    stack_matrices,
     subspace_span,
 )
 
@@ -365,6 +368,75 @@ def test_subspace_checks_each_element_before_stacking():
         Subspace(2, 2, [np.eye(2), np.eye(3)])
 
 
+def raised(call):
+    """(type, message) of the exception ``call()`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return info.type, str(info.value)
+
+
+def bad_stacks():
+    """(name, matrices) of 2 x 2 stacks that ``stack_matrices`` must reject."""
+    eye = np.eye(2)
+    nan = np.eye(2, dtype=complex)
+    nan[1, 0] = np.nan
+    return [
+        ("non_finite_third", [eye, 2 * eye, nan]),
+        ("wrong_shape_second", [eye, np.eye(3), eye]),
+        ("one_d_entry", [eye, np.ones(2)]),
+        ("ragged_lists", [[[1, 0], [0, 1]], [[1, 0], [0]]]),
+        ("non_numeric", [eye, [["a", 0], [0, 1]]]),
+    ]
+
+
+@pytest.mark.parametrize("name, mats", bad_stacks())
+def test_stack_check_raises_what_the_per_matrix_check_raises(name, mats):
+    want = raised(lambda: [as_matrix(m, 2, 2) for m in mats])
+    assert raised(lambda: stack_matrices(mats, 2, 2)) == want
+
+
+def test_a_read_only_stack_is_shared_and_a_writable_one_copied(rng):
+    stack = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+    copied = stack_matrices(stack, 2, 4)
+    assert not np.shares_memory(copied, stack) and np.array_equal(copied, stack)
+    assert stack.flags.writeable and not copied.flags.writeable
+    assert stack_matrices(copied, 2, 4) is copied
+    stack.flags.writeable = False
+    assert np.shares_memory(stack_matrices(stack, 2, 4), stack)
+
+
+def test_a_read_only_stack_with_a_nan_is_rejected():
+    stack = np.zeros((2, 2, 2), dtype=complex)
+    stack[1, 0, 1] = np.nan
+    stack.flags.writeable = False
+    with pytest.raises(InvalidMatrix, match="non-finite"):
+        stack_matrices(stack, 2, 2)
+
+
+def test_an_empty_stack_has_the_given_shape():
+    for mats in ([], (), np.zeros((0, 2, 3), dtype=complex)):
+        stack = stack_matrices(mats, 2, 3)
+        assert stack.shape == (0, 2, 3) and not stack.flags.writeable
+
+
+@pytest.mark.parametrize("n1, shape1, n2, shape2", [
+    (3, (2, 2), 2, (3, 3)),
+    (2, (2, 3), 3, (4, 1)),
+    (1, (1, 1), 1, (1, 1)),
+    (1, (3, 2), 4, (2, 2)),
+    (0, (2, 2), 3, (2, 2)),
+    (2, (2, 2), 0, (1, 3)),
+])
+def test_kron_stack_equals_a_loop_of_np_kron(rng, n1, shape1, n2, shape2):
+    first = rng.standard_normal((n1, *shape1)) + 1j * rng.standard_normal((n1, *shape1))
+    second = rng.standard_normal((n2, *shape2)) + 1j * rng.standard_normal((n2, *shape2))
+    rows, cols = shape1[0] * shape2[0], shape1[1] * shape2[1]
+    loop = np.array([np.kron(a, b) for a in first for b in second]).reshape(-1, rows, cols)
+    out = kron_stack(first, second)
+    assert out.shape == (n1 * n2, rows, cols) and not out.flags.writeable
+    assert np.array_equal(out, loop)
+
+
 # ---------------------------------------------------------------------------
 # residual-first comparisons
 
@@ -401,10 +473,11 @@ def test_close_agrees_with_the_scale_first_formula(rng):
 def test_contains_agrees_with_the_scale_first_formula(rng):
     tol = Tolerance()
     space = subspace_span([rng.standard_normal((3, 4)) for _ in range(2)])
+    project = lambda m: space.from_coords(space.coords(m))  # noqa: E731
     between = 0
     for a, b in scaled_pairs(rng, 400):
         # an element of the norm of a, moved off the space by |b - a|
-        inside, off = space.project(a), (b - a) - space.project(b - a)
+        inside, off = project(a), (b - a) - project(b - a)
         m = inside * (np.linalg.norm(a) / np.linalg.norm(inside)) + \
             off * (np.linalg.norm(b - a) / np.linalg.norm(off))
         residual = space.residual(m)
