@@ -271,7 +271,7 @@ class FiniteGroupoid:
         raises ``split_pair_key``'s error."""
         try:
             objects = _listed(data["objects"], "objects")
-            arrows = {a["name"]: (a["src"], a["tgt"]) for a in data["arrows"]}
+            arrows = {a["name"]: (a["src"], a["tgt"]) for a in _listed(data["arrows"], "arrows")}
             inverses = {a["name"]: a["inv"] for a in data["arrows"]}
             items = data["compose"].items()
             keys = list(map(itemgetter(0), items))
@@ -487,14 +487,20 @@ class UnitaryRep:
                 raise InvalidFunctor(f"composition {g!r}.{f!r} not preserved")
 
 
+def regular_extension(gc: GroupoidCStar, target: MatCStarCategory, object_map: dict,
+                      image) -> StarFunctor:
+    """The *-functor out of ``gc.category`` on ``object_map`` that sends each
+    arrow g to the matrix ``image(g)``, linearly on the regular basis; unchecked."""
+    return StarFunctor(gc.category, target, object_map,
+                       dict(_regular_hom_maps(gc.groupoid, gc.carrier, image)))
+
+
 def adjunction_extend(gc: GroupoidCStar, rep: UnitaryRep) -> StarFunctor:
     """Extend a unitary representation of the groupoid to the *-functor out
     of its C*-category, linearly on the regular-representation basis."""
-    if rep.groupoid is not gc.groupoid:
-        if rep.groupoid.arrows != gc.groupoid.arrows:
-            raise InvalidFunctor("representation is of a different groupoid")
-    hom_maps = dict(_regular_hom_maps(gc.groupoid, gc.carrier, rep.arrow_map.__getitem__))
-    return StarFunctor(gc.category, rep.category, dict(rep.object_map), hom_maps)
+    if rep.groupoid is not gc.groupoid and rep.groupoid.arrows != gc.groupoid.arrows:
+        raise InvalidFunctor("representation is of a different groupoid")
+    return regular_extension(gc, rep.category, rep.object_map, rep.arrow_map.__getitem__)
 
 
 def adjunction_restrict(gc: GroupoidCStar, functor: StarFunctor) -> UnitaryRep:
@@ -548,8 +554,7 @@ def comparison_functor(g1: FiniteGroupoid, g2: FiniteGroupoid,
         return kron_stack(c1.embed[a1][None], c2.embed[a2][None])[0]
 
     object_map = {x: x for x in gc.category.object_names}
-    hom_maps = dict(_regular_hom_maps(product, gc.carrier, image))
-    functor = StarFunctor(gc.category, tensor, object_map, hom_maps)
+    functor = regular_extension(gc, tensor, object_map, image)
 
     objects_ok = len(gc.category.objects) == len(tensor.objects) and \
         set(object_map.values()) == set(tensor.object_names)
@@ -642,7 +647,8 @@ class FPGroupoid:
 
         try:
             objects = _listed(data["objects"], "objects")
-            gens = {g["name"]: (g["src"], g["tgt"]) for g in data["generators"]}
+            gens = {g["name"]: (g["src"], g["tgt"])
+                    for g in _listed(data["generators"], "generators")}
             rels = [relation(pair) for pair in _listed(data.get("relations", []), "relations")]
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise MalformedInput(f"fp-groupoid file: {type(err).__name__}: {err}") from None
@@ -798,14 +804,19 @@ def induced_functor(src: NormalizeResult, tgt: NormalizeResult,
     goes to its image, and its inverse to the inverse image. Every arrow is
     reached from the identities by composing with these steps, and its
     image is the composite of the images. An object map that misses the
-    target, a ``gen_map`` that breaks a relation and an image with the
-    wrong endpoints raise ``InvalidFunctor``.
+    target and a ``gen_map`` that breaks a relation, wrong endpoints
+    included, raise ``InvalidFunctor``.
 
     That proves the functor laws. Identities go to identities by
     construction. Every arrow g is a word of steps applied to the identity
     at its source, and F(s.f) = F(s).F(f) is checked for every step s out
     of every arrow f, so F(g.f) = F(g).F(f) by induction on the word:
-    F(s.g'.f) = F(s).F(g'.f) = F(s).F(g').F(f) = F(s.g').F(f).
+    F(s.g'.f) = F(s).F(g'.f) = F(s).F(g').F(f) = F(s.g').F(f). The walk
+    reaches every arrow, as ``normalize_fp``'s ``gen_arrow`` generates the
+    groupoid, and gives each the right endpoints: for each step s: x -> y
+    it checks 1_x = s^-1.(s.1_x) and 1_y = s.(s^-1.1_y), where a composite
+    that does not exist reads None and equals no identity, so F(s) runs
+    F(x) -> F(y), and so does every composite of step images.
     """
     source, target = src.groupoid, tgt.groupoid
     for x in source.objects:
@@ -830,10 +841,6 @@ def induced_functor(src: NormalizeResult, tgt: NormalizeResult,
                 pending.append(h)
             elif arrow_map[h] != value:
                 raise InvalidFunctor(f"the generator images break a relation at {h!r}")
-    for f, (s, t) in source.arrows.items():
-        image = arrow_map.get(f)
-        if image is None or target.arrows.get(image) != (object_map[s], object_map[t]):
-            raise InvalidFunctor(f"arrow {f!r} unmapped or endpoint-breaking")
     return GroupoidFunctor(source, target, dict(object_map), arrow_map)
 
 

@@ -1,10 +1,10 @@
 """Simplicial structure over matrix C*-categories.
 
 pi sends a simplicial set to the C*-category of its normalized fundamental
-groupoid, and pi_map a simplicial map to the induced *-functor. Tensors and
-cotensors with a simplicial set reduce to the maximal tensor product with
-pi(K) and to the ``FunctorCategory`` C*(pi K, A) on the constant probe
-functors.
+groupoid, and pi_map a simplicial map to the induced *-functor, unchecked as
+its images are exact. Tensors and cotensors with a simplicial set reduce to
+the maximal tensor product with pi(K) and to the ``FunctorCategory``
+C*(pi K, A) on the constant probe functors.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .groupoids import (
     fundamental_groupoid,
     induced_functor,
     normalize_fp,
+    regular_extension,
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .simplicial import FiniteSimplicialSet, SimplicialMap
@@ -39,7 +40,9 @@ def pi(sset: FiniteSimplicialSet, bound: int = DEFAULT_BUDGET,
 def pi_map(smap: SimplicialMap, bound: int = DEFAULT_BUDGET,
            tol: Tolerance = DEFAULT_TOL):
     """Transport a simplicial map K -> L to the induced *-functor
-    pi(K) -> pi(L). Returns (functor, groupoid functor)."""
+    pi(K) -> pi(L). Returns (functor, groupoid functor). An arrow goes to the
+    0/1 permutation matrix of its image, exactly unitary with exact products,
+    and ``induced_functor`` proves the laws exactly: nothing is re-checked."""
     src = normalize_fp(fundamental_groupoid(smap.source), bound)
     tgt = normalize_fp(fundamental_groupoid(smap.target), bound)
     if not (src.finite and tgt.finite):
@@ -53,13 +56,10 @@ def pi_map(smap: SimplicialMap, bound: int = DEFAULT_BUDGET,
         gen_map[edge] = None if image.degenerate else image.base
     gfunctor = induced_functor(src, tgt, object_map, gen_map)
 
-    gc_src = cstar_max(src.groupoid, tol=tol)
-    gc_tgt = cstar_max(tgt.groupoid, tol=tol)
-    rep = UnitaryRep(
-        src.groupoid, gc_tgt.category,
-        {x: gfunctor.object_map[x] for x in src.groupoid.objects},
-        {a: gc_tgt.embed[gfunctor.arrow_map[a]] for a in src.groupoid.arrows})
-    return adjunction_extend(gc_src, rep), gfunctor
+    gc_src, gc_tgt = cstar_max(src.groupoid, tol=tol), cstar_max(tgt.groupoid, tol=tol)
+    functor = regular_extension(gc_src, gc_tgt.category, gfunctor.object_map,
+                                lambda a: gc_tgt.embed[gfunctor.arrow_map[a]])
+    return functor, gfunctor
 
 
 def tensor_with_sset(cat: MatCStarCategory, sset: FiniteSimplicialSet,

@@ -246,6 +246,20 @@ def test_malformed_groupoid_and_sset_files_exit_2(tmp_path, case, command):
     assert "file:" in done.stderr
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("groupoid", "arrows", ""),
+    ("groupoid", "arrows", {}),
+    ("fp-groupoid", "generators", ""),
+    ("fp-groupoid", "generators", {}),
+], ids=["arrows-string", "arrows-object", "generators-string", "generators-object"])
+def test_a_table_that_is_not_a_list_exits_2(tmp_path, capsys, kind, field, value):
+    data = (cyclic_groupoid(2) if kind == "groupoid" else
+            FPGroupoid(["x"], {"a": ("x", "x")})).to_json()
+    data[field] = value
+    assert run("validate", write(tmp_path / "bad.json", data)) == 2
+    assert f"{kind} file: TypeError: {field} must be a list" in capsys.readouterr().err
+
+
 def malformed_fp(case):
     """An fp-groupoid file with one shape or value error."""
     data = FPGroupoid(["x"], {"a": ("x", "x")}).to_json()
@@ -892,7 +906,7 @@ def test_adjunction_rounds_that_cannot_be_built_are_failing_entries():
 
 @pytest.mark.parametrize("suite, count, names", [
     ("mc", 60, ("mc4[",)),
-    ("simplicial", 11, ("pi_horn_iso[", "tensor_unit_dims", "cotensor_point_homs")),
+    ("simplicial", 11, ("tensor_unit_dims", "cotensor_point_homs")),
 ])
 def test_suite_checks_that_cannot_be_built_are_failing_entries(suite, count, names):
     done = run_process("verify-axioms", "--suite", suite, "--seed", "0",
@@ -905,6 +919,19 @@ def test_suite_checks_that_cannot_be_built_are_failing_entries(suite, count, nam
     unbuilt = [c for c in report["checks"] if ": " in c.get("detail", "")]
     assert all(c["status"] == "fail" and "residual" not in c for c in unbuilt)
     assert {n for n in names for c in unbuilt if c["name"].startswith(n)} == set(names)
+
+
+@pytest.mark.parametrize("tolerance", ["1e-16", "1e-18"])
+@pytest.mark.parametrize("seed", ["0", "4"])
+def test_pi_checks_pass_at_any_tolerance(capsys, seed, tolerance):
+    """pi(f) is built from exact permutation images, so the combinatorial pi
+    verdicts do not depend on the tolerance, however small."""
+    assert run("verify-axioms", "--suite", "simplicial", "--seed", seed,
+               "--tolerance", tolerance) in (0, 1)
+    statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    pi_names = [f"pi_horn_iso[{n},{k}]" for n in (2, 3) for k in range(n + 1)]
+    pi_names += ["pi_edge_is_interval", "pi_circle_unbounded"]
+    assert {name: statuses[name] for name in pi_names} == dict.fromkeys(pi_names, "pass")
 
 
 # ---------------------------------------------------------------------------

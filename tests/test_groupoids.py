@@ -302,6 +302,19 @@ def test_extend_of_the_arrow_embedding_is_the_identity():
                           identity_functor(gc.category))
 
 
+def test_extend_accepts_only_a_representation_of_the_same_groupoid():
+    z2 = gp.cyclic_groupoid(2)
+    gc = gp.cstar_max(z2)
+    rep = gp.UnitaryRep(z2, gc.category, {"z": "z"},
+                        {g: gc.embed[g] for g in z2.arrows})
+    with pytest.raises(InvalidFunctor, match="representation is of a different groupoid"):
+        gp.adjunction_extend(gp.cstar_max(gp.cyclic_groupoid(3)), rep)
+    # an equal groupoid built separately is the same groupoid
+    other = gp.cstar_max(gp.cyclic_groupoid(2))
+    assert other.groupoid is not z2
+    assert validate_functor(gp.adjunction_extend(other, rep)) == []
+
+
 def test_sign_character_of_z2():
     z2 = gp.cyclic_groupoid(2)
     gc = gp.cstar_max(z2)
@@ -641,6 +654,26 @@ def test_an_object_map_that_misses_the_target_raises(object_map):
     target = gp.normalize_fp(gp.FPGroupoid(["y0", "y1"], {"t": ("y0", "y1")}))
     with pytest.raises(InvalidFunctor, match="object 'x1' unmapped"):
         gp.induced_functor(edge, target, object_map, {"e": "t"})
+
+
+@pytest.mark.parametrize("object_map, image", [
+    ({"x0": "y0", "x1": "y1"}, "l"),    # the edge sent to a loop
+    ({"x0": "y1", "x1": "y0"}, "t"),    # sent reversed
+    ({"x0": "y0", "x1": "y0"}, "t"),    # collapsed onto one object
+    ({"x0": "y0", "x1": "y1"}, None),   # sent to an identity across two objects
+], ids=["loop", "reversed", "collapsed", "identity"])
+def test_an_image_with_the_wrong_endpoints_breaks_a_relation(object_map, image):
+    """The walk catches every image with the wrong endpoints, so
+    ``induced_functor`` needs no endpoint check of its own."""
+    edge = gp.normalize_fp(gp.FPGroupoid(["x0", "x1"], {"e": ("x0", "x1")}))
+    loop = ("l", False)
+    # y0 -> y1 along t, and a loop l at y0 with l^2 = 1
+    target = gp.normalize_fp(gp.FPGroupoid(
+        ["y0", "y1"], {"t": ("y0", "y1"), "l": ("y0", "y0")},
+        [(gp.FPWord("y0", "y0", (loop, loop)), gp.FPWord("y0", "y0"))]))
+    assert target.finite
+    with pytest.raises(InvalidFunctor, match="break a relation"):
+        gp.induced_functor(edge, target, object_map, {"e": image})
 
 
 def test_the_functor_law_oracle_sees_each_broken_law(functor_law_violations):

@@ -170,6 +170,32 @@ def test_trivial_fibrations_are_the_fibrant_weak_equivalences_over_the_zoo():
     assert 0 < fibrations < 960
 
 
+def test_tensoring_with_a_category_keeps_cofibrations_and_weak_equivalences():
+    """- (x) C sends cofibrations and weak equivalences to cofibrations and
+    weak equivalences: F (x) id_C is i box (0 -> C), the finite case of the
+    pushout-product axiom (Hovey, *Model Categories*, 1999, ch. 4)."""
+    id_c = identity_functor(full_matrix_category([2, 1], ["c", "d"]))
+    for kind, functor in functor_zoo(rg.rng_from_seed(3), 24):
+        tensored = tensor_functor(functor, id_c)
+        assert validate_functor(tensored) == [], kind
+        assert md.is_cofibration(tensored) == md.is_cofibration(functor), kind
+        assert bool(md.is_weak_equivalence(tensored)) == \
+            bool(md.is_weak_equivalence(functor)), kind
+
+
+def test_tensoring_with_a_category_does_not_keep_fibrations():
+    """A fibration F whose target holds an object y no iso class of F(x)
+    reaches: F (x) id_C sends (x, c) to an object of dimension 2, which
+    (y, d) matches with no preimage, so condition (ii) fails."""
+    functor = inclusion_functor(full_matrix_category([1], ["x"]),
+                                full_matrix_category([1, 2], ["fx", "y"]), {"x": "fx"})
+    assert md.is_fibration(functor)
+    id_c = identity_functor(full_matrix_category([2, 1], ["c", "d"]))
+    tensored = tensor_functor(functor, id_c)
+    assert validate_functor(tensored) == []
+    assert not md.is_fibration(tensored)
+
+
 def test_rlp_harness_fails_when_the_fibration_predicate_is_wrong(monkeypatch):
     # a weak equivalence with an extra object is not a trivial fibration;
     # calling every functor a fibration makes the harness disagree
